@@ -1,18 +1,15 @@
-//! `ext_cache`: cache-tiering and prefetch sweep — the artifact behind
-//! `mgg-cache`'s HBM cache, its host-DRAM L2 tier, and the deterministic
-//! `_nbi` prefetcher.
+//! `ext_cache`: the per-GPU remote-embedding cache sweep — the artifact
+//! behind `mgg-cache`'s HBM cache.
 //!
 //! For every Table-3 dataset the experiment simulates a multi-layer
-//! aggregation pass uncached, then repeats it across a grid of cache
-//! configurations: the single-tier HBM sweep at increasing budgets (the
-//! shape shipped by the original cache PR), an LFU cell at the 1 MiB
-//! eviction-thrash point, and tiered cells that attach the host-DRAM L2
-//! and the look-ahead prefetcher. Each cached row reports the per-layer
-//! mean latency, the full L1/L2/prefetch counter set, and the speedup
-//! against the uncached baseline of the same dataset. Because the engine
-//! keeps cache residency across kernels, later layers re-hit rows fetched
-//! by earlier layers — the sweep shows intra-kernel coalescing,
-//! cross-layer reuse, demotion/promotion traffic, and prefetch accuracy
+//! aggregation pass uncached, then repeats it across a small grid of cache
+//! configurations: 1 MiB LRU and LFU at the eviction-thrash point, and
+//! 4 MiB LRU, which already holds every dataset's working set at this
+//! scale (larger budgets simulate identically). Each cached row reports the
+//! per-layer mean latency, the cache counters, and the speedup against the
+//! uncached baseline of the same dataset. Because the engine keeps cache
+//! residency across kernels, later layers re-hit rows fetched by earlier
+//! layers — the sweep shows intra-kernel coalescing and cross-layer reuse
 //! in one table.
 //!
 //! The stable correctness signals (the JSON's raison d'être in CI):
@@ -22,15 +19,13 @@
 //! * `one_mib_floor`: the best 1 MiB configuration is never a slowdown —
 //!   the eviction-thrash point is held at >= 1.0x by LFU + the pipelined
 //!   (non-blocking) hit path.
-//! * `replay_matches`: values digest and `CacheStats`/`TierStats` are
-//!   bit-identical at 1, 2, 4, and 7 worker threads.
-//! * `stale_reads == 0` and `l2_conserves`: the tier never serves a stale
-//!   row and every demotion is accounted resident, dropped, or
-//!   invalidated.
-//! * `showcase`: a Zipf-skewed serving calibration — the tiered cache
-//!   raises the calibrated saturation ceiling on a skewed query mix.
+//! * `replay_matches`: values digest and `CacheStats` of the 1 MiB LFU
+//!   value plane are bit-identical at 1, 2, 4, and 7 worker threads.
+//! * `stale_reads == 0`: the cache never serves a stale row.
+//! * `showcase`: a Zipf-skewed serving calibration — the cache raises the
+//!   calibrated saturation ceiling on a skewed query mix.
 
-use mgg_core::{CacheConfig, CachePolicy, MggConfig, MggEngine};
+use mgg_core::{CacheConfig, CachePolicy, CacheStats, MggConfig, MggEngine};
 use mgg_gnn::tensor::Matrix;
 use mgg_gnn::reference::AggregateMode;
 use mgg_serve::{Server, ServeConfig, WorkloadSpec};
@@ -41,44 +36,22 @@ use serde::Serialize;
 use crate::experiments::common::datasets;
 use crate::report::ExperimentReport;
 
-/// Single-tier cache capacities swept per dataset, in MiB per GPU. `0`
-/// encodes the uncached baseline row.
-const SWEEP_MB: &[u32] = &[0, 1, 4, 16, 64];
-
-/// Host-DRAM budget of the tiered cells, in MiB per GPU.
-const L2_MB: u32 = 256;
-
-/// Look-ahead depth of the prefetch cells, in warps.
-const PF_DEPTH: u32 = 4;
+/// Cache configurations swept per dataset: (MiB per GPU, policy).
+const GRID: &[(u32, CachePolicy)] =
+    &[(1, CachePolicy::Lru), (1, CachePolicy::Lfu), (4, CachePolicy::Lru)];
 
 /// Worker-pool widths the replay check runs under.
 const REPLAY_THREADS: &[usize] = &[1, 2, 4, 7];
-
-/// Best single-tier LRU mean latencies shipped by the original cache PR
-/// at the canonical full-scale run (scale 1.0, 8 GPUs, dim 64, 3
-/// layers). The tiering acceptance bar: at full scale at least one
-/// tiered/prefetch configuration must beat these on >= 4/5 datasets.
-const SHIPPED_SINGLE_TIER_BEST: &[(&str, u64)] = &[
-    ("RDD", 31_713),
-    ("ENWIKI", 72_676),
-    ("PROD", 57_279),
-    ("PROT", 28_816),
-    ("ORKT", 33_180),
-];
 
 /// One (dataset, cache-configuration) cell of the sweep.
 #[derive(Debug, Clone, Serialize)]
 pub struct CacheRow {
     /// Dataset name.
     pub dataset: String,
-    /// L1 (HBM) budget in MiB per GPU; 0 = caching disabled.
+    /// HBM budget in MiB per GPU; 0 = caching disabled.
     pub cache_mb: u32,
     /// Replacement policy name.
     pub policy: String,
-    /// Host-DRAM L2 budget in MiB per GPU; 0 = single-tier.
-    pub l2_mb: u32,
-    /// Prefetch look-ahead in warps; 0 = prefetching disabled.
-    pub prefetch_depth: u32,
     /// Mean simulated latency of one aggregation layer, in ns.
     pub mean_latency_ns: u64,
     /// Cache hits.
@@ -87,49 +60,43 @@ pub struct CacheRow {
     pub misses: u64,
     /// Requests folded into an in-flight fetch of the same row.
     pub coalesced: u64,
-    /// Rows displaced from the L1 cache.
+    /// Rows displaced from the cache.
     pub evictions: u64,
     /// hits / (hits + misses); coalesced requests are counted separately.
     pub hit_rate: f64,
-    /// L1 misses the host tier absorbed (no fabric GET issued).
-    pub l2_hits: u64,
-    /// L1 eviction write-backs into the host tier (payload moves only).
-    pub demotions: u64,
-    /// L2 hits copied back up into L1 (the clean L2 copy is retained).
-    pub promotions: u64,
-    /// Speculative fills issued by the look-ahead prefetcher.
-    pub prefetch_issued: u64,
-    /// Prefetched rows that a demand access later hit.
-    pub prefetch_useful: u64,
     /// Uncached mean latency of the same dataset over this row's mean
     /// (> 1 means the configuration helped).
     pub speedup_vs_uncached: f64,
 }
 
 /// The Zipf-skewed serving showcase: the same skewed query mix calibrated
-/// against an uncached engine and against a warmed tiered-cache engine.
+/// against an uncached engine and against a warmed cached engine.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeShowcase {
     /// Dataset name.
     pub dataset: String,
     /// Zipf skew of the query mix (hotter than the serving default).
     pub zipf_s: f64,
+    /// Per-GPU cache budget of the cached engine, in MiB.
+    pub cache_mb: u32,
+    /// Replacement policy of the cached engine.
+    pub policy: String,
     /// Offered load, queries/s — the *uncached* saturation ceiling, so
     /// both runs face the same absolute demand.
     pub offered_qps: f64,
     /// Uncached saturation, queries/s.
     pub uncached_saturation_qps: f64,
-    /// Tiered saturation, queries/s.
-    pub tiered_saturation_qps: f64,
+    /// Cached saturation, queries/s.
+    pub cached_saturation_qps: f64,
     /// Uncached p99, in simulated ns.
     pub uncached_p99_ns: u64,
-    /// Tiered p99, in simulated ns.
-    pub tiered_p99_ns: u64,
+    /// Cached p99, in simulated ns.
+    pub cached_p99_ns: u64,
     /// Uncached goodput, queries/s.
     pub uncached_goodput_qps: f64,
-    /// Tiered goodput, queries/s.
-    pub tiered_goodput_qps: f64,
-    /// tiered_saturation / uncached_saturation (> 1: the tier raised the
+    /// Cached goodput, queries/s.
+    pub cached_goodput_qps: f64,
+    /// cached_saturation / uncached_saturation (> 1: the cache raised the
     /// serving ceiling).
     pub saturation_uplift: f64,
 }
@@ -153,75 +120,31 @@ pub struct CacheReport {
     /// Minimum over datasets of the best 1 MiB configuration's speedup.
     /// The eviction-thrash guarantee: this never drops below 1.0.
     pub one_mib_floor: f64,
-    /// Datasets where a tiered or prefetch configuration beats the best
-    /// single-tier latency shipped by the original cache PR. Only
-    /// populated at the canonical full-scale run (scale 1.0, 8 GPUs)
-    /// where those shipped numbers are comparable.
-    pub tiered_beats_shipped: Option<usize>,
-    /// Values digest and cache/tier counters bit-identical at 1, 2, 4,
-    /// and 7 worker threads.
+    /// Values digest and cache counters of the 1 MiB LFU value plane
+    /// bit-identical at 1, 2, 4, and 7 worker threads.
     pub replay_matches: bool,
     /// Rows served from a cache at a stale version, summed over every
     /// cell. Must be zero: versioned admission refuses stale copies.
     pub stale_reads: u64,
-    /// Every L2 demotion is still resident, was dropped by L2 pressure,
-    /// or was invalidated — checked after every cell.
-    pub l2_conserves: bool,
     /// Showcase.
     pub showcase: ServeShowcase,
 }
 
-/// One cache configuration of the sweep grid.
-#[derive(Clone, Copy)]
-struct Cell {
-    l1_mb: u32,
-    policy: CachePolicy,
-    l2: bool,
-    pf: u32,
-}
-
-/// The sweep grid: the original single-tier LRU sweep, the LFU cell at
-/// the 1 MiB thrash point, and the tiered/prefetch cells.
-fn grid() -> Vec<Cell> {
-    let mut cells: Vec<Cell> = SWEEP_MB
-        .iter()
-        .filter(|&&mb| mb > 0)
-        .map(|&mb| Cell { l1_mb: mb, policy: CachePolicy::Lru, l2: false, pf: 0 })
-        .collect();
-    // The 1 MiB eviction-thrash point under frequency-aware replacement.
-    cells.push(Cell { l1_mb: 1, policy: CachePolicy::Lfu, l2: false, pf: 0 });
-    // Small-HBM rescue: LFU L1 + host tier + prefetch.
-    cells.push(Cell { l1_mb: 1, policy: CachePolicy::Lfu, l2: true, pf: PF_DEPTH });
-    // Prefetch on the largest single tier.
-    cells.push(Cell { l1_mb: 64, policy: CachePolicy::Lru, l2: false, pf: PF_DEPTH });
-    // The headline tiered configuration.
-    cells.push(Cell { l1_mb: 64, policy: CachePolicy::Lru, l2: true, pf: PF_DEPTH });
-    cells
-}
-
-fn config_of(c: Cell) -> (Option<CacheConfig>, Option<CacheConfig>, u32) {
-    let l1 = CacheConfig::from_mb(c.l1_mb).with_policy(c.policy);
-    let l2 = c.l2.then(|| CacheConfig::from_mb(L2_MB));
-    (Some(l1), l2, c.pf)
-}
-
-/// Simulates `layers` aggregation passes and returns the mean makespan
-/// with the cache and tier counters accumulated across all of them.
+/// Simulates `layers` aggregation passes under `cfg` and returns the mean
+/// makespan with the cache counters accumulated across all of them.
 fn run_cell(
     eng: &mut MggEngine,
     dim: usize,
     layers: usize,
-    cfg: (Option<CacheConfig>, Option<CacheConfig>, u32),
-) -> (u64, mgg_core::CacheStats, mgg_core::TierStats) {
-    eng.set_cache(cfg.0); // resets residency and counters for this cell
-    eng.set_cache_l2(cfg.1);
-    eng.set_prefetch_depth(cfg.2);
+    cfg: Option<CacheConfig>,
+) -> (u64, CacheStats) {
+    eng.set_cache(cfg); // resets residency and counters for this cell
     let mut total_ns: u64 = 0;
     for _ in 0..layers {
         let stats = eng.simulate_aggregation(dim).expect("valid launch");
         total_ns += stats.makespan_ns();
     }
-    (total_ns / layers as u64, eng.cache_stats(), eng.tier_stats())
+    (total_ns / layers as u64, eng.cache_stats())
 }
 
 fn fnv1a(values: impl Iterator<Item = u64>) -> String {
@@ -235,14 +158,15 @@ fn fnv1a(values: impl Iterator<Item = u64>) -> String {
     format!("{h:016x}")
 }
 
-/// Runs the headline tiered configuration's value plane under `threads`
-/// workers and returns the output digest plus the counters — the replay
-/// check compares these across pool widths.
+/// Runs the 1 MiB LFU value plane — the smallest cache in the grid, so the
+/// one that evicts most — under `threads` workers and returns the output
+/// digest plus the counters; the replay check compares these across pool
+/// widths.
 fn digest_at_threads(
     graph: &mgg_graph::CsrGraph,
     gpus: usize,
     threads: usize,
-) -> (String, mgg_core::CacheStats, mgg_core::TierStats) {
+) -> (String, CacheStats) {
     mgg_runtime::with_threads(threads, || {
         let mut engine = MggEngine::new(
             graph,
@@ -250,23 +174,15 @@ fn digest_at_threads(
             MggConfig::default_fixed(),
             AggregateMode::Sum,
         );
-        let (l1, l2, pf) = config_of(Cell {
-            l1_mb: 4,
-            policy: CachePolicy::Lfu,
-            l2: true,
-            pf: PF_DEPTH,
-        });
-        engine.set_cache(l1);
-        engine.set_cache_l2(l2);
-        engine.set_prefetch_depth(pf);
+        engine.set_cache(Some(CacheConfig::from_mb(1).with_policy(CachePolicy::Lfu)));
         let n = engine.graph().num_nodes();
         let dim = 16;
         let mut x = Matrix::zeros(n, dim);
         for (i, v) in x.data_mut().iter_mut().enumerate() {
             *v = ((i * 31 + 7) % 97) as f32 * 0.01;
         }
-        let (y, cs, ts) = engine.aggregate_values_tiered(&x).expect("tiered values");
-        (fnv1a(y.data().iter().map(|f| f.to_bits() as u64)), cs, ts)
+        let (y, cs) = engine.aggregate_values_cached(&x).expect("cached values");
+        (fnv1a(y.data().iter().map(|f| f.to_bits() as u64)), cs)
     })
 }
 
@@ -293,12 +209,13 @@ fn serve_skewed(
 }
 
 /// The Zipf-skewed serving showcase on the most skew-sensitive dataset:
-/// calibrate once uncached, once with a warmed tiered cache, and serve
+/// calibrate once uncached, once with a warmed 4 MiB LFU cache, and serve
 /// the same skewed mix at the uncached saturation point.
 fn showcase(scale: f64, gpus: usize, dim: usize) -> ServeShowcase {
     let ds = datasets(scale);
     let d = &ds[1]; // ENWIKI: heavy-skew degree distribution
     let zipf_s = 1.2;
+    let cache = CacheConfig::from_mb(4).with_policy(CachePolicy::Lfu);
 
     let mut plain = MggEngine::new(
         &d.graph,
@@ -309,114 +226,84 @@ fn showcase(scale: f64, gpus: usize, dim: usize) -> ServeShowcase {
     let (un_sat, _, _) = serve_skewed(&mut plain, dim, gpus, None, zipf_s);
     let (_, un_p99, un_goodput) = serve_skewed(&mut plain, dim, gpus, Some(un_sat), zipf_s);
 
-    let mut tiered = MggEngine::new(
+    let mut cached = MggEngine::new(
         &d.graph,
         ClusterSpec::dgx_a100(gpus),
         MggConfig::default_fixed(),
         AggregateMode::Sum,
     );
-    let (l1, l2, pf) =
-        config_of(Cell { l1_mb: 64, policy: CachePolicy::Lfu, l2: true, pf: PF_DEPTH });
-    tiered.set_cache(l1);
-    tiered.set_cache_l2(l2);
-    tiered.set_prefetch_depth(pf);
-    // Warm the tiers so calibration sees steady-state residency — a
+    cached.set_cache(Some(cache));
+    // Warm the cache so calibration sees steady-state residency — a
     // serving deployment amortizes its fill traffic across the window.
-    tiered.simulate_aggregation(dim).expect("warm-up launch");
-    let (t_sat, _, _) = serve_skewed(&mut tiered, dim, gpus, None, zipf_s);
-    let (_, t_p99, t_goodput) = serve_skewed(&mut tiered, dim, gpus, Some(un_sat), zipf_s);
+    cached.simulate_aggregation(dim).expect("warm-up launch");
+    let (c_sat, _, _) = serve_skewed(&mut cached, dim, gpus, None, zipf_s);
+    let (_, c_p99, c_goodput) = serve_skewed(&mut cached, dim, gpus, Some(un_sat), zipf_s);
 
     ServeShowcase {
         dataset: d.spec.name.to_string(),
         zipf_s,
+        cache_mb: (cache.capacity_bytes >> 20) as u32,
+        policy: cache.policy.to_string(),
         offered_qps: un_sat,
         uncached_saturation_qps: un_sat,
-        tiered_saturation_qps: t_sat,
+        cached_saturation_qps: c_sat,
         uncached_p99_ns: un_p99,
-        tiered_p99_ns: t_p99,
+        cached_p99_ns: c_p99,
         uncached_goodput_qps: un_goodput,
-        tiered_goodput_qps: t_goodput,
-        saturation_uplift: t_sat / un_sat.max(f64::MIN_POSITIVE),
+        cached_goodput_qps: c_goodput,
+        saturation_uplift: c_sat / un_sat.max(f64::MIN_POSITIVE),
     }
 }
 
-/// Runs the cache-tiering sweep at `scale`.
+/// Runs the cache sweep at `scale`.
 pub fn run(scale: f64, gpus: usize) -> CacheReport {
     let ds = datasets(scale);
     let dim = 64;
     let layers = 3;
-    let cells = grid();
     let mut rows: Vec<CacheRow> = Vec::new();
     let mut datasets_improved = 0usize;
     let mut one_mib_floor = f64::INFINITY;
-    let mut tiered_beats = 0usize;
     let mut replay_matches = true;
     let mut stale_reads = 0u64;
-    let mut l2_conserves = true;
 
     for d in &ds {
         let spec = ClusterSpec::dgx_a100(gpus);
         let mut eng =
             MggEngine::new(&d.graph, spec, MggConfig::default_fixed(), AggregateMode::Sum);
 
-        eng.set_cache(None);
-        eng.set_cache_l2(None);
-        eng.set_prefetch_depth(0);
-        let mut base_total = 0u64;
-        for _ in 0..layers {
-            base_total += eng.simulate_aggregation(dim).expect("valid launch").makespan_ns();
-        }
-        let base_ns = base_total / layers as u64;
+        let (base_ns, _) = run_cell(&mut eng, dim, layers, None);
         rows.push(CacheRow {
             dataset: d.spec.name.to_string(),
             cache_mb: 0,
             policy: "none".to_string(),
-            l2_mb: 0,
-            prefetch_depth: 0,
             mean_latency_ns: base_ns,
             hits: 0,
             misses: 0,
             coalesced: 0,
             evictions: 0,
             hit_rate: 0.0,
-            l2_hits: 0,
-            demotions: 0,
-            promotions: 0,
-            prefetch_issued: 0,
-            prefetch_useful: 0,
             speedup_vs_uncached: 1.0,
         });
 
         let mut best_cached = u64::MAX;
         let mut best_1mib = u64::MAX;
-        let mut best_tiered = u64::MAX;
-        for &cell in &cells {
-            let (ns, cs, ts) = run_cell(&mut eng, dim, layers, config_of(cell));
+        for &(mb, policy) in GRID {
+            let cfg = CacheConfig::from_mb(mb).with_policy(policy);
+            let (ns, cs) = run_cell(&mut eng, dim, layers, Some(cfg));
             best_cached = best_cached.min(ns);
-            if cell.l1_mb == 1 {
+            if mb == 1 {
                 best_1mib = best_1mib.min(ns);
             }
-            if cell.l2 || cell.pf > 0 {
-                best_tiered = best_tiered.min(ns);
-            }
-            l2_conserves &= eng.l2_conserves();
             rows.push(CacheRow {
                 dataset: d.spec.name.to_string(),
-                cache_mb: cell.l1_mb,
-                policy: cell.policy.to_string(),
-                l2_mb: if cell.l2 { L2_MB } else { 0 },
-                prefetch_depth: cell.pf,
+                cache_mb: mb,
+                policy: policy.to_string(),
                 mean_latency_ns: ns,
                 hits: cs.hits,
                 misses: cs.misses,
                 coalesced: cs.coalesced,
                 evictions: cs.evictions,
                 hit_rate: cs.hit_rate(),
-                l2_hits: ts.l2_hits,
-                demotions: ts.demotions,
-                promotions: ts.promotions,
-                prefetch_issued: ts.prefetch_issued,
-                prefetch_useful: ts.prefetch_useful,
                 speedup_vs_uncached: base_ns as f64 / ns.max(1) as f64,
             });
         }
@@ -424,26 +311,16 @@ pub fn run(scale: f64, gpus: usize) -> CacheReport {
             datasets_improved += 1;
         }
         one_mib_floor = one_mib_floor.min(base_ns as f64 / best_1mib.max(1) as f64);
-        if let Some(&(_, shipped)) =
-            SHIPPED_SINGLE_TIER_BEST.iter().find(|(n, _)| *n == d.spec.name)
-        {
-            if best_tiered < shipped {
-                tiered_beats += 1;
-            }
-        }
         stale_reads += eng.stale_reads();
 
-        // Replay check: the headline tiered value plane digests the same
-        // under every pool width, counters included.
+        // Replay check: the 1 MiB LFU value plane digests the same under
+        // every pool width, counters included.
         let reference = digest_at_threads(&d.graph, gpus, REPLAY_THREADS[0]);
         for &t in &REPLAY_THREADS[1..] {
-            let got = digest_at_threads(&d.graph, gpus, t);
-            replay_matches &=
-                got.0 == reference.0 && got.1 == reference.1 && got.2 == reference.2;
+            replay_matches &= digest_at_threads(&d.graph, gpus, t) == reference;
         }
     }
 
-    let canonical = (scale - 1.0).abs() < f64::EPSILON && gpus == 8;
     CacheReport {
         gpus,
         dim,
@@ -452,10 +329,8 @@ pub fn run(scale: f64, gpus: usize) -> CacheReport {
         datasets_improved,
         dataset_count: ds.len(),
         one_mib_floor,
-        tiered_beats_shipped: canonical.then_some(tiered_beats),
         replay_matches,
         stale_reads,
-        l2_conserves,
         showcase: showcase(scale, gpus, dim),
     }
 }
@@ -467,12 +342,12 @@ impl ExperimentReport for CacheReport {
 
     fn print(&self) {
         println!(
-            "Cache tiering + prefetch sweep: {} layers of dim-{} aggregation on {} GPUs",
+            "Cache sweep: {} layers of dim-{} aggregation on {} GPUs",
             self.layers, self.dim, self.gpus
         );
         println!(
-            "{:<8} {:>10} {:>5} {:>3} {:>12} {:>9} {:>8} {:>8} {:>8} {:>8}",
-            "dataset", "config", "L2", "pf", "mean (ms)", "hit rate", "L2 hits", "demote", "pf use", "speedup"
+            "{:<8} {:>10} {:>12} {:>9} {:>10} {:>8}",
+            "dataset", "config", "mean (ms)", "hit rate", "evictions", "speedup"
         );
         for r in &self.rows {
             let cfg = if r.cache_mb == 0 {
@@ -481,16 +356,12 @@ impl ExperimentReport for CacheReport {
                 format!("{}MiB {}", r.cache_mb, r.policy)
             };
             println!(
-                "{:<8} {:>10} {:>5} {:>3} {:>12.3} {:>7.1}% {:>8} {:>8} {:>8} {:>7.2}x",
+                "{:<8} {:>10} {:>12.3} {:>7.1}% {:>10} {:>7.2}x",
                 r.dataset,
                 cfg,
-                if r.l2_mb == 0 { "-".to_string() } else { format!("{}", r.l2_mb) },
-                r.prefetch_depth,
                 r.mean_latency_ns as f64 / 1e6,
                 100.0 * r.hit_rate,
-                r.l2_hits,
-                r.demotions,
-                r.prefetch_useful,
+                r.evictions,
                 r.speedup_vs_uncached
             );
         }
@@ -498,26 +369,24 @@ impl ExperimentReport for CacheReport {
             "cache beat the uncached baseline on {}/{} datasets; 1 MiB floor {:.3}x",
             self.datasets_improved, self.dataset_count, self.one_mib_floor
         );
-        if let Some(n) = self.tiered_beats_shipped {
-            println!("tiered/prefetch beat the shipped single-tier best on {n}/{} datasets", self.dataset_count);
-        }
         let s = &self.showcase;
         println!(
-            "zipf {:.1} serving on {}: saturation {:.0} -> {:.0} qps ({:.2}x), p99 {:.2} -> {:.2} us",
+            "zipf {:.1} serving on {} ({} MiB {}): saturation {:.0} -> {:.0} qps ({:.2}x), p99 {:.2} -> {:.2} us",
             s.zipf_s,
             s.dataset,
+            s.cache_mb,
+            s.policy,
             s.uncached_saturation_qps,
-            s.tiered_saturation_qps,
+            s.cached_saturation_qps,
             s.saturation_uplift,
             s.uncached_p99_ns as f64 / 1e3,
-            s.tiered_p99_ns as f64 / 1e3
+            s.cached_p99_ns as f64 / 1e3
         );
         println!(
-            "replay across {:?} threads: {}; stale reads: {}; L2 conservation: {}",
+            "replay across {:?} threads: {}; stale reads: {}",
             REPLAY_THREADS,
             if self.replay_matches { "bit-identical" } else { "DIVERGED" },
-            self.stale_reads,
-            if self.l2_conserves { "holds" } else { "VIOLATED" }
+            self.stale_reads
         );
     }
 }
@@ -529,16 +398,11 @@ mod tests {
     #[test]
     fn cache_sweep_hits_and_beats_uncached() {
         let report = run(0.05, 4);
-        assert_eq!(report.rows.len(), report.dataset_count * (grid().len() + 1));
+        assert_eq!(report.rows.len(), report.dataset_count * (GRID.len() + 1));
         // Every cached row must see traffic, and every enabled capacity a hit.
         for r in report.rows.iter().filter(|r| r.cache_mb > 0) {
             assert!(r.hits > 0, "{} @ {} MiB had no hits", r.dataset, r.cache_mb);
             assert!(r.hit_rate > 0.0, "{} @ {} MiB", r.dataset, r.cache_mb);
-        }
-        // Tiered rows must exercise the tier plumbing wherever L1 actually
-        // overflowed (an L1 big enough for the working set demotes nothing).
-        for r in report.rows.iter().filter(|r| r.l2_mb > 0 && r.evictions > 0) {
-            assert!(r.demotions > 0, "{} @ {} MiB evicted without demoting", r.dataset, r.cache_mb);
         }
         // The headline acceptance claims.
         assert!(
@@ -554,7 +418,6 @@ mod tests {
         );
         assert!(report.replay_matches, "thread-count replay diverged");
         assert_eq!(report.stale_reads, 0, "stale cache reads detected");
-        assert!(report.l2_conserves, "L2 conservation violated");
     }
 
     #[test]
@@ -571,9 +434,9 @@ mod tests {
         let s = showcase(0.05, 4, 64);
         assert!(
             s.saturation_uplift > 1.0,
-            "tiered cache did not raise the skewed serving ceiling: {:.3}x",
+            "cache did not raise the skewed serving ceiling: {:.3}x",
             s.saturation_uplift
         );
-        assert!(s.tiered_p99_ns <= s.uncached_p99_ns, "tiered p99 regressed");
+        assert!(s.cached_p99_ns <= s.uncached_p99_ns, "cached p99 regressed");
     }
 }

@@ -52,15 +52,6 @@ fn main() {
                 }
                 mgg_runtime::set_threads(n);
             }
-            "--event-queue" => {
-                let v = it.next().unwrap_or_else(|| usage("missing value for --event-queue"));
-                let strategy = match v.as_str() {
-                    "calendar" => mgg_sim::EventQueueStrategy::Calendar,
-                    "sharded" => mgg_sim::EventQueueStrategy::ShardedByGpu,
-                    _ => usage("--event-queue expects 'calendar' or 'sharded'"),
-                };
-                mgg_sim::set_event_queue_strategy(Some(strategy));
-            }
             "all" => selected.extend(ALL.iter().map(|s| s.to_string())),
             "summary" => selected.push("summary".to_string()),
             "--help" | "-h" => usage(""),
@@ -134,16 +125,9 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}\n");
     }
-    eprintln!(
-        "usage: mgg-bench <experiment>... [--scale S] [--out DIR] [--threads N] \
-         [--event-queue calendar|sharded]"
-    );
+    eprintln!("usage: mgg-bench <experiment>... [--scale S] [--out DIR] [--threads N]");
     eprintln!("       mgg-bench all [--scale S] [--out DIR] [--threads N]");
     eprintln!("       mgg-bench summary [--out DIR]   # markdown digest of saved reports");
-    eprintln!(
-        "--event-queue picks the simulator's event-queue strategy (bit-identical \
-         either way; default: compile-time feature selection)"
-    );
     eprintln!("experiments: {}", ALL.join(" "));
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -17,11 +17,6 @@ pub struct Lookup {
     pub slot: Option<usize>,
     /// Key displaced to admit this one, if the access evicted.
     pub evicted: Option<CacheKey>,
-    /// Row version the evicted key's slot was filled at (0 when nothing was
-    /// evicted). A tiered wrapper needs this to demote the victim into a
-    /// host tier *at the version its payload actually carries*, so a later
-    /// L2 probe at a newer version correctly refuses the stale copy.
-    pub evicted_version: u64,
 }
 
 /// Windowed eviction-thrash detector (see [`EmbedCache::with_thrash_guard`]).
@@ -239,7 +234,7 @@ impl EmbedCache {
                 let (p1, p2) = self.bump(slot);
                 self.heap.push(Reverse((p1, p2, slot)));
                 self.maybe_compact();
-                return Lookup { hit: true, slot: Some(slot), evicted: None, evicted_version: 0 };
+                return Lookup { hit: true, slot: Some(slot), evicted: None };
             }
         }
         self.stats.misses += 1;
@@ -247,48 +242,15 @@ impl EmbedCache {
             if let Some(g) = &mut self.guard {
                 g.maybe_roll();
             }
-            return Lookup { hit: false, slot: None, evicted: None, evicted_version: 0 };
+            return Lookup { hit: false, slot: None, evicted: None };
         }
         if self.guard.is_some_and(|g| g.bypassing()) {
             self.stats.bypassed += 1;
             let g = self.guard.as_mut().expect("guard checked above");
             g.maybe_roll();
-            return Lookup { hit: false, slot: None, evicted: None, evicted_version: 0 };
+            return Lookup { hit: false, slot: None, evicted: None };
         }
-        let (slot, evicted, evicted_version) = self.admit(packed, version);
-        if let Some(g) = &mut self.guard {
-            g.maybe_roll();
-        }
-        Lookup { hit: false, slot: Some(slot), evicted, evicted_version }
-    }
-
-    /// Admits `key` speculatively — the prefetch path. Unlike
-    /// [`EmbedCache::access_versioned`] this counts **no** hit, miss or
-    /// bypass (the demand access that later lands on the prefetched row
-    /// does that accounting), does not advance the thrash-guard window, and
-    /// refuses to admit while the guard is bypassing (a thrashing cache
-    /// must not be churned further by speculation). Evictions it performs
-    /// are real displacements and are counted normally. Returns the
-    /// admission outcome: `hit` means the key was already resident (nothing
-    /// was done), `slot: None` means nothing was admitted.
-    pub fn admit_speculative(&mut self, key: CacheKey, version: u64) -> Lookup {
-        let packed = key.pack();
-        if let Some(&slot) = self.map.get(&packed) {
-            return Lookup { hit: true, slot: Some(slot), evicted: None, evicted_version: 0 };
-        }
-        if self.capacity == 0 || self.guard.is_some_and(|g| g.bypassing()) {
-            return Lookup { hit: false, slot: None, evicted: None, evicted_version: 0 };
-        }
-        self.tick += 1;
-        let (slot, evicted, evicted_version) = self.admit(packed, version);
-        Lookup { hit: false, slot: Some(slot), evicted, evicted_version }
-    }
-
-    /// Installs `packed` in a free or victim slot, returning the slot and
-    /// the displaced key (with its payload version) if eviction was needed.
-    fn admit(&mut self, packed: u64, version: u64) -> (usize, Option<CacheKey>, u64) {
         let mut evicted = None;
-        let mut evicted_version = 0;
         let slot = if self.map.len() < self.capacity {
             match self.free.pop() {
                 Some(s) => s,
@@ -306,7 +268,6 @@ impl EmbedCache {
                 g.evictions += 1;
             }
             evicted = Some(CacheKey::unpack(victim_key));
-            evicted_version = self.slots[victim].version;
             victim
         };
         let (p1, p2) = match self.policy {
@@ -317,7 +278,10 @@ impl EmbedCache {
         self.map.insert(packed, slot);
         self.heap.push(Reverse((p1, p2, slot)));
         self.maybe_compact();
-        (slot, evicted, evicted_version)
+        if let Some(g) = &mut self.guard {
+            g.maybe_roll();
+        }
+        Lookup { hit: false, slot: Some(slot), evicted }
     }
 
     /// Records `n` requests merged by the warp coalescer (kept here so one
@@ -598,47 +562,6 @@ mod tests {
         assert_eq!(c.stale_hits(), 1);
         assert!(c.access_versioned(k(0, 1), 1).hit, "refetched row is clean");
         assert_eq!(c.stale_hits(), 1);
-    }
-
-    #[test]
-    fn speculative_admission_counts_no_demand_traffic() {
-        let mut c = EmbedCache::new(2, CachePolicy::Lru);
-        let out = c.admit_speculative(k(0, 1), 0);
-        assert!(!out.hit);
-        assert!(out.slot.is_some());
-        assert_eq!(c.stats(), CacheStats::default(), "speculation is not demand traffic");
-        assert!(c.access(k(0, 1)).hit, "prefetched key must serve the demand access");
-        assert!(c.admit_speculative(k(0, 1), 0).hit, "resident keys are left alone");
-        c.access(k(0, 2));
-        let evicting = c.admit_speculative(k(0, 3), 0);
-        assert_eq!(evicting.evicted, Some(k(0, 1)), "speculative eviction picks the LRU victim");
-        assert_eq!(c.stats().evictions, 1, "displacements are real and counted");
-        assert_eq!(c.stats().hits + c.stats().misses, 2);
-    }
-
-    #[test]
-    fn speculative_admission_respects_guard_and_capacity() {
-        let mut zero = EmbedCache::new(0, CachePolicy::Lru);
-        assert_eq!(zero.admit_speculative(k(0, 1), 0).slot, None);
-        let mut c = EmbedCache::with_thrash_guard(4, CachePolicy::Lru);
-        for i in 0..(ThrashGuard::WINDOW * 2) {
-            c.access(k(0, (i % 64) as u32));
-        }
-        assert!(c.thrash_bypassing());
-        assert_eq!(
-            c.admit_speculative(k(9, 9), 0).slot,
-            None,
-            "a thrashing cache must not be churned further by speculation"
-        );
-    }
-
-    #[test]
-    fn eviction_reports_the_victim_payload_version() {
-        let mut c = EmbedCache::new(1, CachePolicy::Lru);
-        c.access_versioned(k(0, 1), 7);
-        let out = c.access_versioned(k(0, 2), 0);
-        assert_eq!(out.evicted, Some(k(0, 1)));
-        assert_eq!(out.evicted_version, 7, "demotion needs the victim's fill version");
     }
 
     #[test]

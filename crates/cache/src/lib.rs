@@ -14,13 +14,6 @@
 //! * [`WarpCoalescer`] — a warp-scope window that merges duplicate
 //!   in-flight GETs to the same `(PE, row)` into one fabric transaction
 //!   (the second request piggybacks on the first's landing buffer).
-//! * [`TieredCache`] — the L1 [`EmbedCache`] fronting an optional
-//!   host-DRAM [`HostTier`] (L2): L1 evictions *demote* over PCIe instead
-//!   of dropping, L1 misses *probe* L2 before paying a fabric GET, and
-//!   [`TierStats`] accounts the demote/promote/drop lifecycle.
-//! * [`Prefetcher`] — deterministic degree-/recency-driven prediction of
-//!   upcoming remote rows, turned into posted `_nbi` fills one warp ahead
-//!   of the demand access.
 //!
 //! Determinism is load-bearing: the engine replays the exact warp-order
 //! access stream at kernel-build time, so the same graph + placement +
@@ -53,13 +46,9 @@
 
 mod cache;
 mod coalesce;
-mod prefetch;
-mod tier;
 
 pub use cache::{EmbedCache, Lookup};
 pub use coalesce::WarpCoalescer;
-pub use prefetch::Prefetcher;
-pub use tier::{HostInsert, HostTier, PrefetchAdmit, TierLookup, TierStats, TieredCache};
 
 use serde::{Deserialize, Serialize};
 

@@ -100,12 +100,6 @@ pub enum Command {
         /// Remote-embedding cache (`--cache-mb N [--cache-policy lru|lfu]`;
         /// None = caching disabled).
         cache: Option<CacheConfig>,
-        /// Host-DRAM L2 tier behind the HBM cache (`--cache-l2-mb N
-        /// [--cache-l2-policy lru|lfu]`; None = single-tier).
-        cache_l2: Option<CacheConfig>,
-        /// Deterministic prefetch look-ahead in warps (`--prefetch-depth N`;
-        /// 0 = prefetching disabled).
-        prefetch_depth: u32,
     },
     /// `profile`: attribute simulated time across pipeline phases.
     Profile {
@@ -497,38 +491,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 None => None,
             };
-            let cache_l2 = match flags.get("cache-l2-mb") {
-                Some(v) => {
-                    if cache.is_none() {
-                        return Err("--cache-l2-mb requires --cache-mb (the L2 tier backs an L1)".into());
-                    }
-                    let mb = v
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|&m| m > 0)
-                        .ok_or("--cache-l2-mb expects a positive integer (MiB of host DRAM)")?;
-                    let policy = match flags.get("cache-l2-policy") {
-                        Some(p) => p.parse::<CachePolicy>()?,
-                        None => CachePolicy::Lru,
-                    };
-                    Some(CacheConfig::from_mb(mb).with_policy(policy))
-                }
-                None if flags.contains_key("cache-l2-policy") => {
-                    return Err("--cache-l2-policy requires --cache-l2-mb".into());
-                }
-                None => None,
-            };
-            let prefetch_depth = match flags.get("prefetch-depth") {
-                Some(v) => {
-                    if cache.is_none() {
-                        return Err("--prefetch-depth requires --cache-mb (prefetch fills the cache)".into());
-                    }
-                    v.parse::<u32>()
-                        .ok()
-                        .ok_or("--prefetch-depth expects a non-negative integer (warps of look-ahead)")?
-                }
-                None => 0,
-            };
             Ok(Command::Simulate {
                 graph: graph_path(&positional)?,
                 gpus,
@@ -542,8 +504,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 metrics_out: flags.get("metrics-out").map(PathBuf::from),
                 threads: get_threads(&flags)?,
                 cache,
-                cache_l2,
-                prefetch_depth,
             })
         }
         "serve" => {
@@ -844,8 +804,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             metrics_out,
             threads,
             cache,
-            cache_l2,
-            prefetch_depth,
         } => {
             if let Some(n) = threads {
                 mgg_runtime::set_threads(*n);
@@ -881,8 +839,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     )
                     .map_err(|e| e.to_string())?;
                     e.set_cache(*cache);
-                    e.set_cache_l2(*cache_l2);
-                    e.set_prefetch_depth(*prefetch_depth);
                     let mut note = String::new();
                     if fault.is_some() || !permanent.is_empty() {
                         let mut sched = match fault {
@@ -955,30 +911,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                             c.evictions,
                             100.0 * c.hit_rate()
                         ));
-                        if let Some(l2) = cache_l2 {
-                            let t = e.tier_stats();
-                            note.push_str(&format!(
-                                "L2 tier ({} MiB host, {}): {} hits, {} demotions, {} promotions, {} dropped, L2 hit rate {:.1}%\n",
-                                l2.capacity_bytes / (1024 * 1024),
-                                l2.policy,
-                                t.l2_hits,
-                                t.demotions,
-                                t.promotions,
-                                t.dropped,
-                                100.0 * t.l2_hit_rate()
-                            ));
-                        }
-                        if *prefetch_depth > 0 {
-                            let t = e.tier_stats();
-                            note.push_str(&format!(
-                                "prefetch (depth {}): {} issued, {} useful, {} evicted unused, accuracy {:.1}%\n",
-                                prefetch_depth,
-                                t.prefetch_issued,
-                                t.prefetch_useful,
-                                t.prefetch_evicted,
-                                100.0 * t.prefetch_accuracy()
-                            ));
-                        }
                     }
                     if fault.is_some() || !permanent.is_empty() {
                         let r = stats.recovery;
@@ -1400,8 +1332,6 @@ pub fn usage() -> &'static str {
                    [--trace-out <file>] [--metrics-out <file>]   (mgg/uvm engines)
                    [--threads N]   (worker pool; default all cores, 1 = sequential)
                    [--cache-mb N] [--cache-policy lru|lfu]   (remote-embedding cache, mgg engine)
-                   [--cache-l2-mb N] [--cache-l2-policy lru|lfu]   (host-DRAM tier behind the cache)
-                   [--prefetch-depth N]   (deterministic look-ahead prefetch, warps; default 0)
   mgg-cli serve <graph> [--gpus N] [--dim D] [--platform a100|v100|pcie]
                 [--arrival poisson|bursty[:PERIOD,DUTY%]|ramp[:FROM,TO]]
                 [--qps Q]   (offered queries/s; default 1.5x calibrated saturation)
@@ -1478,8 +1408,6 @@ mod tests {
                 metrics_out: None,
                 threads: None,
                 cache: None,
-                cache_l2: None,
-                prefetch_depth: 0,
             }
         );
     }
@@ -1502,35 +1430,6 @@ mod tests {
         assert!(parse(&args("simulate g.csr --cache-mb lots")).is_err());
         assert!(parse(&args("simulate g.csr --cache-mb 4 --cache-policy random")).is_err());
         assert!(parse(&args("simulate g.csr --cache-policy lru")).is_err());
-    }
-
-    #[test]
-    fn parse_cache_tier_and_prefetch_flags() {
-        match parse(&args("simulate g.csr --cache-mb 4 --cache-l2-mb 256 --prefetch-depth 4"))
-            .unwrap()
-        {
-            Command::Simulate { cache, cache_l2, prefetch_depth, .. } => {
-                assert_eq!(cache, Some(CacheConfig::from_mb(4)));
-                assert_eq!(cache_l2, Some(CacheConfig::from_mb(256)));
-                assert_eq!(prefetch_depth, 4);
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        match parse(&args("simulate g.csr --cache-mb 4 --cache-l2-mb 64 --cache-l2-policy lfu"))
-            .unwrap()
-        {
-            Command::Simulate { cache_l2, prefetch_depth, .. } => {
-                assert_eq!(cache_l2, Some(CacheConfig::from_mb(64).with_policy(CachePolicy::Lfu)));
-                assert_eq!(prefetch_depth, 0);
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        // Both riders need an L1 to attach to.
-        assert!(parse(&args("simulate g.csr --cache-l2-mb 256")).is_err());
-        assert!(parse(&args("simulate g.csr --prefetch-depth 4")).is_err());
-        assert!(parse(&args("simulate g.csr --cache-mb 4 --cache-l2-policy lfu")).is_err());
-        assert!(parse(&args("simulate g.csr --cache-mb 4 --cache-l2-mb 0")).is_err());
-        assert!(parse(&args("simulate g.csr --cache-mb 4 --prefetch-depth much")).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! functional outputs match the CPU reference (up to floating-point
 //! reassociation) while timing comes from the discrete-event simulation.
 
-use mgg_cache::{CacheConfig, CacheKey, CacheStats, TierStats, TieredCache};
+use mgg_cache::{CacheConfig, CacheKey, CacheStats, EmbedCache};
 use mgg_churn::{apply_deltas, GraphDelta};
 use mgg_failover::checkpoint::Checkpoint;
 use mgg_failover::{plan_route, ClusterView, HealthMonitor, Route};
@@ -171,25 +171,13 @@ pub struct MggEngine {
     /// disables caching entirely; the kernel then lowers to traces
     /// byte-identical to pre-cache builds (pinned by the golden tests).
     cache_cfg: Option<CacheConfig>,
-    /// Host-DRAM L2 tier configuration. Only meaningful while `cache_cfg`
-    /// is set; `None` — the default — keeps the cache single-tier and the
-    /// lowered traces byte-identical to pre-tiering builds.
-    cache_l2: Option<CacheConfig>,
-    /// Per-warp deterministic prefetch budget (0 — the default — disables
-    /// prediction and keeps traces byte-identical to reactive builds).
-    prefetch_depth: u32,
-    /// Per-GPU timing-plane embedding caches (L1, with an optional host
-    /// L2 behind each). Residency persists across kernels (that is the
-    /// point: layer `k+1` hits on rows layer `k` fetched) until an
-    /// invalidation hook flushes them.
-    caches: Vec<TieredCache>,
+    /// Per-GPU timing-plane embedding caches. Residency persists across
+    /// kernels (that is the point: layer `k+1` hits on rows layer `k`
+    /// fetched) until an invalidation hook flushes them.
+    caches: Vec<EmbedCache>,
     /// Embedding dimension the caches were sized for; capacity is counted
     /// in rows, so a dimension change rebuilds them.
     cache_dim: usize,
-    /// Host-tier / prefetch counters of the most recent cached kernel
-    /// build (kept out of `KernelStats`, which is serialized into
-    /// committed baselines).
-    last_tier_stats: TierStats,
     /// Per-node row versions, bumped by every epoch-fence delta that
     /// touches the row. The cached kernel build checks each access
     /// against this table ([`EmbedCache::access_versioned`]), so a delta
@@ -309,11 +297,8 @@ impl MggEngine {
             graph: graph.clone(),
             replanned: false,
             cache_cfg: None,
-            cache_l2: None,
-            prefetch_depth: 0,
             caches: Vec::new(),
             cache_dim: 0,
-            last_tier_stats: TierStats::default(),
             row_versions: Vec::new(),
             admin_down: Vec::new(),
             checkpoint_restores: 0,
@@ -360,41 +345,6 @@ impl MggEngine {
         self.cache_cfg
     }
 
-    /// Attaches (`Some`) or detaches (`None`) a host-DRAM L2 tier behind
-    /// every per-GPU L1 cache. Takes effect only while an L1 is configured
-    /// ([`MggEngine::set_cache`]). Re-configuring always starts cold. Like
-    /// the L1, the tier changes *timing only*: L1 evictions demote over
-    /// the PCIe host link instead of dropping, and L1 misses probe the
-    /// tier before paying a fabric GET. With `None` the lowered traces are
-    /// byte-identical to a single-tier engine.
-    pub fn set_cache_l2(&mut self, cfg: Option<CacheConfig>) {
-        self.cache_l2 = cfg;
-        self.caches = Vec::new();
-        self.cache_dim = 0;
-    }
-
-    /// The active L2 tier configuration, if one is attached.
-    pub fn cache_l2_config(&self) -> Option<CacheConfig> {
-        self.cache_l2
-    }
-
-    /// Sets the deterministic per-warp prefetch budget (0 disables). While
-    /// planning warp *w* of a cached build, up to `depth` predicted rows
-    /// of warp *w+1*'s remote window are speculatively admitted and issued
-    /// as posted `_nbi` fills from warp *w*, so the fabric round trip
-    /// overlaps a full warp of work. Re-configuring starts the caches
-    /// cold so results depend only on the new setting, not tuning history.
-    pub fn set_prefetch_depth(&mut self, depth: u32) {
-        self.prefetch_depth = depth;
-        self.caches = Vec::new();
-        self.cache_dim = 0;
-    }
-
-    /// The active per-warp prefetch budget (0 when prefetch is off).
-    pub fn prefetch_depth(&self) -> u32 {
-        self.prefetch_depth
-    }
-
     /// Drops all cached rows (counters survive). This is the invalidation
     /// hook of the recovery ladder: any event that re-plans placement or
     /// changes fault state re-maps `(PE, row)` addresses, so the engine
@@ -419,32 +369,6 @@ impl MggEngine {
         acc
     }
 
-    /// Cumulative host-tier / prefetch counters summed over all GPUs since
-    /// the caches were (re)built. All zero when tiering and prefetch are
-    /// both disabled.
-    pub fn tier_stats(&self) -> TierStats {
-        let mut acc = TierStats::default();
-        for c in &self.caches {
-            acc.merge(&c.tier_stats());
-        }
-        acc
-    }
-
-    /// Host-tier / prefetch counters of the most recent cached kernel run
-    /// (the per-run delta, like `KernelStats::cache` is for the L1 — but
-    /// kept out of `KernelStats`, which is serialized into committed
-    /// baselines).
-    pub fn last_tier_stats(&self) -> TierStats {
-        self.last_tier_stats
-    }
-
-    /// True when every per-GPU host tier satisfies the demotion
-    /// conservation identity (`demotions == resident + dropped +
-    /// invalidated`). Trivially true with tiering disabled.
-    pub fn l2_conserves(&self) -> bool {
-        self.caches.iter().all(|c| c.l2_conserves())
-    }
-
     /// (Re)builds the per-GPU caches when the embedding dimension or GPU
     /// count changed since they were last sized.
     fn ensure_caches(&mut self, dim: usize) {
@@ -453,20 +377,11 @@ impl MggEngine {
         if self.cache_dim == dim && self.caches.len() == gpus {
             return;
         }
-        let row_bytes = (dim * 4) as u32;
-        let rows = cfg.capacity_rows(row_bytes);
+        let rows = cfg.capacity_rows((dim * 4) as u32);
         // The thrash guard keeps undersized budgets from paying fill-write
         // bandwidth for rows they immediately re-evict (never slower than
         // uncached); right-sized budgets behave exactly as before.
-        self.caches = (0..gpus)
-            .map(|_| {
-                let c = TieredCache::new(rows, cfg.policy);
-                match self.cache_l2 {
-                    Some(l2) => c.with_host_tier(l2.capacity_rows(row_bytes), l2.policy),
-                    None => c,
-                }
-            })
-            .collect();
+        self.caches = (0..gpus).map(|_| EmbedCache::with_thrash_guard(rows, cfg.policy)).collect();
         self.cache_dim = dim;
     }
 
@@ -879,7 +794,7 @@ impl MggEngine {
     /// that found a resident row at the wrong version. Any non-zero value
     /// means a delta bypassed invalidation — the churn drills assert 0.
     pub fn stale_reads(&self) -> u64 {
-        self.caches.iter().map(|c| c.stale_hits()).sum()
+        self.caches.iter().map(EmbedCache::stale_hits).sum()
     }
 
     /// The engine's current (post-churn) graph.
@@ -1021,7 +936,6 @@ impl MggEngine {
                     self.mapping,
                     &mut self.caches,
                     &self.row_versions,
-                    self.prefetch_depth,
                 )
             } else {
                 MggKernel::build(
@@ -1053,19 +967,6 @@ impl MggEngine {
             tel.counter_add("cache.coalesced", cs.coalesced);
             tel.counter_add("cache.evictions", cs.evictions);
             tel.gauge_set("cache.hit_rate", cs.hit_rate());
-            // Host-tier / prefetch counters ride alongside but stay out of
-            // `KernelStats` (whose shape is frozen by committed baselines).
-            let ts = kernel.tier_stats();
-            self.last_tier_stats = ts;
-            if self.cache_l2.is_some() || self.prefetch_depth > 0 {
-                tel.counter_add("cache.l2_hits", ts.l2_hits);
-                tel.counter_add("cache.l2_misses", ts.l2_misses);
-                tel.counter_add("cache.demotions", ts.demotions);
-                tel.counter_add("cache.promotions", ts.promotions);
-                tel.counter_add("cache.prefetch_issued", ts.prefetch_issued);
-                tel.counter_add("cache.prefetch_useful", ts.prefetch_useful);
-                tel.gauge_set("cache.l2_hit_rate", ts.l2_hit_rate());
-            }
         }
         Ok((stats, events))
     }
@@ -1265,21 +1166,6 @@ impl MggEngine {
     /// returned stats are this call's own (the functional plane does not
     /// share residency with the timing-plane caches).
     pub fn aggregate_values_cached(&self, x: &Matrix) -> Result<(Matrix, CacheStats), MggError> {
-        self.aggregate_values_tiered(x).map(|(m, cs, _)| (m, cs))
-    }
-
-    /// [`MggEngine::aggregate_values_cached`] with the host-tier and
-    /// prefetch counters alongside. When [`MggEngine::set_cache_l2`] has
-    /// attached a host tier, L1 evictions demote into it and misses probe
-    /// it before the fabric; when [`MggEngine::set_prefetch_depth`] is
-    /// non-zero, each row's first remote references are staged while the
-    /// previous row computes. Values stay bit-identical to
-    /// [`MggEngine::aggregate_values`] either way — the tiers store exact
-    /// copies and the merge order is untouched.
-    pub fn aggregate_values_tiered(
-        &self,
-        x: &Matrix,
-    ) -> Result<(Matrix, CacheStats, TierStats), MggError> {
         let dim = x.cols();
         let cfg = self
             .cache_cfg
@@ -1297,14 +1183,9 @@ impl MggEngine {
         // the pool width (values would not, but stats determinism is part
         // of this path's contract).
         let _lbl = mgg_runtime::profile::region_label("engine.aggregate_cached");
-        let l2_cfg = self.cache_l2;
-        let prefetch_depth = self.prefetch_depth;
         let results = mgg_runtime::par_map_indexed(parts.len(), |pi| {
             let part = &parts[pi];
             let mut cached = CachedRegion::new(region, faults, cfg, dim);
-            if let Some(l2) = l2_cfg {
-                cached = cached.with_host_tier(l2);
-            }
             let mut out_part = vec![0.0f32; part.local.num_rows() * dim];
             let mut fetched = vec![0.0f32; dim];
             let base = part.node_range.start as usize;
@@ -1312,15 +1193,6 @@ impl MggEngine {
                 let v = base + r as usize;
                 let row_start = r as usize * dim;
                 cached.begin_batch(part.pe);
-                // Stage the *next* row's first remote references while this
-                // row computes — the value-plane twin of the planner's
-                // next-warp `_nbi` prefetch. Sequential within the
-                // partition job, so thread count cannot reorder it.
-                if prefetch_depth > 0 && r + 1 < part.local.num_rows() as u32 {
-                    for rr in part.remote.row(r + 1).iter().take(prefetch_depth as usize) {
-                        cached.prefetch(part.pe, rr.owner as usize, rr.local);
-                    }
-                }
                 let mut merged =
                     Vec::with_capacity(part.local.row(r).len() + part.remote.row(r).len());
                 merge_by_edge(part.local.row(r), part.remote.row(r), |nb| merged.push(nb));
@@ -1368,20 +1240,17 @@ impl MggEngine {
                     AggregateMode::Sum => {}
                 }
             }
-            debug_assert!(cached.l2_conserves(), "host tier leaked or double-counted a row");
-            debug_assert_eq!(cached.stale_reads(), 0, "a delta bypassed tier invalidation");
-            Ok::<_, mgg_shmem::ShmemError>((out_part, cached.stats(), cached.tier_stats()))
+            debug_assert_eq!(cached.stale_reads(), 0, "a delta bypassed cache invalidation");
+            Ok::<_, mgg_shmem::ShmemError>((out_part, cached.stats()))
         });
         let mut out = Vec::with_capacity(x.rows() * dim);
         let mut stats = CacheStats::default();
-        let mut tier = TierStats::default();
         for res in results {
-            let (part_out, s, ts) = res?;
+            let (part_out, s) = res?;
             out.extend_from_slice(&part_out);
             stats.merge(&s);
-            tier.merge(&ts);
         }
-        Ok((Matrix::from_vec(x.rows(), dim, out), stats, tier))
+        Ok((Matrix::from_vec(x.rows(), dim, out), stats))
     }
 
     #[inline]
@@ -1990,14 +1859,22 @@ mod tests {
     fn cached_values_are_bit_identical_to_uncached() {
         let g = graph();
         let x = features(g.num_nodes(), 16);
+        // A roomy cache, and a tiny one (32 rows at dim 16) that must evict.
+        let roomy = CacheConfig::from_mb(4);
+        let tiny = CacheConfig { capacity_bytes: 2048, policy: mgg_cache::CachePolicy::Lru };
         for mode in [AggregateMode::Sum, AggregateMode::Mean, AggregateMode::GcnNorm] {
-            let mut engine =
-                MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
-            engine.set_cache(Some(CacheConfig::from_mb(4)));
-            let want = engine.aggregate_values(&x);
-            let (got, stats) = engine.aggregate_values_cached(&x).unwrap();
-            assert_eq!(got.data(), want.data(), "mode {mode:?} must be bit-identical");
-            assert!(stats.hits > 0, "the reuse pattern must produce hits");
+            for cfg in [roomy, tiny] {
+                let mut engine =
+                    MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
+                engine.set_cache(Some(cfg));
+                let want = engine.aggregate_values(&x);
+                let (got, stats) = engine.aggregate_values_cached(&x).unwrap();
+                assert_eq!(got.data(), want.data(), "mode {mode:?} {cfg:?} must be bit-identical");
+                assert!(stats.hits > 0, "the reuse pattern must produce hits");
+                if cfg == tiny {
+                    assert!(stats.evictions > 0, "undersized cache must evict: {stats:?}");
+                }
+            }
         }
     }
 
@@ -2027,90 +1904,6 @@ mod tests {
             cached_ns < base_ns,
             "cache must shorten the kernel ({cached_ns} vs {base_ns})"
         );
-    }
-
-    #[test]
-    fn tiered_values_are_bit_identical_to_uncached() {
-        let g = graph();
-        let x = features(g.num_nodes(), 16);
-        for mode in [AggregateMode::Sum, AggregateMode::Mean, AggregateMode::GcnNorm] {
-            let mut engine =
-                MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
-            // Tiny L1 (32 rows at dim 16) so the host tier and prefetcher
-            // actually carry load.
-            engine.set_cache(Some(CacheConfig {
-                capacity_bytes: 2048,
-                policy: mgg_cache::CachePolicy::Lru,
-            }));
-            engine.set_cache_l2(Some(CacheConfig::from_mb(16)));
-            engine.set_prefetch_depth(4);
-            let want = engine.aggregate_values(&x);
-            let (got, _, tier) = engine.aggregate_values_tiered(&x).unwrap();
-            assert_eq!(got.data(), want.data(), "mode {mode:?} must be bit-identical");
-            assert!(tier.demotions > 0, "undersized L1 must demote: {tier:?}");
-        }
-    }
-
-    #[test]
-    fn tiering_and_prefetch_shorten_the_simulated_kernel() {
-        // Big enough for fabric pressure: the host tier's win is relieving
-        // per-GET scheduler occupancy and remote-HBM/port contention, not
-        // unloaded latency (PCIe is *slower* than NVSwitch per access).
-        let g = rmat(&RmatConfig::graph500(12, 60_000, 7));
-        // Undersized L1 (512 rows at dim 64) so evictions and L2 traffic
-        // happen; warm residency across two layers.
-        let l1 = CacheConfig { capacity_bytes: 1 << 17, policy: mgg_cache::CachePolicy::Lru };
-        let mk = |l2: Option<CacheConfig>, depth: u32| {
-            let mut e = MggEngine::new(
-                &g,
-                ClusterSpec::dgx_a100(8),
-                MggConfig::default_fixed(),
-                AggregateMode::Sum,
-            );
-            e.set_cache(Some(l1));
-            e.set_cache_l2(l2);
-            e.set_prefetch_depth(depth);
-            let a = e.simulate_aggregation(64).unwrap();
-            let b = e.simulate_aggregation(64).unwrap();
-            (a.makespan_ns() + b.makespan_ns(), b.cache, e.last_tier_stats())
-        };
-        let (base_ns, base_cache, base_tier) = mk(None, 0);
-        assert_eq!(base_tier, TierStats::default());
-        // L2 alone leaves the L1 counters untouched: an L2 hit is still an
-        // L1 miss there, so committed single-tier baselines stay valid.
-        let (l2_ns, l2_cache, l2_tier) = mk(Some(CacheConfig::from_mb(64)), 0);
-        assert_eq!(base_cache, l2_cache, "L1 counters must be L2-invariant");
-        assert!(l2_tier.l2_hits > 0, "expected L2 traffic: {l2_tier:?}");
-        assert!(l2_ns < base_ns, "host tier must shorten the kernel ({l2_ns} vs {base_ns})");
-        // Prefetch on top converts some demand misses into planned hits.
-        let (pf_ns, _, pf_tier) = mk(Some(CacheConfig::from_mb(64)), 4);
-        assert!(pf_tier.prefetch_issued > 0);
-        assert!(
-            pf_ns <= l2_ns,
-            "prefetch must not slow the tiered kernel ({pf_ns} vs {l2_ns})"
-        );
-    }
-
-    #[test]
-    fn disabling_the_tier_restores_the_untiered_kernel_exactly() {
-        let g = graph();
-        let mut e = MggEngine::new(
-            &g,
-            ClusterSpec::dgx_a100(4),
-            MggConfig::default_fixed(),
-            AggregateMode::Sum,
-        );
-        e.set_cache(Some(CacheConfig::from_mb(8)));
-        let want = e.simulate_aggregation(64).unwrap();
-        e.set_cache_l2(Some(CacheConfig::from_mb(32)));
-        e.set_prefetch_depth(8);
-        e.simulate_aggregation(64).unwrap();
-        e.set_cache_l2(None);
-        e.set_prefetch_depth(0);
-        let back = e.simulate_aggregation(64).unwrap();
-        assert_eq!(back.makespan_ns(), want.makespan_ns(), "lowering must be byte-identical");
-        assert_eq!(back.cache, want.cache);
-        assert_eq!(e.last_tier_stats(), TierStats::default());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! [`KernelVariant::SyncRemote`] is Figure 7(a): blocking GETs, no
 //! overlap — kept for the intra-warp pipelining ablation.
 
-use mgg_cache::{CacheKey, CacheStats, Prefetcher, TierStats, TieredCache, WarpCoalescer};
+use mgg_cache::{CacheKey, CacheStats, EmbedCache, WarpCoalescer};
 use mgg_sim::{KernelLaunch, KernelProgram, WarpOp};
 
 use crate::config::MggConfig;
@@ -58,41 +58,18 @@ pub fn aggregation_cycles(len: u32, dim: usize) -> u32 {
 /// even though the cache itself is stateful.
 #[derive(Debug, Clone, Default)]
 struct PairCachePlan {
-    /// Owner PE of each remote reference that missed both tiers, in
+    /// Owner PE of each remote reference that missed the cache, in
     /// adjacency order.
     miss_peers: Vec<u16>,
     /// Misses actually admitted into the cache. Misses the eviction-thrash
     /// guard bypassed still fetch over the fabric but fill nothing, so
     /// only admitted misses cost a posted HBM fill write.
     admitted: u32,
-    /// Remote references served from the resident L1 cache (no fabric).
+    /// Remote references served from the resident cache (no fabric).
     hits: u32,
-    /// L1 misses the host-DRAM tier absorbed: read over the PCIe host
-    /// link (`L2Get`), no fabric GET.
-    l2_hits: u32,
-    /// L2 hits promoted into L1 — they cost an HBM fill write like an
-    /// admitted miss (the row's new L1 residency has to be written).
-    promoted: u32,
-    /// L1 victims this pair's admissions demoted into the host tier: one
-    /// posted PCIe write-back each.
-    demoted: u32,
     /// Duplicate references merged into an earlier request of the same
     /// warp-scope batch window.
     coalesced: u32,
-}
-
-/// One warp's cache outcomes: per-pair plans plus the speculative fills
-/// the prefetcher attached to this warp (predicted from the *next* warp's
-/// remote window, so the fabric round trip overlaps this warp's work).
-#[derive(Debug, Clone, Default)]
-struct WarpCachePlan {
-    pairs: Vec<PairCachePlan>,
-    /// Per-peer speculative fill batches issued at this warp's start:
-    /// `(owner PE, row count)`.
-    prefetch: Vec<(u16, u32)>,
-    /// L1 victims displaced by those speculative admissions — posted PCIe
-    /// write-backs into the host tier.
-    prefetch_demoted: u32,
 }
 
 /// A fully-lowered MGG kernel, ready for the simulator.
@@ -104,16 +81,13 @@ pub struct MggKernel<'a> {
     dim: usize,
     wpb: u32,
     variant: KernelVariant,
-    /// Per PE, per warp cache outcomes; `None` when the kernel was built
-    /// without a cache (the default path — traces are then byte-identical
-    /// to pre-cache builds).
-    cache_plans: Option<Vec<Vec<WarpCachePlan>>>,
+    /// Per PE, per warp, per pair cache outcomes; `None` when the kernel
+    /// was built without a cache (the default path — traces are then
+    /// byte-identical to pre-cache builds).
+    cache_plans: Option<Vec<Vec<Vec<PairCachePlan>>>>,
     /// Cache counters accumulated while planning this kernel (delta over
     /// the caches' state before the build).
     cache_stats: CacheStats,
-    /// Host-tier / prefetch counters accumulated while planning (all-zero
-    /// for uncached and untiered builds).
-    tier_stats: TierStats,
 }
 
 impl<'a> MggKernel<'a> {
@@ -152,7 +126,6 @@ impl<'a> MggKernel<'a> {
             variant,
             cache_plans: None,
             cache_stats: CacheStats::default(),
-            tier_stats: TierStats::default(),
         }
     }
 
@@ -175,15 +148,6 @@ impl<'a> MggKernel<'a> {
     /// invalidated trips the stale-row assertion instead of being served.
     /// Pass `&[]` for a static graph (every row at version 0 — bitwise
     /// the unversioned behaviour).
-    ///
-    /// `prefetch_depth` arms the deterministic prefetcher (0 = off): while
-    /// planning warp *w*, up to `prefetch_depth` rows of warp *w+1*'s
-    /// remote window (ranked by in-window multiplicity, then recent-miss
-    /// streak extension) are speculatively admitted and lowered as posted
-    /// `PrefetchFill` ops at warp *w*'s start, so the fabric round trip
-    /// overlaps a whole warp's work instead of stalling the demand access.
-    /// Prefetch only applies to [`KernelVariant::AsyncPipelined`] — the
-    /// blocking ablation stays strictly reactive.
     #[allow(clippy::too_many_arguments)]
     pub fn build_cached(
         placement: &'a HybridPlacement,
@@ -193,30 +157,20 @@ impl<'a> MggKernel<'a> {
         model: &AnalyticalModel,
         variant: KernelVariant,
         mapping: MappingMode,
-        caches: &mut [TieredCache],
+        caches: &mut [EmbedCache],
         row_versions: &[u64],
-        prefetch_depth: u32,
     ) -> Self {
         let mut kernel = Self::build(placement, plans, cfg, dim, model, variant, mapping);
         assert_eq!(caches.len(), placement.num_gpus(), "one cache per GPU");
         let before: Vec<CacheStats> = caches.iter().map(|c| c.stats()).collect();
-        let tier_before: Vec<TierStats> = caches.iter().map(|c| c.tier_stats()).collect();
         let mut coalescer = WarpCoalescer::new();
         let mut cache_plans = Vec::with_capacity(kernel.assignments.len());
-        // Scratch reused across warps: the next warp's remote window and
-        // the prefetcher's prediction list.
-        let mut window: Vec<CacheKey> = Vec::new();
-        let mut predicted: Vec<CacheKey> = Vec::new();
         for (pe, warps) in kernel.assignments.iter().enumerate() {
             let cache = &mut caches[pe];
             let remote_adj = placement.parts[pe].remote.adj();
-            let mut prefetcher = Prefetcher::new(prefetch_depth);
             let mut pe_plans = Vec::with_capacity(warps.len());
-            for (w, assignment) in warps.iter().enumerate() {
-                let mut wplan = WarpCachePlan {
-                    pairs: Vec::with_capacity(assignment.pairs.len()),
-                    ..Default::default()
-                };
+            for assignment in warps {
+                let mut pairs = Vec::with_capacity(assignment.pairs.len());
                 for (_, rnp) in &assignment.pairs {
                     let mut plan = PairCachePlan::default();
                     if let Some(r) = rnp {
@@ -240,66 +194,19 @@ impl<'a> MggKernel<'a> {
                             let version =
                                 row_versions.get(global as usize).copied().unwrap_or(0);
                             let look = cache.access_versioned(key, version);
-                            if look.l1_hit {
+                            if look.hit {
                                 plan.hits += 1;
-                            } else if look.l2_hit {
-                                plan.l2_hits += 1;
-                                if look.admitted {
-                                    plan.promoted += 1;
-                                }
                             } else {
                                 plan.miss_peers.push(rr.owner);
-                                if look.admitted {
+                                if look.slot.is_some() {
                                     plan.admitted += 1;
                                 }
-                                prefetcher.note_miss(key);
-                            }
-                            if look.demoted {
-                                plan.demoted += 1;
                             }
                         }
                     }
-                    wplan.pairs.push(plan);
+                    pairs.push(plan);
                 }
-                // Predict the next warp's remote window and attach the
-                // accepted speculative fills to *this* warp.
-                if variant == KernelVariant::AsyncPipelined && prefetcher.enabled() {
-                    if let Some(next) = warps.get(w + 1) {
-                        window.clear();
-                        for (_, rnp) in &next.pairs {
-                            if let Some(r) = rnp {
-                                for rr in &remote_adj
-                                    [r.start as usize..(r.start + r.len as u64) as usize]
-                                {
-                                    window.push(CacheKey { pe: rr.owner, row: rr.local });
-                                }
-                            }
-                        }
-                        let split = &placement.split;
-                        prefetcher.predict(
-                            &window,
-                            |owner| split.range(owner as usize).len() as u32,
-                            &mut predicted,
-                        );
-                        for &key in &predicted {
-                            let global =
-                                placement.split.range(key.pe as usize).start + key.row;
-                            let version =
-                                row_versions.get(global as usize).copied().unwrap_or(0);
-                            if let Some(adm) = cache.admit_prefetch(key, version) {
-                                if adm.demoted {
-                                    wplan.prefetch_demoted += 1;
-                                }
-                                match wplan.prefetch.iter_mut().find(|(p, _)| *p == key.pe)
-                                {
-                                    Some(batch) => batch.1 += 1,
-                                    None => wplan.prefetch.push((key.pe, 1)),
-                                }
-                            }
-                        }
-                    }
-                }
-                pe_plans.push(wplan);
+                pe_plans.push(pairs);
             }
             pe_plans.shrink_to_fit();
             cache_plans.push(pe_plans);
@@ -309,14 +216,6 @@ impl<'a> MggKernel<'a> {
             .zip(&before)
             .map(|(c, b)| c.stats().delta_since(*b))
             .fold(CacheStats::default(), |mut acc, d| {
-                acc.merge(&d);
-                acc
-            });
-        kernel.tier_stats = caches
-            .iter()
-            .zip(&tier_before)
-            .map(|(c, b)| c.tier_stats().delta_since(*b))
-            .fold(TierStats::default(), |mut acc, d| {
                 acc.merge(&d);
                 acc
             });
@@ -333,12 +232,6 @@ impl<'a> MggKernel<'a> {
     /// uncached builds, otherwise the per-run delta summed over all PEs.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache_stats
-    }
-
-    /// Host-tier / prefetch counters accumulated while planning this
-    /// kernel: zero for uncached, untiered, unprefetched builds.
-    pub fn tier_stats(&self) -> TierStats {
-        self.tier_stats
     }
 
     fn row_bytes(&self) -> u32 {
@@ -369,19 +262,8 @@ impl KernelProgram for MggKernel<'_> {
         let row_bytes = self.row_bytes();
         let remote_adj = self.placement.parts[pe].remote.adj();
         let warp_plan = self.cache_plans.as_ref().map(|p| &p[pe][w]);
-        if let Some(wp) = warp_plan {
-            // Speculative fills for the *next* warp's predicted rows,
-            // issued first so the fabric round trip overlaps everything
-            // this warp does. Posted: nothing ever waits on them.
-            for &(peer, rows) in &wp.prefetch {
-                ops.push(WarpOp::PrefetchFill { peer, bytes: rows * row_bytes });
-            }
-            if wp.prefetch_demoted > 0 {
-                ops.push(WarpOp::L2Demote { bytes: wp.prefetch_demoted * row_bytes });
-            }
-        }
         for (pair, (lnp, rnp)) in assignment.pairs.iter().enumerate() {
-            let plan = warp_plan.map(|p| &p.pairs[pair]);
+            let plan = warp_plan.map(|p| &p[pair]);
             match self.variant {
                 KernelVariant::AsyncPipelined => {
                     // (1) Launch non-blocking gets for the remote rows.
@@ -398,17 +280,8 @@ impl KernelProgram for MggKernel<'_> {
                                         nbi: true,
                                     });
                                 }
-                                if p.l2_hits > 0 {
-                                    // Host-tier hits ride the PCIe link
-                                    // non-blocking and join the same
-                                    // WaitRemote as the fabric misses.
-                                    ops.push(WarpOp::L2Get {
-                                        bytes: p.l2_hits * row_bytes,
-                                        nbi: true,
-                                    });
-                                }
                                 if p.hits > 0 {
-                                    // L1 hits launch here too: an async
+                                    // Hits launch here too: an async
                                     // local HBM read that overlaps the
                                     // local partition below and joins the
                                     // same WaitRemote. A blocking read
@@ -451,19 +324,11 @@ impl KernelProgram for MggKernel<'_> {
                             cycles: aggregation_cycles(r.len, self.dim),
                         });
                         if let Some(p) = plan {
-                            let fills = p.admitted + p.promoted;
-                            if fills > 0 {
-                                // Landed misses and promoted L2 rows both
-                                // gain L1 residency: a posted HBM write,
-                                // off the critical path. Thrash-bypassed
-                                // misses and non-exclusive L2 serves fill
-                                // nothing.
-                                ops.push(WarpOp::CacheFill { bytes: fills * row_bytes });
-                            }
-                            if p.demoted > 0 {
-                                // Victims of those admissions drop one
-                                // level, not out: posted PCIe write-back.
-                                ops.push(WarpOp::L2Demote { bytes: p.demoted * row_bytes });
+                            if p.admitted > 0 {
+                                // Landed misses gain residency: a posted
+                                // HBM write, off the critical path.
+                                // Thrash-bypassed misses fill nothing.
+                                ops.push(WarpOp::CacheFill { bytes: p.admitted * row_bytes });
                             }
                         }
                         ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
@@ -485,14 +350,6 @@ impl KernelProgram for MggKernel<'_> {
                                     // stalls through the HBM queue.
                                     ops.push(WarpOp::CacheHit {
                                         bytes: p.hits * row_bytes,
-                                        nbi: false,
-                                    });
-                                }
-                                if p.l2_hits > 0 {
-                                    // Blocking ablation: the PCIe read
-                                    // stalls the warp like everything else.
-                                    ops.push(WarpOp::L2Get {
-                                        bytes: p.l2_hits * row_bytes,
                                         nbi: false,
                                     });
                                 }
@@ -520,12 +377,8 @@ impl KernelProgram for MggKernel<'_> {
                             cycles: aggregation_cycles(r.len, self.dim),
                         });
                         if let Some(p) = plan {
-                            let fills = p.admitted + p.promoted;
-                            if fills > 0 {
-                                ops.push(WarpOp::CacheFill { bytes: fills * row_bytes });
-                            }
-                            if p.demoted > 0 {
-                                ops.push(WarpOp::L2Demote { bytes: p.demoted * row_bytes });
+                            if p.admitted > 0 {
+                                ops.push(WarpOp::CacheFill { bytes: p.admitted * row_bytes });
                             }
                         }
                         ops.push(WarpOp::GlobalWrite { bytes: row_bytes });

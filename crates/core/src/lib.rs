@@ -66,14 +66,6 @@
 //! let (cached, stats) = engine.aggregate_values_cached(&x)?;
 //! assert_eq!(cached.data(), values.data());
 //! assert!(stats.hits + stats.misses > 0);
-//!
-//! // Tier it: L1 victims demote to a host-DRAM L2, the next warp's
-//! // remote rows prefetch ahead. Still bit-identical.
-//! engine.set_cache_l2(Some(CacheConfig::from_mb(256)));
-//! engine.set_prefetch_depth(4);
-//! let (tiered, _l1, tier) = engine.aggregate_values_tiered(&x)?;
-//! assert_eq!(tiered.data(), values.data());
-//! assert!(tier.dropped + tier.invalidated <= tier.demotions);
 //! # Ok::<(), mgg_core::MggError>(())
 //! ```
 
@@ -92,7 +84,7 @@ pub mod workload;
 
 pub use config::MggConfig;
 pub use error::MggError;
-pub use mgg_cache::{CacheConfig, CachePolicy, CacheStats, TierStats};
+pub use mgg_cache::{CacheConfig, CachePolicy, CacheStats};
 pub use executor::{DeltaReport, MembershipReport, MggEngine, RecoveryAction, RecoveryReport};
 pub use kernel::{KernelVariant, MggKernel};
 pub use model::AnalyticalModel;

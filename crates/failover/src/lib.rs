@@ -146,7 +146,7 @@ impl ClusterView {
 /// The monitor does not run inside the discrete-event simulation; it replays
 /// the heartbeat outcomes the schedule *implies* (a probe of GPU `g` at time
 /// `t` succeeds iff `g` has not died by `t`), which is equivalent to probing
-/// over the fabric in the simulator but keeps detection free of event-queue
+/// over the fabric in the simulator but keeps detection free of event
 /// interleaving — the view is a pure function of `(schedule, horizon)`.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {

@@ -7,10 +7,10 @@
 //!   through a mutex and sorts afterwards (the pre-refactor shape).
 //! * **dispatch latency** — an empty region through the persistent pool
 //!   (park/unpark) vs spawning fresh scoped threads per region.
-//! * **event-queue drain** — the simulator's calendar queue vs the
-//!   GPU-sharded queue on the same deterministic push/pop stream.
+//! * **event queue drain** — the simulator's calendar queue on a
+//!   deterministic push/pop stream shaped like its event loop.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -112,33 +112,12 @@ fn bench_event_queue_drain(c: &mut Criterion) {
                     state ^= state << 13;
                     state ^= state >> 7;
                     state ^= state << 17;
-                    let delta =
-                        if state % 32 == 0 { 50_000 + state % 100_000 } else { 1 + state % 700 };
+                    let delta = if state.is_multiple_of(32) {
+                        50_000 + state % 100_000
+                    } else {
+                        1 + state % 700
+                    };
                     q.push(now + delta, state);
-                }
-            }
-            std::hint::black_box(sink)
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("sharded", GPUS), &GPUS, |b, &gpus| {
-        b.iter(|| {
-            let mut q: mgg_sim::ShardedEventQueue<u64> = mgg_sim::ShardedEventQueue::new(gpus);
-            let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-            for g in 0..gpus as u64 {
-                q.push(g as usize, g, g);
-            }
-            let mut processed = 0u64;
-            let mut sink = 0u64;
-            while let Some((now, v)) = q.pop() {
-                sink = sink.wrapping_add(v);
-                processed += 1;
-                if processed < N {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    let delta =
-                        if state % 32 == 0 { 50_000 + state % 100_000 } else { 1 + state % 700 };
-                    q.push((state % gpus as u64) as usize, now + delta, state);
                 }
             }
             std::hint::black_box(sink)

@@ -746,7 +746,7 @@ mod tests {
     fn attribution_table_renders() {
         let ((), profile) = collect(|| {
             crate::with_threads(2, || {
-                crate::par_map_indexed(8, |i| std::hint::black_box(i));
+                crate::par_map_indexed(8, std::hint::black_box);
             })
         });
         let text = profile.render_attribution(2_000_000, 1_500_000);

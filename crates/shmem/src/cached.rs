@@ -1,4 +1,4 @@
-//! The caching read path: a [`TieredCache`] per issuing PE in front of the
+//! The caching read path: an [`EmbedCache`] per issuing PE in front of the
 //! resilience plane.
 //!
 //! [`CachedRegion`] is what the engine threads between aggregation and the
@@ -8,41 +8,27 @@
 //! coalesce onto the first request's landing buffer, the way a warp-scope
 //! coalescer merges duplicate in-flight GETs.
 //!
-//! With a host tier attached ([`CachedRegion::with_host_tier`]) an L1
-//! eviction demotes its payload into host DRAM instead of dropping it, and
-//! an L1 miss probes that tier before touching the fabric — the value-plane
-//! twin of the simulator's L2 pricing. [`CachedRegion::prefetch`] is the
-//! value-plane twin of the planner's speculative `_nbi` fills: it stages a
-//! row into L1 ahead of the demand access.
-//!
-//! Correctness invariant: both tiers store exact copies of rows read from
+//! Correctness invariant: the cache stores exact copies of rows read from
 //! the region, and the region's rows do not change while a `CachedRegion`
 //! borrows it — so every `get`/`get_nbi` writes bit-identical data into
-//! `dst` whether it hit (either tier), missed, was prefetched, or
-//! coalesced. Caching changes *which* requests touch the fabric, never the
-//! values.
+//! `dst` whether it hit, missed or coalesced. Caching changes *which*
+//! requests touch the fabric, never the values.
 
 use std::collections::HashMap;
 
-use mgg_cache::{
-    CacheConfig, CacheKey, CachePolicy, CacheStats, TierLookup, TierStats, TieredCache,
-    WarpCoalescer,
-};
+use mgg_cache::{CacheConfig, CacheKey, CacheStats, EmbedCache, WarpCoalescer};
 use mgg_fault::FaultSchedule;
 
 use crate::region::SymmetricRegion;
 use crate::resilience::{ResilienceStats, ResilientRegion, ShmemError};
 
-/// Per-issuing-PE cache state: the tiered replacement cache plus the
-/// current non-blocking batch window.
+/// Per-issuing-PE cache state: the replacement cache plus the current
+/// non-blocking batch window.
 #[derive(Debug)]
 struct PeCache {
-    cache: TieredCache,
-    /// L1 row payloads, parallel to the L1 cache's slots.
+    cache: EmbedCache,
+    /// Row payloads, parallel to the cache's slots.
     rows: Vec<Vec<f32>>,
-    /// Host-tier row payloads, parallel to the [`mgg_cache::HostTier`]'s
-    /// slots. Empty when no host tier is attached.
-    host_rows: Vec<Vec<f32>>,
     /// The warp-scope batch window: keys already requested since the last
     /// `begin_batch`/`quiet`.
     coalescer: WarpCoalescer,
@@ -53,18 +39,12 @@ struct PeCache {
 }
 
 impl PeCache {
-    fn new(capacity_rows: usize, cfg: &CacheConfig, l2: Option<(usize, CachePolicy)>) -> Self {
-        // Guarded L1: an undersized per-PE cache degrades to pass-through
-        // instead of thrashing (see `EmbedCache::with_thrash_guard`, which
-        // `TieredCache::new` applies).
-        let mut cache = TieredCache::new(capacity_rows, cfg.policy);
-        if let Some((l2_rows, l2_policy)) = l2 {
-            cache = cache.with_host_tier(l2_rows, l2_policy);
-        }
+    fn new(capacity_rows: usize, cfg: &CacheConfig) -> Self {
         PeCache {
-            cache,
+            // Guarded: an undersized per-PE cache degrades to pass-through
+            // instead of thrashing (see `EmbedCache::with_thrash_guard`).
+            cache: EmbedCache::with_thrash_guard(capacity_rows, cfg.policy),
             rows: Vec::new(),
-            host_rows: Vec::new(),
             coalescer: WarpCoalescer::new(),
             inflight: HashMap::new(),
         }
@@ -79,55 +59,18 @@ impl PeCache {
             self.rows[slot].extend_from_slice(data);
         }
     }
-
-    fn store_host(&mut self, slot: usize, data: Vec<f32>) {
-        if self.host_rows.len() <= slot {
-            self.host_rows.resize(slot + 1, Vec::new());
-        }
-        self.host_rows[slot] = data;
-    }
-
-    /// Applies the payload movement a [`TierLookup`] implies and returns
-    /// the host-tier payload it was served from, if any.
-    ///
-    /// Order is load-bearing twice over: the L2-served payload is read
-    /// *before* the demotion write-back (a promotion frees the L2 slot and
-    /// the demotion may reuse that very slot), and the L1 victim's payload
-    /// is moved down *before* the caller's `store` overwrites the reused
-    /// L1 slot with the new row.
-    fn settle(&mut self, look: &TierLookup) -> Option<Vec<f32>> {
-        let served = look.l2_slot.map(|s| self.host_rows[s].clone());
-        self.demote_payload(look.slot, look.demote_slot);
-        served
-    }
-
-    /// Moves the evicted L1 payload (still sitting at the reused `l1_slot`)
-    /// down into the host tier's `l2_slot`.
-    fn demote_payload(&mut self, l1_slot: Option<usize>, l2_slot: Option<usize>) {
-        if let (Some(l1), Some(l2)) = (l1_slot, l2_slot) {
-            let victim = if self.rows.len() > l1 {
-                std::mem::take(&mut self.rows[l1])
-            } else {
-                Vec::new()
-            };
-            self.store_host(l2, victim);
-        }
-    }
 }
 
 /// A caching view of a [`SymmetricRegion`]: remote GETs consult a per-PE
-/// [`TieredCache`] first and fall through to a [`ResilientRegion`] on miss.
+/// [`EmbedCache`] first and fall through to a [`ResilientRegion`] on miss.
 ///
 /// Each issuing PE gets an independent cache (GPUs do not share HBM), built
 /// lazily on first use so a view serving one partition pays for one cache.
 #[derive(Debug)]
 pub struct CachedRegion<'a> {
-    region: &'a SymmetricRegion,
     inner: ResilientRegion<'a>,
     cfg: CacheConfig,
     capacity_rows: usize,
-    row_bytes: u32,
-    l2: Option<(usize, CachePolicy)>,
     pes: Vec<Option<PeCache>>,
 }
 
@@ -141,26 +84,12 @@ impl<'a> CachedRegion<'a> {
         cfg: CacheConfig,
         dim: usize,
     ) -> Self {
-        let pes = region.num_pes();
-        let row_bytes = (dim * 4) as u32;
         CachedRegion {
-            region,
             inner: ResilientRegion::new(region, faults),
             cfg,
-            capacity_rows: cfg.capacity_rows(row_bytes),
-            row_bytes,
-            l2: None,
-            pes: (0..pes).map(|_| None).collect(),
+            capacity_rows: cfg.capacity_rows((dim * 4) as u32),
+            pes: (0..region.num_pes()).map(|_| None).collect(),
         }
-    }
-
-    /// Attaches a host-DRAM tier under `l2`'s byte budget: L1 evictions
-    /// demote into it and L1 misses probe it before the fabric. Call
-    /// before the first access (per-PE caches are built lazily; ones that
-    /// already exist keep their single-tier shape).
-    pub fn with_host_tier(mut self, l2: CacheConfig) -> Self {
-        self.l2 = Some((l2.capacity_rows(self.row_bytes), l2.policy));
-        self
     }
 
     /// Opens a new non-blocking batch window for `issuing_pe`: duplicate
@@ -173,8 +102,8 @@ impl<'a> CachedRegion<'a> {
     }
 
     /// Blocking cached GET. Returns `true` when served from the cache
-    /// hierarchy — either tier — without a fabric transaction. Full misses
-    /// fetch through the resilience plane and are admitted to L1.
+    /// without a fabric transaction. Misses fetch through the resilience
+    /// plane and are admitted.
     pub fn get(
         &mut self,
         dst: &mut [f32],
@@ -185,16 +114,8 @@ impl<'a> CachedRegion<'a> {
         let key = CacheKey { pe: src_pe as u16, row: src_row };
         let pc = self.pe_cache(issuing_pe);
         let lookup = pc.cache.access(key);
-        if lookup.l1_hit {
+        if lookup.hit {
             dst.copy_from_slice(&pc.rows[lookup.slot.expect("hit has a slot")]);
-            return Ok(true);
-        }
-        if let Some(served) = pc.settle(&lookup) {
-            // Host-tier hit: the payload crosses PCIe, not the fabric. A
-            // promotion re-stores it in L1; under a bypassing L1 guard
-            // `lookup.slot` is `None` and the row simply stays in L2.
-            dst.copy_from_slice(&served);
-            pc.store(lookup.slot, &served);
             return Ok(true);
         }
         if let Err(e) = self.inner.get(dst, issuing_pe, src_pe, src_row) {
@@ -233,17 +154,11 @@ impl<'a> CachedRegion<'a> {
             return Ok(());
         }
         let lookup = pc.cache.access(key);
-        if lookup.l1_hit {
+        if lookup.hit {
             let slot = lookup.slot.expect("hit has a slot");
             let row = pc.rows[slot].clone();
             dst.copy_from_slice(&row);
             pc.inflight.insert(key.pack(), row);
-            return Ok(());
-        }
-        if let Some(served) = pc.settle(&lookup) {
-            dst.copy_from_slice(&served);
-            pc.store(lookup.slot, &served);
-            pc.inflight.insert(key.pack(), served);
             return Ok(());
         }
         if let Err(e) = self.inner.get_nbi(dst, issuing_pe, src_pe, src_row) {
@@ -272,38 +187,11 @@ impl<'a> CachedRegion<'a> {
         Ok(())
     }
 
-    /// Speculatively stages `(src_pe, src_row)` in `issuing_pe`'s L1 ahead
-    /// of the demand access — the value-plane twin of the planner's posted
-    /// `_nbi` prefetch fills. Returns whether a fill was issued; refusals
-    /// (row already resident in either tier, L1 bypassing or zero-sized,
-    /// coordinates out of range) issue nothing.
-    ///
-    /// Prefetches read the region directly rather than through the
-    /// resilience plane: a speculative fill is posted and never waited on,
-    /// so a lost fill would merely leave the row non-resident — the model
-    /// does not roll fault dice for it, and issuing prefetches therefore
-    /// never perturbs the retry/drop sequence demand fetches observe.
-    pub fn prefetch(&mut self, issuing_pe: usize, src_pe: usize, src_row: u32) -> bool {
-        if src_pe >= self.region.num_pes() || src_row as usize >= self.region.rows_on(src_pe) {
-            return false;
-        }
-        let data = self.region.row(src_pe, src_row).to_vec();
-        let key = CacheKey { pe: src_pe as u16, row: src_row };
-        let pc = self.pe_cache(issuing_pe);
-        let Some(adm) = pc.cache.admit_prefetch(key, 0) else { return false };
-        // Victim payload out of the reused L1 slot *before* the store
-        // below overwrites it.
-        pc.demote_payload(Some(adm.slot), adm.demote_slot);
-        pc.store(Some(adm.slot), &data);
-        true
-    }
-
     /// Drops all cached rows on every PE (counters survive) — the
-    /// invalidation hook for re-planning and recovery. Covers both tiers.
+    /// invalidation hook for re-planning and recovery.
     pub fn flush(&mut self) {
         for pc in self.pes.iter_mut().flatten() {
             pc.cache.flush();
-            pc.host_rows.clear();
             pc.inflight.clear();
             pc.coalescer.begin();
         }
@@ -328,9 +216,7 @@ impl<'a> CachedRegion<'a> {
         dropped
     }
 
-    /// Cache counters rolled up over all issuing PEs. L1-only, identical
-    /// to the untiered counters for the same access stream (host-tier hits
-    /// still count as L1 misses here).
+    /// Cache counters rolled up over all issuing PEs.
     pub fn stats(&self) -> CacheStats {
         let mut acc = CacheStats::default();
         for pc in self.pes.iter().flatten() {
@@ -339,26 +225,10 @@ impl<'a> CachedRegion<'a> {
         acc
     }
 
-    /// Host-tier and prefetch counters rolled up over all issuing PEs.
-    /// All-zero when no host tier is attached and nothing was prefetched.
-    pub fn tier_stats(&self) -> TierStats {
-        let mut acc = TierStats::default();
-        for pc in self.pes.iter().flatten() {
-            acc.merge(&pc.cache.tier_stats());
-        }
-        acc
-    }
-
-    /// Stale detections across every PE's tiers — accesses that found a
+    /// Stale detections across every PE's cache — accesses that found a
     /// resident row at the wrong version. The churn drills pin this at 0.
     pub fn stale_reads(&self) -> u64 {
         self.pes.iter().flatten().map(|pc| pc.cache.stale_hits()).sum()
-    }
-
-    /// Whether every PE's host tier satisfies the conservation identity
-    /// `demotions == resident + dropped + promotions + invalidated`.
-    pub fn l2_conserves(&self) -> bool {
-        self.pes.iter().flatten().all(|pc| pc.cache.l2_conserves())
     }
 
     /// What the underlying resilience plane had to do for the misses.
@@ -369,7 +239,7 @@ impl<'a> CachedRegion<'a> {
     fn pe_cache(&mut self, issuing_pe: usize) -> &mut PeCache {
         let slot = &mut self.pes[issuing_pe];
         if slot.is_none() {
-            *slot = Some(PeCache::new(self.capacity_rows, &self.cfg, self.l2));
+            *slot = Some(PeCache::new(self.capacity_rows, &self.cfg));
         }
         slot.as_mut().expect("just built")
     }
@@ -591,85 +461,6 @@ mod tests {
         c.get_nbi(&mut dst, 0, 1, 0).unwrap();
         assert_eq!(dst, r.row(1, 0));
         c.quiet(0).unwrap();
-    }
-
-    #[test]
-    fn tiered_values_match_the_region_and_skip_the_fabric() {
-        // L1 one row, L2 big enough for the set: after the first pass every
-        // re-reference is served from the hierarchy (L1 or L2), with exact
-        // bytes and no further fabric traffic.
-        let dim = 4usize;
-        let r = region(2, 8, dim);
-        let l1 = CacheConfig { capacity_bytes: (dim * 4) as u64, policy: CachePolicy::Lru };
-        let mut c = CachedRegion::new(&r, None, l1, dim).with_host_tier(cfg_mb(1));
-        let mut dst = vec![0.0f32; dim];
-        for pass in 0..3 {
-            for row in 0..8u32 {
-                let served = c.get(&mut dst, 0, 1, row).unwrap();
-                assert_eq!(dst, r.row(1, row), "pass {pass} row {row}");
-                assert_eq!(served, pass > 0, "later passes never leave the hierarchy");
-            }
-        }
-        let ts = c.tier_stats();
-        assert!(ts.demotions > 0 && ts.l2_hits > 0);
-        assert_eq!(c.resilience().gets, 8, "only first-pass misses crossed the fabric");
-        assert!(c.l2_conserves());
-        assert_eq!(c.stale_reads(), 0);
-    }
-
-    #[test]
-    fn tiered_nbi_path_serves_exact_bytes_from_l2() {
-        let dim = 2usize;
-        let r = region(2, 6, dim);
-        let l1 = CacheConfig { capacity_bytes: (dim * 4) as u64, policy: CachePolicy::Lru };
-        let mut c = CachedRegion::new(&r, None, l1, dim).with_host_tier(cfg_mb(1));
-        let mut dst = vec![0.0f32; dim];
-        for _ in 0..2 {
-            c.begin_batch(0);
-            for row in 0..6u32 {
-                c.get_nbi(&mut dst, 0, 1, row).unwrap();
-                assert_eq!(dst, r.row(1, row));
-            }
-            c.quiet(0).unwrap();
-        }
-        assert_eq!(c.resilience().gets, 6, "second batch is L2-resident");
-        assert!(c.tier_stats().l2_hits > 0);
-        assert!(c.l2_conserves());
-    }
-
-    #[test]
-    fn prefetch_stages_rows_ahead_of_the_demand_access() {
-        let r = region(2, 4, 4);
-        let mut c = CachedRegion::new(&r, None, cfg_mb(1), 4).with_host_tier(cfg_mb(1));
-        assert!(c.prefetch(0, 1, 3));
-        assert!(!c.prefetch(0, 1, 3), "already resident: refused");
-        assert!(!c.prefetch(0, 1, 99), "out of range: refused");
-        let mut dst = vec![0.0f32; 4];
-        assert!(c.get(&mut dst, 0, 1, 3).unwrap(), "demand access is an L1 hit");
-        assert_eq!(dst, r.row(1, 3));
-        assert_eq!(c.resilience().gets, 0, "the prefetched row never crossed the fabric plane");
-        let ts = c.tier_stats();
-        assert_eq!((ts.prefetch_issued, ts.prefetch_useful), (1, 1));
-    }
-
-    #[test]
-    fn invalidate_row_and_flush_cover_the_host_tier() {
-        let dim = 2usize;
-        let r = region(2, 4, dim);
-        let l1 = CacheConfig { capacity_bytes: (dim * 4) as u64, policy: CachePolicy::Lru };
-        let mut c = CachedRegion::new(&r, None, l1, dim).with_host_tier(cfg_mb(1));
-        let mut dst = vec![0.0f32; dim];
-        for row in 0..4u32 {
-            c.get(&mut dst, 0, 1, row).unwrap();
-        }
-        // Rows 0..3 sit in L2 (L1 holds only row 3). Targeted invalidation
-        // must reach them there.
-        assert_eq!(c.invalidate_row(1, 0), 1);
-        assert!(!c.get(&mut dst, 0, 1, 0).unwrap(), "invalidated row refetches");
-        c.flush();
-        assert!(!c.get(&mut dst, 0, 1, 2).unwrap(), "flush empties both tiers");
-        assert_eq!(dst, r.row(1, 2));
-        assert!(c.l2_conserves());
     }
 
     #[test]

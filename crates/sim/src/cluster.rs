@@ -56,12 +56,6 @@ pub struct Interconnect {
     /// instead of hashing; `None` marks pairs without a direct link.
     pair_links: Vec<Option<BandwidthChannel>>,
     host: BandwidthChannel,
-    /// Per-GPU host-DRAM DMA channels (each GPU's own PCIe link). Used by
-    /// the cache host tier (L2 probes and demotion write-backs), which the
-    /// copy engines drive directly — unlike UVM migrations, nothing
-    /// serializes these behind the CPU driver, so they do not share the
-    /// single `host` channel.
-    host_dma: Vec<BandwidthChannel>,
     /// Ordered-pair fabric traffic, flattened `from * n + to`. Bumped once
     /// per transfer at the fabric entry points (not inside the cube-mesh
     /// relay recursion), so a 2-hop route counts as one `(src, dst)` entry.
@@ -148,7 +142,6 @@ impl Interconnect {
             port_out,
             pair_links,
             host: BandwidthChannel::from_link(&spec.host_link),
-            host_dma: (0..n).map(|_| BandwidthChannel::from_link(&spec.host_link)).collect(),
             pair_bytes: vec![0; n * n],
             pair_requests: vec![0; n * n],
             link_down: vec![None; n * n],
@@ -275,13 +268,6 @@ impl Interconnect {
     /// Host↔GPU transfer over the shared PCIe path; returns completion.
     pub fn host_transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         self.host.transfer(now, bytes)
-    }
-
-    /// Host-DRAM DMA on `gpu`'s own PCIe link (cache host-tier traffic);
-    /// returns completion. Contends only with that GPU's other tier
-    /// transfers, never with other GPUs or with UVM migration servicing.
-    pub fn host_dma_transfer(&mut self, now: SimTime, gpu: usize, bytes: u64) -> SimTime {
-        self.host_dma[gpu].transfer(now, bytes)
     }
 
     /// Direct GPU↔GPU bulk copy (used by collectives); same path as
@@ -417,20 +403,7 @@ impl Interconnect {
                     vec![ChannelStats::default(); self.num_gpus()]
                 }
             },
-            // The per-GPU DMA channels fold into the one `host` entry:
-            // `TrafficStats`' shape is frozen by committed baselines, and
-            // with tiering off the DMA channels are all-zero, so untiered
-            // snapshots are unchanged.
-            host: {
-                let mut h = ChannelStats::snapshot(&self.host);
-                for ch in &self.host_dma {
-                    let s = ChannelStats::snapshot(ch);
-                    h.bytes += s.bytes;
-                    h.requests += s.requests;
-                    h.busy_ns += s.busy_ns;
-                }
-                h
-            },
+            host: ChannelStats::snapshot(&self.host),
             pairs: {
                 let n = self.num_gpus();
                 let mut pairs = Vec::new();
@@ -461,7 +434,6 @@ impl Interconnect {
         self.port_out.iter_mut().for_each(BandwidthChannel::reset);
         self.pair_links.iter_mut().flatten().for_each(BandwidthChannel::reset);
         self.host.reset();
-        self.host_dma.iter_mut().for_each(BandwidthChannel::reset);
         self.pair_bytes.iter_mut().for_each(|b| *b = 0);
         self.pair_requests.iter_mut().for_each(|r| *r = 0);
         self.rerouted = 0;

@@ -225,213 +225,6 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-/// A calendar queue sharded by an integer key (the simulator shards by
-/// GPU), popping in exactly the same global `(time, push order)` order as
-/// a single [`EventQueue`] — cross-checked event-for-event by the
-/// equivalence tests below and in `tests/parallel_determinism.rs`.
-///
-/// This is the MGSim-style parallel discrete-event layout: each GPU owns a
-/// small queue whose events stay clustered in time, and a **conservative
-/// time window** exploits that locality — after popping from the earliest
-/// shard, the queue keeps draining that shard for as long as its head key
-/// stays below the second-earliest shard's head (no other shard can
-/// schedule into the past), skipping the cross-shard scan entirely. Each
-/// shard tags payloads with a global sequence number, so FIFO tie-breaks
-/// across shards match the single queue bit-for-bit.
-#[derive(Debug)]
-pub struct ShardedEventQueue<T> {
-    /// Per-shard calendar queues; payloads carry their global sequence.
-    shards: Vec<EventQueue<(u64, T)>>,
-    /// Cached head key `(time, global seq)` per shard; exact by
-    /// construction (push keeps the min, pop re-peeks the shard).
-    heads: Vec<Option<(SimTime, u64)>>,
-    gseq: u64,
-    len: usize,
-}
-
-impl<T> ShardedEventQueue<T> {
-    /// Creates a queue with `shards` shards (at least one).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedEventQueue {
-            shards: (0..shards).map(|_| EventQueue::new()).collect(),
-            heads: vec![None; shards],
-            gseq: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedules `payload` at `time` on `shard`.
-    pub fn push(&mut self, shard: usize, time: SimTime, payload: T) {
-        let key = (time, self.gseq);
-        // Within a shard, pushes happen in global-seq order, so the
-        // shard's own `(time, insertion seq)` order equals its
-        // `(time, global seq)` order; only cross-shard ties need `gseq`.
-        self.shards[shard].push(time, (self.gseq, payload));
-        if self.heads[shard].is_none_or(|h| key < h) {
-            self.heads[shard] = Some(key);
-        }
-        self.gseq += 1;
-        self.len += 1;
-    }
-
-    /// Removes and returns the earliest event (smallest `(time, global
-    /// seq)` across every shard).
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Cross-shard scan: earliest head and the runner-up key.
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        let mut second: Option<(SimTime, u64)> = None;
-        for (s, head) in self.heads.iter().enumerate() {
-            let Some(key) = *head else { continue };
-            match best {
-                Some((_, bk)) if key >= bk => {
-                    if second.is_none_or(|sk| key < sk) {
-                        second = Some(key);
-                    }
-                }
-                _ => {
-                    if let Some((_, bk)) = best {
-                        second = Some(bk);
-                    }
-                    best = Some((s, key));
-                }
-            }
-        }
-        let (shard, _) = best.expect("len > 0 implies a live head");
-        let (t, (_, payload)) = self.shards[shard].pop().expect("head was live");
-        self.len -= 1;
-        self.heads[shard] = self.shards[shard].peek().map(|(ht, &(hs, _))| (ht, hs));
-        Some((t, payload))
-    }
-
-    /// Drains events in global order while the earliest shard's head stays
-    /// strictly below every other shard's head — the conservative-window
-    /// fast path. Calls `f` per event; returns the number delivered. The
-    /// general [`Self::pop`] loop is equivalent; this entry point only
-    /// avoids re-scanning the other shards inside the window.
-    pub fn drain_window(&mut self, mut f: impl FnMut(SimTime, T)) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        let mut second: Option<(SimTime, u64)> = None;
-        for (s, head) in self.heads.iter().enumerate() {
-            let Some(key) = *head else { continue };
-            match best {
-                Some((_, bk)) if key >= bk => {
-                    if second.is_none_or(|sk| key < sk) {
-                        second = Some(key);
-                    }
-                }
-                _ => {
-                    if let Some((_, bk)) = best {
-                        second = Some(bk);
-                    }
-                    best = Some((s, key));
-                }
-            }
-        }
-        let (shard, mut key) = best.expect("len > 0 implies a live head");
-        let window = second;
-        let mut delivered = 0usize;
-        loop {
-            // Safe to pop `shard` while its head key beats every other
-            // shard: nothing can be scheduled into the past.
-            if window.is_some_and(|w| key >= w) {
-                break;
-            }
-            let (t, (_, payload)) = self.shards[shard].pop().expect("head was live");
-            self.len -= 1;
-            delivered += 1;
-            f(t, payload);
-            match self.shards[shard].peek() {
-                Some((ht, &(hs, _))) => {
-                    self.heads[shard] = Some((ht, hs));
-                    key = (ht, hs);
-                }
-                None => {
-                    self.heads[shard] = None;
-                    break;
-                }
-            }
-        }
-        delivered
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the queue keeping every shard's bucket allocations; see
-    /// [`EventQueue::recycle`].
-    pub fn recycle(&mut self) {
-        for s in &mut self.shards {
-            s.recycle();
-        }
-        self.heads.fill(None);
-        self.gseq = 0;
-        self.len = 0;
-    }
-}
-
-/// Which event-queue layout [`crate::GpuSim`] uses for its main loop.
-///
-/// Both layouts deliver the exact same event order (pinned by equivalence
-/// tests), so simulated results are bit-identical; the choice is purely a
-/// host-performance knob. The compiled-in default is [`Calendar`]
-/// (`Sharded` with the `sharded-queue` cargo feature); a process-wide
-/// runtime override lets benchmarks and tests exercise both in one build.
-///
-/// [`Calendar`]: EventQueueStrategy::Calendar
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventQueueStrategy {
-    /// One calendar queue over all GPUs' events.
-    Calendar,
-    /// One calendar queue per GPU with conservative-window merging.
-    ShardedByGpu,
-}
-
-/// Process-wide strategy override: 0 = compiled default, 1 = calendar,
-/// 2 = sharded.
-static STRATEGY_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Overrides the event-queue strategy process-wide (`None` restores the
-/// compiled-in default). Takes effect at the next simulator run; safe to
-/// flip between runs — both strategies produce identical results, so this
-/// can never perturb digests, only host timing.
-pub fn set_event_queue_strategy(strategy: Option<EventQueueStrategy>) {
-    let v = match strategy {
-        None => 0,
-        Some(EventQueueStrategy::Calendar) => 1,
-        Some(EventQueueStrategy::ShardedByGpu) => 2,
-    };
-    STRATEGY_OVERRIDE.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The event-queue strategy simulator runs will use right now.
-pub fn event_queue_strategy() -> EventQueueStrategy {
-    match STRATEGY_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => EventQueueStrategy::Calendar,
-        2 => EventQueueStrategy::ShardedByGpu,
-        _ if cfg!(feature = "sharded-queue") => EventQueueStrategy::ShardedByGpu,
-        _ => EventQueueStrategy::Calendar,
-    }
-}
-
 /// A pool of `k` identical servers with FIFO admission, used to model
 /// resources with bounded concurrency (e.g. the GPU's page-fault handling
 /// pipeline, which can service only a few faults at once).
@@ -644,118 +437,6 @@ mod tests {
         assert_eq!(q.pop(), Some((10, 1)));
         assert_eq!(q.pop(), Some((10, 2)));
         assert_eq!(q.pop(), Some((30, 3)));
-    }
-
-    /// The sharded queue's pop stream must equal the single calendar
-    /// queue's, event for event, on an adversarial random stream — the
-    /// cross-check that makes the strategy swap safe.
-    #[test]
-    fn sharded_matches_calendar_event_for_event() {
-        for shards in [1usize, 2, 4, 8] {
-            let mut single: EventQueue<(usize, u64)> = EventQueue::new();
-            let mut sharded: ShardedEventQueue<(usize, u64)> = ShardedEventQueue::new(shards);
-            let mut state = 0xdead_beef_0bad_f00du64 ^ shards as u64;
-            let mut rand = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut now = 0u64;
-            let mut id = 0u64;
-            for round in 0..3_000u64 {
-                for _ in 0..(rand() % 4) + 1 {
-                    let shard = (rand() % shards as u64) as usize;
-                    // Heavy time ties (dt 0) stress cross-shard FIFO.
-                    let dt = match rand() % 8 {
-                        0 => 0,
-                        1 => rand() % 100_000,
-                        _ => rand() % 300,
-                    };
-                    single.push(now + dt, (shard, id));
-                    sharded.push(shard, now + dt, (shard, id));
-                    id += 1;
-                }
-                for _ in 0..rand() % 5 {
-                    let want = single.pop();
-                    let got = sharded.pop();
-                    assert_eq!(got, want, "shards={shards} round={round}");
-                    if let Some((t, _)) = want {
-                        now = now.max(t);
-                    }
-                }
-            }
-            loop {
-                let want = single.pop();
-                let got = sharded.pop();
-                assert_eq!(got, want, "drain, shards={shards}");
-                if want.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Same equivalence through the conservative-window drain entry point.
-    #[test]
-    fn sharded_window_drain_matches_calendar() {
-        let mut single: EventQueue<u64> = EventQueue::new();
-        let mut sharded: ShardedEventQueue<u64> = ShardedEventQueue::new(4);
-        let mut state = 77u64;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for id in 0..5_000u64 {
-            let shard = (rand() % 4) as usize;
-            // Cluster each shard's events so windows actually open.
-            let t = shard as u64 * 10_000 + rand() % 3_000;
-            single.push(t, id);
-            sharded.push(shard, t, id);
-        }
-        let mut got = Vec::new();
-        while !sharded.is_empty() {
-            let n = sharded.drain_window(|t, v| got.push((t, v)));
-            assert!(n > 0, "window drain must always make progress");
-        }
-        let mut want = Vec::new();
-        while let Some(e) = single.pop() {
-            want.push(e);
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn sharded_recycle_restarts_clean() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(3);
-        q.push(0, 10, 1);
-        q.push(2, 5, 2);
-        q.recycle();
-        assert!(q.is_empty());
-        q.push(1, 7, 9);
-        q.push(0, 7, 8);
-        // Cross-shard FIFO at equal times follows global push order.
-        assert_eq!(q.pop(), Some((7, 9)));
-        assert_eq!(q.pop(), Some((7, 8)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn strategy_override_wins_over_default() {
-        let compiled = if cfg!(feature = "sharded-queue") {
-            EventQueueStrategy::ShardedByGpu
-        } else {
-            EventQueueStrategy::Calendar
-        };
-        assert_eq!(event_queue_strategy(), compiled);
-        set_event_queue_strategy(Some(EventQueueStrategy::ShardedByGpu));
-        assert_eq!(event_queue_strategy(), EventQueueStrategy::ShardedByGpu);
-        set_event_queue_strategy(Some(EventQueueStrategy::Calendar));
-        assert_eq!(event_queue_strategy(), EventQueueStrategy::Calendar);
-        set_event_queue_strategy(None);
-        assert_eq!(event_queue_strategy(), compiled);
     }
 
     #[test]

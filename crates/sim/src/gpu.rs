@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use mgg_fault::{FaultSchedule, COMPLETION_TIMEOUT_NS, PEER_DEATH_TIMEOUT_NS, RETRY_BACKOFF_NS};
 
 use crate::cluster::{Cluster, PageHandler};
-use crate::engine::{event_queue_strategy, EventQueue, EventQueueStrategy, ShardedEventQueue};
+use crate::engine::EventQueue;
 use crate::kernel::{
     GpuKernelStats, KernelLaunch, KernelProgram, KernelStats, LaunchError, RecoveryStats,
 };
@@ -172,61 +172,6 @@ enum EvKind {
     Wake,
 }
 
-/// The main-loop event queue under the strategy selected by
-/// [`event_queue_strategy`]. Both variants deliver the exact same event
-/// order (equivalence pinned in `engine.rs` and
-/// `tests/parallel_determinism.rs`), so the simulation is bit-identical
-/// either way; events shard naturally by [`Ev::gpu`] because `issue` only
-/// schedules events for the GPU it is issuing on.
-#[derive(Debug)]
-enum EvQueue {
-    Calendar(EventQueue<Ev>),
-    Sharded(ShardedEventQueue<Ev>),
-}
-
-impl EvQueue {
-    fn for_run(strategy: EventQueueStrategy, gpus: usize) -> EvQueue {
-        match strategy {
-            EventQueueStrategy::Calendar => EvQueue::Calendar(EventQueue::new()),
-            EventQueueStrategy::ShardedByGpu => {
-                EvQueue::Sharded(ShardedEventQueue::new(gpus))
-            }
-        }
-    }
-
-    /// True when a recycled queue can serve a run with this shape.
-    fn matches(&self, strategy: EventQueueStrategy, gpus: usize) -> bool {
-        match (self, strategy) {
-            (EvQueue::Calendar(_), EventQueueStrategy::Calendar) => true,
-            (EvQueue::Sharded(q), EventQueueStrategy::ShardedByGpu) => q.shards() == gpus,
-            _ => false,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, time: SimTime, ev: Ev) {
-        match self {
-            EvQueue::Calendar(q) => q.push(time, ev),
-            EvQueue::Sharded(q) => q.push(ev.gpu as usize, time, ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        match self {
-            EvQueue::Calendar(q) => q.pop(),
-            EvQueue::Sharded(q) => q.pop(),
-        }
-    }
-
-    fn recycle(&mut self) {
-        match self {
-            EvQueue::Calendar(q) => q.recycle(),
-            EvQueue::Sharded(q) => q.recycle(),
-        }
-    }
-}
-
 /// Cap on recycled `WarpOp` buffers kept per host thread; beyond this the
 /// extras drop and fall back to allocation — a memory bound, not a
 /// correctness knob.
@@ -241,7 +186,7 @@ const SCRATCH_OPS_CAP: usize = 4096;
 #[derive(Default)]
 struct SimScratch {
     ops_pool: Vec<Vec<WarpOp>>,
-    queue: Option<EvQueue>,
+    queue: Option<EventQueue<Ev>>,
 }
 
 thread_local! {
@@ -284,9 +229,8 @@ impl GpuSim {
         let spec = cluster.spec.gpu.clone();
         let n = cluster.num_gpus();
         // Pull this host thread's recycled arenas: op-buffer free lists are
-        // dealt round-robin to the GPUs, and the event queue is reused when
-        // its shape matches the run.
-        let strategy = event_queue_strategy();
+        // dealt round-robin to the GPUs, and the event queue is emptied and
+        // reused.
         let (mut ops_pool, recycled_queue) = SIM_SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
             (std::mem::take(&mut s.ops_pool), s.queue.take())
@@ -312,13 +256,8 @@ impl GpuSim {
             });
         }
 
-        let mut q: EvQueue = match recycled_queue {
-            Some(mut rq) if rq.matches(strategy, n) => {
-                rq.recycle();
-                rq
-            }
-            _ => EvQueue::for_run(strategy, n),
-        };
+        let mut q = recycled_queue.unwrap_or_default();
+        q.recycle();
 
         // Initial block admission: fill every SM up to its residency limit,
         // round-robin over SMs the way the hardware rasterizes a grid.
@@ -466,7 +405,7 @@ fn issue(
     gpu: &mut GpuRt,
     cluster: &mut Cluster,
     handler: &mut dyn PageHandler,
-    q: &mut EvQueue,
+    q: &mut EventQueue<Ev>,
     program: &dyn KernelProgram,
     spec: &GpuSpec,
     faults: &mut FaultCtx,
@@ -502,9 +441,7 @@ fn issue(
             gpu.warps[w as usize].ops.get(gpu.warps[w as usize].pc),
             Some(WarpOp::Compute { .. })
                 | Some(WarpOp::RemoteGet { nbi: true, .. })
-                | Some(WarpOp::L2Get { nbi: true, .. })
                 | Some(WarpOp::CacheHit { nbi: true, .. })
-                | Some(WarpOp::PrefetchFill { .. })
         );
         if needs_sched && gpu.sms[sm].free_scheds == 0 {
             break;
@@ -549,9 +486,7 @@ fn issue(
                 op,
                 WarpOp::Compute { .. }
                     | WarpOp::RemoteGet { nbi: true, .. }
-                    | WarpOp::L2Get { nbi: true, .. }
                     | WarpOp::CacheHit { nbi: true, .. }
-                    | WarpOp::PrefetchFill { .. }
             ) && gpu.sms[sm].free_scheds == 0
             {
                 gpu.sms[sm].ready.push_front(w);
@@ -621,70 +556,6 @@ fn issue(
                     // evicted ones) is posted HBM traffic: the eviction
                     // bandwidth is charged, the warp does not stall.
                     let _ = cluster.ic.hbm_transfer(now, pe, bytes as u64);
-                }
-                WarpOp::L2Get { bytes, nbi } => {
-                    // A host-tier (L2) hit rides this GPU's own PCIe DMA
-                    // link instead of paying a fabric GET. The host link's
-                    // own issue cost applies — zero for PCIe, where the
-                    // copy engine, not the SM scheduler, drives the
-                    // transfer — so `_nbi` probes cost the warp almost
-                    // nothing up front and the latency overlaps into the
-                    // existing WaitRemote join.
-                    let host_ov = cluster.spec.host_link.request_overhead_ns;
-                    if nbi {
-                        let done = cluster.ic.host_dma_transfer(now + host_ov, pe, bytes as u64);
-                        let warp = &mut gpu.warps[w as usize];
-                        warp.pending_remote = warp.pending_remote.max(done);
-                        gpu.sms[sm].free_scheds -= 1;
-                        gpu.sched_busy_ns += host_ov.max(1);
-                        record!(w, TraceKind::L2Hit, now + host_ov, done);
-                        q.push(
-                            now + host_ov.max(1),
-                            Ev { gpu: pe as u16, sm: sm as u16, warp: w, kind: EvKind::SchedFree },
-                        );
-                    } else {
-                        let done = cluster.ic.host_dma_transfer(now, pe, bytes as u64);
-                        record!(w, TraceKind::L2Hit, now, done);
-                        q.push(done, Ev { gpu: pe as u16, sm: sm as u16, warp: w, kind: EvKind::Wake });
-                        gpu.sms[sm].touch(now);
-                        gpu.sms[sm].active_warps -= 1;
-                    }
-                    break;
-                }
-                WarpOp::L2Demote { bytes } => {
-                    // Posted write-back of L1 victims into the host tier:
-                    // PCIe bandwidth is charged, the warp does not stall.
-                    let _ = cluster.ic.host_dma_transfer(now, pe, bytes as u64);
-                }
-                WarpOp::PrefetchFill { peer, bytes } => {
-                    // Speculation must never add failure modes: a prefetch
-                    // aimed at a dead peer is silently absorbed — no wire
-                    // charge, no completion, and the demand access it was
-                    // covering simply misses as it would have anyway.
-                    if !faults.is_dead(peer as usize, now) {
-                        // Issue like an `_nbi` GET (per-request SM-side
-                        // initiation), then the fabric leg and the posted
-                        // HBM fill write — but nothing joins it: the fill
-                        // lands whenever it lands, ahead of the next warp.
-                        let arrive = cluster
-                            .ic
-                            .remote_transfer(now + overhead, peer as usize, pe, bytes as u64);
-                        // The landed rows are written by the copy engine as
-                        // posted HBM traffic. Like `CacheFill`, the write is
-                        // charged at issue time: pricing it at `arrive` would
-                        // park the single-cursor HBM pipe in the future and
-                        // serialize every later demand access behind a fill
-                        // nobody waits for.
-                        let _ = cluster.ic.hbm_transfer(now, pe, bytes as u64);
-                        gpu.sms[sm].free_scheds -= 1;
-                        gpu.sched_busy_ns += overhead.max(1);
-                        record!(w, TraceKind::Prefetch, now + overhead, arrive);
-                        q.push(
-                            now + overhead.max(1),
-                            Ev { gpu: pe as u16, sm: sm as u16, warp: w, kind: EvKind::SchedFree },
-                        );
-                        break;
-                    }
                 }
                 WarpOp::RemoteGet { peer, bytes, nbi } => {
                     if faults.is_dead(peer as usize, now) {
@@ -816,9 +687,6 @@ mod tests {
                     WarpOp::RemoteGet { peer, bytes, nbi } if peer as usize == pe => {
                         WarpOp::RemoteGet { peer: (pe as u16 + 1) % 2, bytes, nbi }
                     }
-                    WarpOp::PrefetchFill { peer, bytes } if peer as usize == pe => {
-                        WarpOp::PrefetchFill { peer: (pe as u16 + 1) % 2, bytes }
-                    }
                     other => other,
                 })
                 .collect()
@@ -914,92 +782,6 @@ mod tests {
             t_async < t_sync,
             "async ({t_async}) must beat sync ({t_sync}) by overlapping"
         );
-    }
-
-    #[test]
-    fn l2_get_rides_the_host_link_not_the_fabric() {
-        // An `_nbi` L2 probe must charge the PCIe host channel, leave the
-        // GPU-to-GPU fabric untouched, and cost the scheduler almost
-        // nothing up front (PCIe request overhead is 0 in the DGX spec,
-        // versus 150 ns per fabric GET).
-        let ops = vec![
-            WarpOp::L2Get { bytes: 4_096, nbi: true },
-            WarpOp::compute(5_000),
-            WarpOp::WaitRemote,
-        ];
-        let mut c = small_cluster();
-        let k = Uniform {
-            launch: KernelLaunch { blocks: 1, warps_per_block: 1, smem_per_block: 0 },
-            ops,
-        };
-        let stats = GpuSim::run(&mut c, &k, &mut NoPaging).unwrap();
-        assert!(stats.traffic.host.bytes >= 4_096, "L2 bytes must hit the host channel");
-        assert!(stats.traffic.pairs.is_empty(), "no fabric traffic for an L2 hit");
-        // Scheduler time: the compute burst plus the 1 ns floor of the
-        // zero-overhead host issue.
-        let compute_ns = GpuSpec::a100().cycles_to_ns(5_000);
-        assert_eq!(stats.per_gpu[0].sched_busy_ns, compute_ns + 1);
-    }
-
-    #[test]
-    fn blocking_l2_get_stalls_like_a_read() {
-        let mut c = small_cluster();
-        let k = Uniform {
-            launch: KernelLaunch { blocks: 1, warps_per_block: 1, smem_per_block: 0 },
-            ops: vec![WarpOp::L2Get { bytes: 4_096, nbi: false }],
-        };
-        let stats = GpuSim::run(&mut c, &k, &mut NoPaging).unwrap();
-        let host_lat = ClusterSpec::dgx_a100(2).host_link.latency_ns;
-        assert!(
-            stats.makespan_ns() >= host_lat,
-            "blocking probe must pay PCIe latency (got {} < {host_lat})",
-            stats.makespan_ns()
-        );
-    }
-
-    #[test]
-    fn l2_demote_is_posted() {
-        // A demotion write-back must charge host bandwidth without
-        // stalling the warp: makespan equals the pure-compute makespan.
-        let mut c = small_cluster();
-        let mk = |demote| {
-            let mut ops = Vec::new();
-            if demote {
-                ops.push(WarpOp::L2Demote { bytes: 64 * 1024 });
-            }
-            ops.push(WarpOp::compute(1_410));
-            Uniform {
-                launch: KernelLaunch { blocks: 1, warps_per_block: 1, smem_per_block: 0 },
-                ops,
-            }
-        };
-        let t_plain = GpuSim::run(&mut c, &mk(false), &mut NoPaging).unwrap().makespan_ns();
-        c.reset();
-        let with = GpuSim::run(&mut c, &mk(true), &mut NoPaging).unwrap();
-        assert_eq!(with.makespan_ns(), t_plain, "posted demotion must not stall");
-        assert!(with.traffic.host.bytes >= 64 * 1024);
-    }
-
-    #[test]
-    fn prefetch_fill_overlaps_and_is_never_waited_on() {
-        // A prefetch issues fabric + fill traffic but adds no completion:
-        // WaitRemote right after it must not block on the fill.
-        let ops = vec![
-            WarpOp::PrefetchFill { peer: 1, bytes: 4_096 },
-            WarpOp::WaitRemote,
-            WarpOp::compute(1_410),
-        ];
-        let mut c = small_cluster();
-        let k = Uniform {
-            launch: KernelLaunch { blocks: 1, warps_per_block: 1, smem_per_block: 0 },
-            ops,
-        };
-        let stats = GpuSim::run(&mut c, &k, &mut NoPaging).unwrap();
-        let overhead = ClusterSpec::dgx_a100(2).link.request_overhead_ns;
-        let compute_ns = GpuSpec::a100().cycles_to_ns(1_410);
-        // Issue cost + compute; the wire time is fully in the background.
-        assert_eq!(stats.makespan_ns(), overhead + compute_ns);
-        assert!(!stats.traffic.pairs.is_empty(), "prefetch must move fabric bytes");
     }
 
     #[test]

@@ -41,10 +41,7 @@ pub mod warp;
 
 pub use channel::BandwidthChannel;
 pub use cluster::{Cluster, Interconnect, NoPaging, PageAccessOutcome, PageHandler};
-pub use engine::{
-    event_queue_strategy, set_event_queue_strategy, EventQueue, EventQueueStrategy,
-    MultiServerQueue, ShardedEventQueue,
-};
+pub use engine::{EventQueue, MultiServerQueue};
 pub use gpu::GpuSim;
 pub use kernel::{
     GpuKernelStats, KernelLaunch, KernelProgram, KernelStats, LaunchError, RecoveryStats,

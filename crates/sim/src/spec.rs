@@ -138,7 +138,7 @@ pub struct ClusterSpec {
     pub topology: Topology,
     /// The GPU-to-GPU link (NVLink class).
     pub link: LinkSpec,
-    /// The GPU-to-host link (PCIe class), also the host-DRAM tier's path.
+    /// The GPU-to-host link (PCIe class).
     pub host_link: LinkSpec,
     /// Host-side kernel launch overhead in nanoseconds (per launch).
     pub kernel_launch_ns: u64,

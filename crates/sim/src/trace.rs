@@ -28,12 +28,6 @@ pub enum TraceKind {
     /// A remote-row request served from the local embedding cache (HBM
     /// read, no fabric traffic).
     CacheHit,
-    /// A remote-row request served from the host-DRAM cache tier over the
-    /// PCIe host link (L1 missed, L2 absorbed it — no fabric traffic).
-    L2Hit,
-    /// A speculative prefetch fill in flight (issue to arrival in the local
-    /// cache); overlapped, never waited on.
-    Prefetch,
 }
 
 /// One recorded span.
@@ -82,8 +76,6 @@ pub fn render_warp_gantt(events: &[TraceEvent], gpu: u16, warp: u32, width: usiz
         (TraceKind::WaitRemote, "wait       ", '.'),
         (TraceKind::PageAccess, "page access", 'p'),
         (TraceKind::CacheHit, "cache hit  ", 'c'),
-        (TraceKind::L2Hit, "l2 hit     ", 'h'),
-        (TraceKind::Prefetch, "prefetch   ", 'f'),
     ];
     let mut out = String::new();
     for (kind, label, ch) in lanes {

@@ -93,44 +93,6 @@ pub enum WarpOp {
         /// Payload size in bytes.
         bytes: u32,
     },
-    /// Reads `bytes` of remote rows from the host-DRAM cache tier (L2) over
-    /// the PCIe host link — an L1 miss the tier absorbed, so no fabric GET
-    /// is issued.
-    ///
-    /// With `nbi` the warp pays only the host link's per-request issue cost
-    /// (zero for PCIe BARs: the read is posted by the copy engine, not the
-    /// SM) and the transfer lands in the background for a later
-    /// [`WarpOp::WaitRemote`]; without `nbi` the warp blocks until the data
-    /// arrives. The trade against [`WarpOp::RemoteGet`] is deliberate:
-    /// fabric GETs pay a per-request SM initiation overhead per miss, L2
-    /// probes pay PCIe latency/bandwidth instead — overlappable, and far
-    /// cheaper at fine request granularity.
-    L2Get {
-        /// Payload size in bytes (rows served by the host tier).
-        bytes: u32,
-        /// Non-blocking form: posted by the copy engine, joined later.
-        nbi: bool,
-    },
-    /// Writes back `bytes` of L1-evicted rows into the host-DRAM tier over
-    /// the PCIe host link. Posted like [`WarpOp::CacheFill`]: demotion
-    /// bandwidth is charged to the host channel, the warp never stalls.
-    L2Demote {
-        /// Payload size in bytes (L1 victims written down).
-        bytes: u32,
-    },
-    /// Speculatively fetches `bytes` from `peer` into the local cache ahead
-    /// of the warp that needs them — the prefetcher's posted `_nbi` fill.
-    /// Pays the SM-side issue cost and charges the fabric plus the local
-    /// HBM fill write, but completes in the background with *no* completion
-    /// to wait on: the demand access that lands on the prefetched row later
-    /// is an ordinary cache hit. A prefetch to a dead peer is silently
-    /// absorbed (speculation must never add failure modes).
-    PrefetchFill {
-        /// The GPU the speculative fetch reads from.
-        peer: u16,
-        /// Payload size in bytes.
-        bytes: u32,
-    },
 }
 
 impl WarpOp {
@@ -157,8 +119,5 @@ mod tests {
         assert!(WarpOp::WaitRemote.is_memory());
         assert!(WarpOp::CacheHit { bytes: 4, nbi: true }.is_memory());
         assert!(WarpOp::CacheFill { bytes: 4 }.is_memory());
-        assert!(WarpOp::L2Get { bytes: 4, nbi: true }.is_memory());
-        assert!(WarpOp::L2Demote { bytes: 4 }.is_memory());
-        assert!(WarpOp::PrefetchFill { peer: 1, bytes: 4 }.is_memory());
     }
 }

@@ -140,8 +140,6 @@ fn kind_name(e: &TraceEvent) -> &'static str {
         WaitRemote => "WaitRemote",
         PageAccess => "PageAccess",
         CacheHit => "CacheHit",
-        L2Hit => "L2Hit",
-        Prefetch => "Prefetch",
     }
 }
 

@@ -115,13 +115,7 @@ fn overlap_breakdown(events: &[TraceEvent]) -> (u64, u64, u64, u64) {
                 compute_ns += e.end - e.start;
                 slot.0.push((e.start, e.end));
             }
-            // L2 hits (PCIe) and prefetch fills (fabric) are off-GPU
-            // transfers whose latency the pipeline is meant to hide —
-            // communication for the overlap accounting, like remote wires.
-            TraceKind::RemoteWire
-            | TraceKind::PageAccess
-            | TraceKind::L2Hit
-            | TraceKind::Prefetch => slot.1.push((e.start, e.end)),
+            TraceKind::RemoteWire | TraceKind::PageAccess => slot.1.push((e.start, e.end)),
             TraceKind::WaitRemote => wait_ns += e.end - e.start,
             // Cache hits are local HBM reads, not fabric communication —
             // grouped with GlobalRead for the overlap accounting.

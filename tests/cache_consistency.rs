@@ -1,6 +1,6 @@
 //! Property-based invariants of the remote-embedding cache (proptest).
 //!
-//! Two guarantees underwrite the cache's "free" status:
+//! Three guarantees underwrite the cache's "free" status:
 //!
 //! 1. **Value transparency.** The cache sits on the *address/timing*
 //!    plane; data-plane aggregation through [`CachedRegion`] must be
@@ -12,12 +12,10 @@
 //!    `C' >= C` under the same access trace, so the hit count is
 //!    monotone non-decreasing in capacity and the total access count is
 //!    capacity-invariant.
-//! 3. **Tier transparency.** The host-DRAM L2 tier and the deterministic
-//!    prefetcher keep the same contract: values bit-identical to the
-//!    uncached path at every thread-pool width, cache/tier counters
-//!    invariant under the pool width, every demotion conserved
-//!    (`demotions == resident + dropped + invalidated`), and zero stale
-//!    reads across churn fences.
+//! 3. **Replay and freshness.** Values stay bit-identical to the uncached
+//!    path at every thread-pool width, the cache counters do not move with
+//!    the pool width, and a warm cache serves zero stale reads across
+//!    churn fences.
 //!
 //! [`CachedRegion`]: mgg::shmem::CachedRegion
 
@@ -235,33 +233,23 @@ proptest! {
     }
 }
 
-/// Strategy: an optional host-tier config spanning "no tier", a tier too
-/// small to hold everything (forces drops), and a roomy tier.
-fn arb_l2() -> impl Strategy<Value = Option<CacheConfig>> {
-    (proptest::bool::ANY, 0u64..16384).prop_map(|(tiered, capacity_bytes)| {
-        tiered.then_some(CacheConfig { capacity_bytes, policy: CachePolicy::Lru })
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Tentpole transparency, widened to the full hierarchy: with an L1
-    // of any size, an optional host tier of any size, and any prefetch
-    // depth, the tiered data plane is bit-identical to the uncached one
-    // — and bit-identical across every thread-pool width, because work
-    // splits at partition granularity, never by thread count. The
-    // hit/miss/tier counters are part of the same contract: stats must
-    // not move when the pool width does.
+    // Transparency across pool widths: with a cache of any size and
+    // either policy, the cached data plane is bit-identical to the
+    // uncached one at every thread-pool width, because work splits at
+    // partition granularity, never by thread count. The hit/miss
+    // counters are part of the same contract: they must not move when the
+    // pool width does.
     #[test]
     fn tiered_aggregation_is_bit_identical_across_thread_counts(
         g in arb_graph(),
         gpus in 1usize..5,
         dim in 1usize..8,
         seed in 0u64..1000,
-        l1_bytes in 0u64..8192,
-        l2 in arb_l2(),
-        prefetch_depth in 0u32..6,
+        capacity_bytes in 0u64..8192,
+        lfu in proptest::bool::ANY,
     ) {
         let x = Matrix::glorot(g.num_nodes(), dim, seed);
         let mut engine = MggEngine::new(
@@ -271,77 +259,27 @@ proptest! {
             AggregateMode::Sum,
         );
         let want = engine.aggregate_values(&x);
-        engine.set_cache(Some(CacheConfig {
-            capacity_bytes: l1_bytes,
-            policy: CachePolicy::Lru,
-        }));
-        engine.set_cache_l2(l2);
-        engine.set_prefetch_depth(prefetch_depth);
-        let mut baseline: Option<(mgg::core::CacheStats, mgg::core::TierStats)> = None;
+        let policy = if lfu { CachePolicy::Lfu } else { CachePolicy::Lru };
+        engine.set_cache(Some(CacheConfig { capacity_bytes, policy }));
+        let mut baseline: Option<mgg::core::CacheStats> = None;
         for threads in [1usize, 2, 4, 7] {
-            let (got, cs, ts) = mgg::runtime::with_threads(threads, || {
-                engine.aggregate_values_tiered(&x)
+            let (got, cs) = mgg::runtime::with_threads(threads, || {
+                engine.aggregate_values_cached(&x)
             }).unwrap();
             prop_assert_eq!(got.data(), want.data());
             match &baseline {
-                None => baseline = Some((cs, ts)),
-                Some((cs0, ts0)) => {
-                    prop_assert_eq!(&cs, cs0, "CacheStats moved with thread count");
-                    prop_assert_eq!(&ts, ts0, "TierStats moved with thread count");
-                }
+                None => baseline = Some(cs),
+                Some(cs0) => prop_assert_eq!(&cs, cs0, "CacheStats moved with thread count"),
             }
         }
     }
 
-    // Host-tier conservation: every demoted row is accounted for exactly
-    // once — still resident, displaced to admit a later demotion, or
-    // removed by invalidation. Checked through an arbitrary interleaving
-    // of cached GETs and flushes on a deliberately tiny L1 (maximising
-    // demotion traffic) and an L2 small enough to drop.
-    #[test]
-    fn host_tier_conserves_demoted_rows(
-        ops in proptest::collection::vec(
-            (0usize..3, 0usize..3, 0u32..12, 0usize..10), 1..160),
-        l1_bytes in 0u64..512,
-        l2_bytes in 0u64..1024,
-    ) {
-        let pes = 3usize;
-        let rows = 12usize;
-        let dim = 4usize;
-        let matrix: Vec<f32> = (0..pes * rows * dim).map(|i| i as f32).collect();
-        let region = SymmetricRegion::scatter_rows(&matrix, &[rows; 3], dim);
-        let l1 = CacheConfig { capacity_bytes: l1_bytes, policy: CachePolicy::Lru };
-        let l2 = CacheConfig { capacity_bytes: l2_bytes, policy: CachePolicy::Lru };
-        let mut c = CachedRegion::new(&region, None, l1, dim).with_host_tier(l2);
-        for pe in 0..pes {
-            c.begin_batch(pe);
-        }
-        let mut dst = vec![0.0f32; dim];
-        for (pe, src_pe, row, kind) in ops {
-            match kind {
-                0..=6 => {
-                    c.get(&mut dst, pe, src_pe, row).unwrap();
-                }
-                7 => {
-                    c.prefetch(pe, src_pe, row);
-                }
-                8 => c.flush(),
-                _ => c.quiet(pe).unwrap(),
-            }
-            // The identity holds at *every* step, not just at the end —
-            // demotion, drop and invalidation update it atomically.
-            prop_assert!(c.l2_conserves(), "conservation broke mid-trace");
-        }
-        let ts = c.tier_stats();
-        prop_assert!(ts.dropped + ts.invalidated <= ts.demotions);
-    }
-
-    // Prefetch-never-stales: across arbitrary churn batches (edge
+    // Never-stale across a fence: across arbitrary churn batches (edge
     // rewires, feature updates, tombstones — node count held fixed so
-    // the feature matrix stays valid), a warm tiered engine with
-    // prefetching must never serve a row from before the fence. The
-    // version check makes staleness structurally impossible; this pins
-    // the counter at zero and the values at the uncached reference.
+    // the feature matrix stays valid), a warm cached engine must never
+    // serve a row from before the fence. The version check makes
+    // staleness structurally impossible; this pins the counter at zero
+    // and the values at the uncached reference.
     #[test]
     fn prefetch_never_serves_stale_rows_under_churn(
         g in arb_graph(),
@@ -361,12 +299,9 @@ proptest! {
             AggregateMode::Sum,
         );
         engine.set_cache(Some(CacheConfig { capacity_bytes: 4096, policy: CachePolicy::Lru }));
-        engine.set_cache_l2(Some(CacheConfig { capacity_bytes: 8192, policy: CachePolicy::Lru }));
-        engine.set_prefetch_depth(4);
-        // Warm every level: L1, the host tier (via evictions), and the
-        // simulate-path persistent caches.
+        // Warm the simulate-path persistent caches and the value plane.
         engine.simulate_aggregation(dim).unwrap();
-        let _ = engine.aggregate_values_tiered(&x).unwrap();
+        let _ = engine.aggregate_values_cached(&x).unwrap();
         let deltas: Vec<GraphDelta> = churn
             .into_iter()
             .map(|(kind, a, b)| {
@@ -380,13 +315,12 @@ proptest! {
             })
             .collect();
         engine.apply_graph_deltas(&deltas).unwrap();
-        // Post-fence: prefetched and demoted copies of affected rows are
-        // gone, so the tiered plane recomputes the mutated graph exactly.
+        // Post-fence: cached copies of affected rows are gone, so the
+        // cached plane recomputes the mutated graph exactly.
         let want = engine.aggregate_values(&x);
-        let (got, _, _) = engine.aggregate_values_tiered(&x).unwrap();
+        let (got, _) = engine.aggregate_values_cached(&x).unwrap();
         prop_assert_eq!(got.data(), want.data());
         engine.simulate_aggregation(dim).unwrap();
         prop_assert_eq!(engine.stale_reads(), 0, "a churn fence leaked a stale row");
-        prop_assert!(engine.l2_conserves(), "persistent tiers broke conservation");
     }
 }

@@ -8,7 +8,7 @@
 //! printed values.
 
 use mgg::baselines::{DirectNvshmemEngine, UvmGnnEngine};
-use mgg::core::{MggConfig, MggEngine};
+use mgg::core::{CacheConfig, CachePolicy, MggConfig, MggEngine};
 use mgg::gnn::reference::AggregateMode;
 use mgg::graph::generators::rmat::{rmat, RmatConfig};
 use mgg::sim::ClusterSpec;
@@ -68,6 +68,35 @@ fn golden_engine_timings() {
         Golden { name: "mgg_dim128_ns", got: mgg_128, want: 16_931 },
         Golden { name: "uvm_dim128_ns", got: uvm_128, want: 79_443 },
         Golden { name: "direct_dim128_ns", got: direct_128, want: 308_511 },
+    ]);
+}
+
+/// The cached timing plane: two back-to-back dim-16 layers with a 16 KiB
+/// LFU cache per GPU, small enough to evict. Residency carries from the
+/// first layer into the second, so these pin cache planning, the hit and
+/// fill lowering and cross-layer reuse together.
+#[test]
+fn golden_cached_timings() {
+    let g = scenario();
+    let mut mgg = MggEngine::new(
+        &g,
+        ClusterSpec::dgx_a100(4),
+        MggConfig::default_fixed(),
+        AggregateMode::Sum,
+    );
+    mgg.set_cache(Some(CacheConfig { capacity_bytes: 16 << 10, policy: CachePolicy::Lfu }));
+    let first = mgg.simulate_aggregation(16).unwrap();
+    let second = mgg.simulate_aggregation(16).unwrap();
+
+    check(&[
+        Golden { name: "cached_layer1_makespan_ns", got: first.makespan_ns(), want: 8_619 },
+        Golden { name: "cached_layer1_hits", got: first.cache.hits, want: 8_437 },
+        Golden { name: "cached_layer1_misses", got: first.cache.misses, want: 2_905 },
+        Golden { name: "cached_layer1_evictions", got: first.cache.evictions, want: 1_881 },
+        Golden { name: "cached_layer2_makespan_ns", got: second.makespan_ns(), want: 6_633 },
+        Golden { name: "cached_layer2_hits", got: second.cache.hits, want: 9_688 },
+        Golden { name: "cached_layer2_misses", got: second.cache.misses, want: 1_654 },
+        Golden { name: "cached_layer2_evictions", got: second.cache.evictions, want: 1_654 },
     ]);
 }
 

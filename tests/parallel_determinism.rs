@@ -191,48 +191,6 @@ fn speculative_tuning_matches_sequential_search() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The GPU-sharded event queue is a drop-in replacement for the single
-    /// calendar queue: for arbitrary workloads, every simulated statistic
-    /// matches the calendar strategy exactly, at every host thread count
-    /// (the per-worker scratch queues recycle independently per thread, so
-    /// an odd width would expose any shard-state leak between runs).
-    #[test]
-    fn sharded_event_queue_matches_calendar_at_every_thread_count(
-        graph_seed in 0u64..1_000,
-        dim in 1usize..48,
-    ) {
-        use mgg::sim::{set_event_queue_strategy, EventQueueStrategy};
-        let g = rmat(&RmatConfig::graph500(8, 1_500, graph_seed));
-        let cells: Vec<usize> = vec![2, 4, 8];
-        let sweep = |threads: usize, strategy: EventQueueStrategy| {
-            set_event_queue_strategy(Some(strategy));
-            let stats = with_threads(threads, || {
-                par_map(&cells, |&gpus| {
-                    let mut e = MggEngine::new(
-                        &g,
-                        ClusterSpec::dgx_a100(gpus),
-                        MggConfig::default_fixed(),
-                        AggregateMode::Sum,
-                    );
-                    e.simulate_aggregation(dim).expect("valid launch")
-                })
-            });
-            set_event_queue_strategy(None);
-            stats
-        };
-        let want = sweep(1, EventQueueStrategy::Calendar);
-        for t in [1usize, 2, 4, 7] {
-            let sharded = sweep(t, EventQueueStrategy::ShardedByGpu);
-            prop_assert_eq!(&want, &sharded, "sharded queue diverged at {} threads", t);
-            let calendar = sweep(t, EventQueueStrategy::Calendar);
-            prop_assert_eq!(&want, &calendar, "calendar strategy diverged at {} threads", t);
-        }
-    }
-}
-
 /// A chaos seed matrix fanned out on the pool reports exactly what the
 /// sequential sweep reports, seed by seed.
 #[test]
