@@ -19,8 +19,9 @@
 //! * `one_mib_floor`: the best 1 MiB configuration is never a slowdown —
 //!   the eviction-thrash point is held at >= 1.0x by LFU + the pipelined
 //!   (non-blocking) hit path.
-//! * `replay_matches`: values digest and `CacheStats` of the 1 MiB LFU
-//!   value plane are bit-identical at 1, 2, 4, and 7 worker threads.
+//! * `replay_matches`: the values digest and the planner's `CacheStats`
+//!   of the 1 MiB LFU cell are bit-identical at 1, 2, 4, and 7 worker
+//!   threads.
 //! * `stale_reads == 0`: the cache never serves a stale row.
 //! * `showcase`: a Zipf-skewed serving calibration — the cache raises the
 //!   calibrated saturation ceiling on a skewed query mix.
@@ -120,7 +121,7 @@ pub struct CacheReport {
     /// Minimum over datasets of the best 1 MiB configuration's speedup.
     /// The eviction-thrash guarantee: this never drops below 1.0.
     pub one_mib_floor: f64,
-    /// Values digest and cache counters of the 1 MiB LFU value plane
+    /// Values digest and planner cache counters of the 1 MiB LFU cell
     /// bit-identical at 1, 2, 4, and 7 worker threads.
     pub replay_matches: bool,
     /// Rows served from a cache at a stale version, summed over every
@@ -128,6 +129,10 @@ pub struct CacheReport {
     pub stale_reads: u64,
     /// Showcase.
     pub showcase: ServeShowcase,
+    /// FNV-1a over every row's latency and cache counters and the
+    /// showcase's numbers; `perfdiff` compares it exactly against the
+    /// committed report.
+    pub digest: String,
 }
 
 /// Simulates `layers` aggregation passes under `cfg` and returns the mean
@@ -158,10 +163,10 @@ fn fnv1a(values: impl Iterator<Item = u64>) -> String {
     format!("{h:016x}")
 }
 
-/// Runs the 1 MiB LFU value plane — the smallest cache in the grid, so the
-/// one that evicts most — under `threads` workers and returns the output
-/// digest plus the counters; the replay check compares these across pool
-/// widths.
+/// Runs the 1 MiB LFU cell — the smallest cache in the grid, so the one
+/// that evicts most — under `threads` workers and returns the digest of
+/// the aggregated values plus the planner's cache counters for one dim-16
+/// pass; the replay check compares these across pool widths.
 fn digest_at_threads(
     graph: &mgg_graph::CsrGraph,
     gpus: usize,
@@ -181,7 +186,8 @@ fn digest_at_threads(
         for (i, v) in x.data_mut().iter_mut().enumerate() {
             *v = ((i * 31 + 7) % 97) as f32 * 0.01;
         }
-        let (y, cs) = engine.aggregate_values_cached(&x).expect("cached values");
+        let cs = engine.simulate_aggregation(dim).expect("valid launch").cache;
+        let y = engine.aggregate_values(&x);
         (fnv1a(y.data().iter().map(|f| f.to_bits() as u64)), cs)
     })
 }
@@ -313,14 +319,24 @@ pub fn run(scale: f64, gpus: usize) -> CacheReport {
         one_mib_floor = one_mib_floor.min(base_ns as f64 / best_1mib.max(1) as f64);
         stale_reads += eng.stale_reads();
 
-        // Replay check: the 1 MiB LFU value plane digests the same under
-        // every pool width, counters included.
+        // Replay check: the 1 MiB LFU cell digests the same under every
+        // pool width, counters included.
         let reference = digest_at_threads(&d.graph, gpus, REPLAY_THREADS[0]);
         for &t in &REPLAY_THREADS[1..] {
             replay_matches &= digest_at_threads(&d.graph, gpus, t) == reference;
         }
     }
 
+    let showcase = showcase(scale, gpus, dim);
+    let s = &showcase;
+    let qps = [s.offered_qps, s.uncached_saturation_qps, s.cached_saturation_qps];
+    let goodput = [s.uncached_goodput_qps, s.cached_goodput_qps];
+    let digest = fnv1a(
+        rows.iter()
+            .flat_map(|r| [r.mean_latency_ns, r.hits, r.misses, r.coalesced, r.evictions])
+            .chain(qps.iter().chain(&goodput).map(|q| q.to_bits()))
+            .chain([s.uncached_p99_ns, s.cached_p99_ns]),
+    );
     CacheReport {
         gpus,
         dim,
@@ -331,7 +347,8 @@ pub fn run(scale: f64, gpus: usize) -> CacheReport {
         one_mib_floor,
         replay_matches,
         stale_reads,
-        showcase: showcase(scale, gpus, dim),
+        showcase,
+        digest,
     }
 }
 
@@ -383,10 +400,11 @@ impl ExperimentReport for CacheReport {
             s.cached_p99_ns as f64 / 1e3
         );
         println!(
-            "replay across {:?} threads: {}; stale reads: {}",
+            "replay across {:?} threads: {}; stale reads: {}; digest {}",
             REPLAY_THREADS,
             if self.replay_matches { "bit-identical" } else { "DIVERGED" },
-            self.stale_reads
+            self.stale_reads,
+            self.digest
         );
     }
 }

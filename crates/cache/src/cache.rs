@@ -102,9 +102,8 @@ struct Slot {
 /// and therefore eviction order — is a total order independent of hash-map
 /// iteration: the same access stream always evicts the same keys.
 ///
-/// The cache stores *keys only*; callers that need payloads (e.g. the
-/// functional `CachedRegion` in `mgg-shmem`) keep them in a table indexed
-/// by [`Lookup::slot`].
+/// The cache stores *keys only*; a caller that needs payloads keeps them
+/// in a table indexed by [`Lookup::slot`].
 #[derive(Debug)]
 pub struct EmbedCache {
     policy: CachePolicy,

@@ -44,15 +44,6 @@ impl WarpCoalescer {
         self.in_flight.insert(key.pack())
     }
 
-    /// Retracts `key` from the current window. The undo hook for a fabric
-    /// transaction that failed after admission: with no landing buffer
-    /// ever arriving, later requests for the key must issue their own
-    /// transaction rather than coalesce. Returns whether the key was in
-    /// flight.
-    pub fn retract(&mut self, key: CacheKey) -> bool {
-        self.in_flight.remove(&key.pack())
-    }
-
     /// Distinct keys currently in flight.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()

@@ -22,9 +22,10 @@
 //! time or ambient randomness.
 //!
 //! The cache is an *address* cache: it decides which fetches touch the
-//! fabric. The functional data plane always serves current row values, so
-//! cached and uncached runs produce bit-identical aggregation outputs (see
-//! `mgg-shmem`'s `CachedRegion` and the `cache_consistency` test suite).
+//! fabric. Only the engine's kernel planner consults it; the functional
+//! data plane reads the symmetric heap directly, so cached and uncached
+//! runs produce bit-identical aggregation outputs (pinned by the
+//! `cache_consistency` test suite).
 //!
 //! # Example
 //!

@@ -5,6 +5,8 @@
 //! functional outputs match the CPU reference (up to floating-point
 //! reassociation) while timing comes from the discrete-event simulation.
 
+use std::convert::Infallible;
+
 use mgg_cache::{CacheConfig, CacheKey, CacheStats, EmbedCache};
 use mgg_churn::{apply_deltas, GraphDelta};
 use mgg_failover::checkpoint::Checkpoint;
@@ -13,10 +15,9 @@ use mgg_fault::{FaultSchedule, FaultSpec};
 use mgg_gnn::models::Aggregator;
 use mgg_gnn::reference::AggregateMode;
 use mgg_gnn::Matrix;
-use mgg_graph::partition::locality::{LocalRef, RemoteRef};
+use mgg_graph::partition::locality::{LocalRef, LocalityPartition, RemoteRef};
 use mgg_graph::{CsrGraph, NodeSplit};
-use mgg_shmem::cached::CachedRegion;
-use mgg_shmem::resilience::{ResilienceStats, ResilientRegion};
+use mgg_shmem::{ResilienceStats, ResilientRegion, ShmemError, SymmetricRegion};
 use mgg_sim::{Cluster, ClusterSpec, GpuSim, KernelStats, NoPaging, SimTime, TraceEvent};
 use mgg_telemetry::{PipelineMetrics, Telemetry};
 
@@ -109,37 +110,98 @@ pub struct MembershipReport {
     pub admin_down: usize,
 }
 
-/// A neighbor reference from either virtual CSR, tagged by origin.
+/// One neighbor of a destination row: where its embedding lives and which
+/// input-graph edge reached it.
 #[derive(Clone, Copy)]
-enum Neighbor<'a> {
-    Local(&'a LocalRef),
-    Remote(&'a RemoteRef),
+struct Neighbor {
+    /// PE owning the neighbor's embedding row.
+    pe: usize,
+    /// Row within that PE's partition.
+    row: u32,
+    /// Originating edge id in the input graph's flat adjacency.
+    edge: u32,
 }
 
-/// Merges a row's local and remote adjacency by originating edge id,
-/// reconstructing the input graph's CSR neighbor order (each virtual CSR
-/// keeps its entries in ascending edge order, so this is a two-pointer
-/// merge). Aggregating in this order makes functional outputs bit-identical
-/// across *any* node split — the invariant elastic failover leans on when
-/// it evacuates a dead GPU's shard: the recovered placement reproduces the
+/// Visits row `r` of `part` in the input graph's neighbor order. Each
+/// virtual CSR keeps its entries in ascending edge order, so a two-pointer
+/// merge of the local and remote rows reconstructs the input CSR order.
+/// Aggregating in this order makes functional outputs bit-identical across
+/// *any* node split — the invariant elastic failover leans on when it
+/// evacuates a dead GPU's shard: the recovered placement reproduces the
 /// fault-free run's floats exactly.
-fn merge_by_edge<'a>(
-    local: &'a [LocalRef],
-    remote: &'a [RemoteRef],
-    mut f: impl FnMut(Neighbor<'a>),
-) {
+#[inline]
+fn walk_neighbors<E>(
+    part: &LocalityPartition,
+    r: u32,
+    mut f: impl FnMut(Neighbor) -> Result<(), E>,
+) -> Result<(), E> {
+    let (local, remote) = (part.local.row(r), part.remote.row(r));
+    let local_nb = |lr: &LocalRef| Neighbor { pe: part.pe, row: lr.local, edge: lr.edge };
+    let remote_nb =
+        |rr: &RemoteRef| Neighbor { pe: rr.owner as usize, row: rr.local, edge: rr.edge };
     let (mut i, mut j) = (0, 0);
     while i < local.len() && j < remote.len() {
         if local[i].edge < remote[j].edge {
-            f(Neighbor::Local(&local[i]));
+            f(local_nb(&local[i]))?;
             i += 1;
         } else {
-            f(Neighbor::Remote(&remote[j]));
+            f(remote_nb(&remote[j]))?;
             j += 1;
         }
     }
-    local[i..].iter().for_each(|lr| f(Neighbor::Local(lr)));
-    remote[j..].iter().for_each(|rr| f(Neighbor::Remote(rr)));
+    local[i..].iter().try_for_each(|lr| f(local_nb(lr)))?;
+    remote[j..].iter().try_for_each(|rr| f(remote_nb(rr)))
+}
+
+/// Where [`MggEngine::aggregate_row`] reads neighbor embeddings from.
+trait RowSource {
+    /// Why a read can fail.
+    type Error;
+    /// The embedding of `nb`, read on behalf of a destination row on PE
+    /// `home`.
+    fn fetch(&mut self, home: usize, nb: Neighbor) -> Result<&[f32], Self::Error>;
+    /// Settles `home`'s outstanding reads once its destination row is done.
+    fn settle(&mut self, home: usize) -> Result<(), Self::Error>;
+}
+
+/// Direct symmetric-heap reads: the fault-free value plane.
+impl RowSource for &SymmetricRegion {
+    type Error = Infallible;
+
+    #[inline]
+    fn fetch(&mut self, _home: usize, nb: Neighbor) -> Result<&[f32], Infallible> {
+        Ok(self.row(nb.pe, nb.row))
+    }
+
+    #[inline]
+    fn settle(&mut self, _home: usize) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+/// Local rows read directly; remote rows fetched through the resilience
+/// plane with non-blocking GETs, settled once per destination row.
+struct ResilientSource<'a> {
+    region: &'a SymmetricRegion,
+    plane: ResilientRegion<'a>,
+    /// Landing buffer of the latest remote GET.
+    landed: Vec<f32>,
+}
+
+impl RowSource for ResilientSource<'_> {
+    type Error = ShmemError;
+
+    fn fetch(&mut self, home: usize, nb: Neighbor) -> Result<&[f32], ShmemError> {
+        if nb.pe == home {
+            return Ok(self.region.row(nb.pe, nb.row));
+        }
+        self.plane.get_nbi(&mut self.landed, home, nb.pe, nb.row)?;
+        Ok(&self.landed)
+    }
+
+    fn settle(&mut self, home: usize) -> Result<(), ShmemError> {
+        self.plane.quiet(home)
+    }
 }
 
 /// Minimum output rows per parallel aggregation job. Below this, the
@@ -330,10 +392,11 @@ impl MggEngine {
 
     /// Enables (`Some`) or disables (`None`) the per-GPU remote-embedding
     /// cache for subsequent simulations. Enabling or re-configuring always
-    /// starts cold. Caching changes *timing only*: functional outputs are
-    /// bit-identical either way (see
-    /// [`MggEngine::aggregate_values_cached`]), and with `None` the lowered
-    /// traces are byte-identical to an engine that never had a cache.
+    /// starts cold. Caching changes *timing only*: the cache lives in the
+    /// kernel planner, which reports its counters in `KernelStats::cache`;
+    /// the value plane never reads it, so functional outputs are
+    /// bit-identical either way. With `None` the lowered traces are
+    /// byte-identical to an engine that never had a cache.
     pub fn set_cache(&mut self, cfg: Option<CacheConfig>) {
         self.cache_cfg = cfg;
         self.caches = Vec::new();
@@ -995,77 +1058,136 @@ impl MggEngine {
     /// kernel would produce, using the locality-split virtual CSRs and the
     /// symmetric-heap addressing.
     pub fn aggregate_values(&self, x: &Matrix) -> Matrix {
+        let label = "engine.aggregate";
+        // One instance per weight rule, so the unit-weight loop is
+        // compiled with its constant weight.
+        match self.mode {
+            AggregateMode::GcnNorm => {
+                self.aggregate_direct(x, self.mode, |v, nb| self.weight(v, nb), label)
+            }
+            AggregateMode::Mean | AggregateMode::Sum => {
+                self.aggregate_direct(x, self.mode, |_, _| 1.0, label)
+            }
+        }
+    }
+
+    /// Aggregates `x` with per-edge weights indexed by the input graph's
+    /// flat adjacency (see `mgg_graph::partition::locality`'s edge ids).
+    /// Pure edge-weighted aggregation, with no mode finish: used by GAT.
+    pub fn aggregate_values_weighted(&self, x: &Matrix, w: &[f32]) -> Matrix {
+        let weight = |_, nb: Neighbor| w[nb.edge as usize];
+        self.aggregate_direct(x, AggregateMode::Sum, weight, "engine.aggregate_weighted")
+    }
+
+    /// Functional aggregation through the resilience plane: remote rows are
+    /// fetched with non-blocking resilient GETs (retrying transiently
+    /// dropped ones) and settled per destination row. Values are identical
+    /// to [`MggEngine::aggregate_values`] — faults never corrupt data, they
+    /// only cost retries — and the resilience counters report what recovery
+    /// work was needed.
+    ///
+    /// With caching disabled, `retries` and `timed_out_completions` equal
+    /// the simulated kernel's `recovery.retried_gets` and
+    /// `recovery.dropped_completions`. With a cache they differ: the timing
+    /// plane serves cache hits without crossing the fabric, while this
+    /// plane reads every remote row over it, so it issues (and loses) more
+    /// GETs.
+    pub fn aggregate_values_resilient(
+        &self,
+        x: &Matrix,
+    ) -> Result<(Matrix, ResilienceStats), MggError> {
+        let dim = x.cols();
+        let region = self.placement.place_embeddings(x);
+        let mut src = ResilientSource {
+            region: &region,
+            plane: ResilientRegion::new(&region, self.cluster.faults())
+                .with_telemetry(self.telemetry.clone()),
+            landed: vec![0.0; dim],
+        };
+        let mut out = Matrix::zeros(x.rows(), dim);
+        let weight = |v, nb| self.weight(v, nb);
+        // Serial, in row (and so partition) order: the resilience plane
+        // numbers each PE's GETs in the order they are issued.
+        for (v, dst) in out.data_mut().chunks_mut(dim).enumerate() {
+            self.aggregate_row(v, x, self.mode, &mut src, weight, dst)?;
+        }
+        Ok((out, src.plane.stats()))
+    }
+
+    /// The row-chunk parallel driver over direct reads. Jobs are contiguous
+    /// row ranges sized to `rows / threads` with a minimum-work floor (one
+    /// job per partition underfills wide pools and overfills small graphs
+    /// with spawn overhead). Each row is computed exactly as in a serial
+    /// loop — chunk boundaries never enter the math — so the result is
+    /// bit-identical at any thread count.
+    fn aggregate_direct(
+        &self,
+        x: &Matrix,
+        mode: AggregateMode,
+        weight: impl Fn(usize, Neighbor) -> f32 + Sync,
+        label: &'static str,
+    ) -> Matrix {
         let dim = x.cols();
         let region = self.placement.place_embeddings(x);
         let mut out = Matrix::zeros(x.rows(), dim);
         if x.rows() == 0 || dim == 0 {
             return out;
         }
-        // Row-chunk decomposition at pool granularity: jobs are contiguous
-        // row ranges sized to `rows / threads` with a minimum-work floor
-        // (one job per partition underfills wide pools and overfills small
-        // graphs with spawn overhead). Each row is computed exactly as in
-        // the serial loop — chunk boundaries never enter the math — so the
-        // result is bit-identical at any thread count.
         let chunk_rows = mgg_runtime::chunk_len(x.rows(), MIN_AGG_ROWS_PER_JOB);
         let slices: Vec<&mut [f32]> = out.data_mut().chunks_mut(chunk_rows * dim).collect();
-        let region = &region;
-        let _lbl = mgg_runtime::profile::region_label("engine.aggregate");
+        let _lbl = mgg_runtime::profile::region_label(label);
         mgg_runtime::par_slices_mut(slices, |ci, out_chunk| {
-            let first = ci * chunk_rows;
-            let mut pi = self.part_of(first);
             for (k, dst) in out_chunk.chunks_mut(dim).enumerate() {
-                let v = first + k;
-                while self.placement.parts[pi].node_range.end as usize <= v {
-                    pi += 1;
-                }
-                let part = &self.placement.parts[pi];
-                let base = part.node_range.start as usize;
-                let r = (v - base) as u32;
-                // Local (device memory) and remote (symmetric heap)
-                // neighbors, summed in the input graph's edge order.
-                merge_by_edge(part.local.row(r), part.remote.row(r), |nb| {
-                    let (w, src) = match nb {
-                        Neighbor::Local(lr) => (
-                            self.weight(v, base + lr.local as usize),
-                            region.row(part.pe, lr.local),
-                        ),
-                        Neighbor::Remote(rr) => {
-                            let owner_base =
-                                self.placement.split.range(rr.owner as usize).start;
-                            (
-                                self.weight(v, (owner_base + rr.local) as usize),
-                                region.row(rr.owner as usize, rr.local),
-                            )
-                        }
-                    };
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += w * s;
-                    }
-                });
-                // Mode-specific fixups.
-                match self.mode {
-                    AggregateMode::GcnNorm => {
-                        // Self-loop term of \hat{A}.
-                        let w = self.norm[v] * self.norm[v];
-                        for (d, &s) in dst.iter_mut().zip(x.row(v)) {
-                            *d += w * s;
-                        }
-                    }
-                    AggregateMode::Mean => {
-                        let deg = part.local.row(r).len() + part.remote.row(r).len();
-                        if deg > 0 {
-                            let inv = 1.0 / deg as f32;
-                            for d in dst.iter_mut() {
-                                *d *= inv;
-                            }
-                        }
-                    }
-                    AggregateMode::Sum => {}
-                }
+                let v = ci * chunk_rows + k;
+                let Ok(()) = self.aggregate_row(v, x, mode, &mut &region, &weight, dst);
             }
         });
         out
+    }
+
+    /// Aggregates destination row `v` into `dst`: each neighbor in edge
+    /// order adds `weight(v, nb) * row`, then `mode` finishes the row with
+    /// GCN's self-loop term or Mean's `1/deg` scale.
+    #[inline]
+    fn aggregate_row<S: RowSource>(
+        &self,
+        v: usize,
+        x: &Matrix,
+        mode: AggregateMode,
+        src: &mut S,
+        weight: impl Fn(usize, Neighbor) -> f32,
+        dst: &mut [f32],
+    ) -> Result<(), S::Error> {
+        let part = &self.placement.parts[self.part_of(v)];
+        let r = (v - part.node_range.start as usize) as u32;
+        walk_neighbors(part, r, |nb| {
+            let w = weight(v, nb);
+            for (d, &s) in dst.iter_mut().zip(src.fetch(part.pe, nb)?) {
+                *d += w * s;
+            }
+            Ok(())
+        })?;
+        src.settle(part.pe)?;
+        match mode {
+            AggregateMode::GcnNorm => {
+                // Self-loop term of \hat{A}.
+                let w = self.norm[v] * self.norm[v];
+                for (d, &s) in dst.iter_mut().zip(x.row(v)) {
+                    *d += w * s;
+                }
+            }
+            AggregateMode::Mean => {
+                let deg = part.local.row(r).len() + part.remote.row(r).len();
+                if deg > 0 {
+                    let inv = 1.0 / deg as f32;
+                    for d in dst.iter_mut() {
+                        *d *= inv;
+                    }
+                }
+            }
+            AggregateMode::Sum => {}
+        }
+        Ok(())
     }
 
     /// Index of the partition owning global node `v` (the partitions'
@@ -1076,235 +1198,20 @@ impl MggEngine {
             .partition_point(|p| (p.node_range.end as usize) <= v)
     }
 
-    /// Functional aggregation through the resilience plane: remote rows are
-    /// fetched with non-blocking resilient GETs (retrying transiently
-    /// dropped ones) and settled per destination row. Values are identical
-    /// to [`MggEngine::aggregate_values`] — faults never corrupt data, they
-    /// only cost retries — and the resilience counters report what recovery
-    /// work was needed.
-    pub fn aggregate_values_resilient(
-        &self,
-        x: &Matrix,
-    ) -> Result<(Matrix, ResilienceStats), MggError> {
-        let dim = x.cols();
-        let region = self.placement.place_embeddings(x);
-        let mut resilient = ResilientRegion::new(&region, self.cluster.faults())
-            .with_telemetry(self.telemetry.clone());
-        let mut out = Matrix::zeros(x.rows(), dim);
-        let mut fetched = vec![0.0f32; dim];
-        for part in &self.placement.parts {
-            let base = part.node_range.start as usize;
-            for r in 0..part.local.num_rows() as u32 {
-                let v = base + r as usize;
-                let out_row_start = v * dim;
-                // Same edge-order merge as `aggregate_values`; remote rows
-                // go through the resilience plane (fallible), so the merged
-                // order is materialized instead of visited by closure.
-                let mut merged =
-                    Vec::with_capacity(part.local.row(r).len() + part.remote.row(r).len());
-                merge_by_edge(part.local.row(r), part.remote.row(r), |nb| merged.push(nb));
-                for nb in merged {
-                    match nb {
-                        Neighbor::Local(lr) => {
-                            let w = self.weight(v, base + lr.local as usize);
-                            let src = region.row(part.pe, lr.local);
-                            let dst = &mut out.data_mut()[out_row_start..out_row_start + dim];
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d += w * s;
-                            }
-                        }
-                        Neighbor::Remote(rr) => {
-                            let owner_base =
-                                self.placement.split.range(rr.owner as usize).start;
-                            let w = self.weight(v, (owner_base + rr.local) as usize);
-                            resilient.get_nbi(&mut fetched, part.pe, rr.owner as usize, rr.local)?;
-                            let dst = &mut out.data_mut()[out_row_start..out_row_start + dim];
-                            for (d, &s) in dst.iter_mut().zip(fetched.iter()) {
-                                *d += w * s;
-                            }
-                        }
-                    }
-                }
-                resilient.quiet(part.pe)?;
-                match self.mode {
-                    AggregateMode::GcnNorm => {
-                        let w = self.norm[v] * self.norm[v];
-                        let src: Vec<f32> = x.row(v).to_vec();
-                        let dst = &mut out.data_mut()[out_row_start..out_row_start + dim];
-                        for (d, s) in dst.iter_mut().zip(src) {
-                            *d += w * s;
-                        }
-                    }
-                    AggregateMode::Mean => {
-                        let deg = part.local.row(r).len() + part.remote.row(r).len();
-                        if deg > 0 {
-                            let inv = 1.0 / deg as f32;
-                            let dst = &mut out.data_mut()[out_row_start..out_row_start + dim];
-                            for d in dst {
-                                *d *= inv;
-                            }
-                        }
-                    }
-                    AggregateMode::Sum => {}
-                }
-            }
-        }
-        Ok((out, resilient.stats()))
-    }
-
-    /// Functional aggregation through the caching read path: remote rows
-    /// go through a [`CachedRegion`] in front of the symmetric heap, so
-    /// repeated references are served from the per-GPU cache (and
-    /// duplicate in-flight requests coalesce) instead of re-crossing the
-    /// fabric. Values are **bit-identical** to
-    /// [`MggEngine::aggregate_values`] at any thread count — the cache
-    /// stores exact copies of current rows and the merge order is
-    /// untouched — which the `cache_consistency` property tests pin.
-    ///
-    /// Uses the engine's cache configuration; when caching is disabled the
-    /// fetches are uncached and the returned counters are all zero. The
-    /// returned stats are this call's own (the functional plane does not
-    /// share residency with the timing-plane caches).
-    pub fn aggregate_values_cached(&self, x: &Matrix) -> Result<(Matrix, CacheStats), MggError> {
-        let dim = x.cols();
-        let cfg = self
-            .cache_cfg
-            .unwrap_or(CacheConfig { capacity_bytes: 0, policy: mgg_cache::CachePolicy::Lru });
-        let region = self.placement.place_embeddings(x);
-        let region = &region;
-        let faults = self.cluster.faults();
-        let parts = &self.placement.parts;
-        // One job per partition, each with its own issuing-PE cache over
-        // the shared region; parts are merged back in index order, so the
-        // output layout matches `aggregate_values` exactly. Unlike the
-        // pure paths this one deliberately stays at partition granularity:
-        // cache residency is per issuing PE, and thread-count-dependent
-        // row chunks would make the returned hit/miss counters vary with
-        // the pool width (values would not, but stats determinism is part
-        // of this path's contract).
-        let _lbl = mgg_runtime::profile::region_label("engine.aggregate_cached");
-        let results = mgg_runtime::par_map_indexed(parts.len(), |pi| {
-            let part = &parts[pi];
-            let mut cached = CachedRegion::new(region, faults, cfg, dim);
-            let mut out_part = vec![0.0f32; part.local.num_rows() * dim];
-            let mut fetched = vec![0.0f32; dim];
-            let base = part.node_range.start as usize;
-            for r in 0..part.local.num_rows() as u32 {
-                let v = base + r as usize;
-                let row_start = r as usize * dim;
-                cached.begin_batch(part.pe);
-                let mut merged =
-                    Vec::with_capacity(part.local.row(r).len() + part.remote.row(r).len());
-                merge_by_edge(part.local.row(r), part.remote.row(r), |nb| merged.push(nb));
-                for nb in merged {
-                    match nb {
-                        Neighbor::Local(lr) => {
-                            let w = self.weight(v, base + lr.local as usize);
-                            let src = region.row(part.pe, lr.local);
-                            let dst = &mut out_part[row_start..row_start + dim];
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d += w * s;
-                            }
-                        }
-                        Neighbor::Remote(rr) => {
-                            let owner_base =
-                                self.placement.split.range(rr.owner as usize).start;
-                            let w = self.weight(v, (owner_base + rr.local) as usize);
-                            cached.get_nbi(&mut fetched, part.pe, rr.owner as usize, rr.local)?;
-                            let dst = &mut out_part[row_start..row_start + dim];
-                            for (d, &s) in dst.iter_mut().zip(fetched.iter()) {
-                                *d += w * s;
-                            }
-                        }
-                    }
-                }
-                cached.quiet(part.pe)?;
-                match self.mode {
-                    AggregateMode::GcnNorm => {
-                        let w = self.norm[v] * self.norm[v];
-                        let dst = &mut out_part[row_start..row_start + dim];
-                        for (d, &s) in dst.iter_mut().zip(x.row(v)) {
-                            *d += w * s;
-                        }
-                    }
-                    AggregateMode::Mean => {
-                        let deg = part.local.row(r).len() + part.remote.row(r).len();
-                        if deg > 0 {
-                            let inv = 1.0 / deg as f32;
-                            let dst = &mut out_part[row_start..row_start + dim];
-                            for d in dst {
-                                *d *= inv;
-                            }
-                        }
-                    }
-                    AggregateMode::Sum => {}
-                }
-            }
-            debug_assert_eq!(cached.stale_reads(), 0, "a delta bypassed cache invalidation");
-            Ok::<_, mgg_shmem::ShmemError>((out_part, cached.stats()))
-        });
-        let mut out = Vec::with_capacity(x.rows() * dim);
-        let mut stats = CacheStats::default();
-        for res in results {
-            let (part_out, s) = res?;
-            out.extend_from_slice(&part_out);
-            stats.merge(&s);
-        }
-        Ok((Matrix::from_vec(x.rows(), dim, out), stats))
-    }
-
+    /// Global node id of neighbor `nb`.
     #[inline]
-    fn weight(&self, v: usize, u: usize) -> f32 {
+    fn global(&self, nb: Neighbor) -> usize {
+        (self.placement.split.bounds()[nb.pe] + nb.row) as usize
+    }
+
+    /// The engine mode's weight of neighbor `nb` in destination row `v`.
+    #[inline]
+    fn weight(&self, v: usize, nb: Neighbor) -> f32 {
         match self.mode {
-            AggregateMode::GcnNorm => self.norm[v] * self.norm[u],
+            AggregateMode::GcnNorm => self.norm[v] * self.norm[self.global(nb)],
             // Mean divides at the end; Sum uses unit weights.
             AggregateMode::Mean | AggregateMode::Sum => 1.0,
         }
-    }
-}
-
-/// Pure edge-weighted aggregation (no mode fixups): used by GAT.
-impl MggEngine {
-    /// Aggregates `x` with per-edge weights indexed by the input graph's
-    /// flat adjacency (see `mgg_graph::partition::locality`'s edge ids).
-    pub fn aggregate_values_weighted(&self, x: &Matrix, w: &[f32]) -> Matrix {
-        let dim = x.cols();
-        let region = self.placement.place_embeddings(x);
-        let mut out = Matrix::zeros(x.rows(), dim);
-        if x.rows() == 0 || dim == 0 {
-            return out;
-        }
-        // Same row-chunk parallel decomposition as `aggregate_values`.
-        let chunk_rows = mgg_runtime::chunk_len(x.rows(), MIN_AGG_ROWS_PER_JOB);
-        let slices: Vec<&mut [f32]> = out.data_mut().chunks_mut(chunk_rows * dim).collect();
-        let region = &region;
-        let _lbl = mgg_runtime::profile::region_label("engine.aggregate_weighted");
-        mgg_runtime::par_slices_mut(slices, |ci, out_chunk| {
-            let first = ci * chunk_rows;
-            let mut pi = self.part_of(first);
-            for (k, dst) in out_chunk.chunks_mut(dim).enumerate() {
-                let v = first + k;
-                while self.placement.parts[pi].node_range.end as usize <= v {
-                    pi += 1;
-                }
-                let part = &self.placement.parts[pi];
-                let r = (v - part.node_range.start as usize) as u32;
-                merge_by_edge(part.local.row(r), part.remote.row(r), |nb| {
-                    let (weight, src) = match nb {
-                        Neighbor::Local(lr) => {
-                            (w[lr.edge as usize], region.row(part.pe, lr.local))
-                        }
-                        Neighbor::Remote(rr) => {
-                            (w[rr.edge as usize], region.row(rr.owner as usize, rr.local))
-                        }
-                    };
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += weight * s;
-                    }
-                });
-            }
-        });
-        out
     }
 }
 
@@ -1317,34 +1224,20 @@ impl mgg_gnn::gat::GatBackend for MggEngine {
             .expect("MGG launch must be valid for the configured GPU");
         // Functional: leaky-ReLU scores then a per-destination softmax over
         // the union of the row's local and remote entries.
-        let num_edges: usize = self
-            .placement
-            .parts
-            .iter()
-            .map(|p| p.local.num_entries() + p.remote.num_entries())
-            .sum();
-        let mut w = vec![0.0f32; num_edges];
+        let mut w = vec![0.0f32; self.graph.num_edges()];
         let leaky = |x: f32| if x >= 0.0 { x } else { slope * x };
+        // (edge id, raw score) for every neighbor of one destination row.
+        let mut entries: Vec<(u32, f32)> = Vec::new();
         for part in &self.placement.parts {
             let base = part.node_range.start as usize;
             for r in 0..part.local.num_rows() as u32 {
                 let v = base + r as usize;
-                // (edge id, raw score) for every neighbor of v.
-                let mut entries: Vec<(u32, f32)> = Vec::with_capacity(
-                    part.local.row(r).len() + part.remote.row(r).len(),
-                );
-                // Edge-order merge keeps the softmax reduction order (and
+                entries.clear();
+                // Edge-order walk keeps the softmax reduction order (and
                 // so the weights, bitwise) independent of the node split.
-                merge_by_edge(part.local.row(r), part.remote.row(r), |nb| match nb {
-                    Neighbor::Local(lr) => {
-                        let u = base + lr.local as usize;
-                        entries.push((lr.edge, leaky(s_dst[v] + s_src[u])));
-                    }
-                    Neighbor::Remote(rr) => {
-                        let u = (self.placement.split.range(rr.owner as usize).start
-                            + rr.local) as usize;
-                        entries.push((rr.edge, leaky(s_dst[v] + s_src[u])));
-                    }
+                let Ok(()) = walk_neighbors(part, r, |nb| {
+                    entries.push((nb.edge, leaky(s_dst[v] + s_src[self.global(nb)])));
+                    Ok::<(), Infallible>(())
                 });
                 if entries.is_empty() {
                     continue;
@@ -1355,7 +1248,7 @@ impl mgg_gnn::gat::GatBackend for MggEngine {
                     *e = (*e - max).exp();
                     sum += *e;
                 }
-                for (edge, e) in entries {
+                for &(edge, e) in &entries {
                     w[edge as usize] = if sum > 0.0 { e / sum } else { 0.0 };
                 }
             }
@@ -1863,17 +1756,18 @@ mod tests {
         let roomy = CacheConfig::from_mb(4);
         let tiny = CacheConfig { capacity_bytes: 2048, policy: mgg_cache::CachePolicy::Lru };
         for mode in [AggregateMode::Sum, AggregateMode::Mean, AggregateMode::GcnNorm] {
+            let mut engine =
+                MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
+            let want = engine.aggregate_values(&x);
             for cfg in [roomy, tiny] {
-                let mut engine =
-                    MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
                 engine.set_cache(Some(cfg));
-                let want = engine.aggregate_values(&x);
-                let (got, stats) = engine.aggregate_values_cached(&x).unwrap();
-                assert_eq!(got.data(), want.data(), "mode {mode:?} {cfg:?} must be bit-identical");
+                let stats = engine.simulate_aggregation(16).unwrap().cache;
                 assert!(stats.hits > 0, "the reuse pattern must produce hits");
                 if cfg == tiny {
                     assert!(stats.evictions > 0, "undersized cache must evict: {stats:?}");
                 }
+                let got = engine.aggregate_values(&x);
+                assert_eq!(got.data(), want.data(), "mode {mode:?} {cfg:?} must be bit-identical");
             }
         }
     }
@@ -1972,8 +1866,7 @@ mod tests {
         );
         // Values stay exact through all of it.
         let x = features(g.num_nodes(), 16);
-        let (got, _) = e.aggregate_values_cached(&x).unwrap();
-        assert_eq!(got.data(), e.aggregate_values(&x).data());
+        assert_eq!(e.aggregate_values(&x).data(), aggregate(&g, &x, AggregateMode::Sum).data());
     }
 
     #[test]

@@ -60,12 +60,13 @@
 //! let nanos = engine.simulate_aggregation_ns(16)?; // simulated time
 //! assert!(nanos > 0);
 //!
-//! // Opt into the remote-embedding cache: bit-identical values, fewer
-//! // fabric round-trips.
+//! // Opt into the remote-embedding cache: fewer fabric round-trips in
+//! // simulated time, counted by the kernel planner; values stay
+//! // bit-identical.
 //! engine.set_cache(Some(CacheConfig::from_mb(16)));
-//! let (cached, stats) = engine.aggregate_values_cached(&x)?;
-//! assert_eq!(cached.data(), values.data());
+//! let stats = engine.simulate_aggregation(16)?.cache;
 //! assert!(stats.hits + stats.misses > 0);
+//! assert_eq!(engine.aggregate_values(&x).data(), values.data());
 //! # Ok::<(), mgg_core::MggError>(())
 //! ```
 

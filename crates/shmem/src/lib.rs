@@ -24,12 +24,10 @@
 
 #![deny(missing_docs)]
 
-pub mod cached;
 pub mod collectives;
 pub mod region;
 pub mod resilience;
 
-pub use cached::CachedRegion;
 pub use collectives::{
     barrier_all, barrier_all_telemetry, sum_reduce_all, sum_reduce_all_telemetry,
 };

@@ -18,8 +18,9 @@
 //!   wait on a dead peer forever.
 //!
 //! Everything is deterministic: the drop decisions come from the schedule's
-//! stateless hash, so the timing simulator in `mgg-sim` and this functional
-//! layer agree on *which* operations failed without sharing state.
+//! stateless hash of (PE, serial), so the timing simulator in `mgg-sim` and
+//! this functional layer make the same decision for a PE's `k`-th GET
+//! without sharing state.
 
 use std::fmt;
 
@@ -166,8 +167,11 @@ pub struct ResilientRegion<'a> {
     region: &'a SymmetricRegion,
     faults: Option<&'a FaultSchedule>,
     policy: RetryPolicy,
-    /// Per-PE serial counter of issued GETs; must mirror the timing plane's
-    /// numbering so both planes drop the same operations.
+    /// Per-PE serial counter of issued GETs. Drop decisions are a pure
+    /// function of (PE, serial), so a plane that issues as many GETs per PE
+    /// as the simulator drops as *many* — not the same operations: the
+    /// simulator numbers GETs in simulated issue order, the engine's value
+    /// plane in edge order.
     serial: Vec<u64>,
     /// Per-PE outstanding `_nbi` completions awaiting `quiet`, with their
     /// drop decision.

@@ -305,3 +305,36 @@ fn injected_drops_recover_and_match_reference() {
     let want = mgg::gnn::reference::aggregate(&g, &x, AggregateMode::GcnNorm);
     assert!(got.max_abs_diff(&want) < 1e-3, "recovered outputs must match the CPU reference");
 }
+
+/// The recovery counters have two owners: the simulated kernel and the
+/// resilient value plane. Without a cache both issue one GET per remote
+/// adjacency entry on each PE, and drop decisions are a pure function of
+/// (PE, serial), so the two must count the same retries and lost
+/// completions — though not on the same edges, since the simulator numbers
+/// GETs in simulated issue order and the value plane in edge order. (With
+/// a cache the planes differ by design: cache hits never cross the fabric
+/// in simulated time.)
+#[test]
+fn uncached_recovery_counters_agree_between_planes() {
+    let dim = 16;
+    for scale in [9, 10] {
+        let g = rmat(&RmatConfig::graph500(scale, 10_000, 2024));
+        let x = Matrix::glorot(g.num_nodes(), dim, 5);
+        for gpus in [2, 4, 8] {
+            for drop_rate in [0.02, 0.1, 0.2] {
+                let cell = format!("scale {scale}, {gpus} GPUs, drop rate {drop_rate}");
+                let (spec, cfg) = (ClusterSpec::dgx_a100(gpus), MggConfig::default_fixed());
+                let mut e = MggEngine::new(&g, spec, cfg, AggregateMode::Sum);
+                e.install_faults(FaultSpec { seed: 11, drop_rate, ..Default::default() }).unwrap();
+                let sim = e.simulate_aggregation(dim).unwrap().recovery;
+                let (_, values) = e.aggregate_values_resilient(&x).unwrap();
+                assert!(sim.retried_gets > 0, "{cell}: no GET was dropped");
+                assert_eq!(values.retries, sim.retried_gets, "{cell}: retries");
+                assert_eq!(
+                    values.timed_out_completions, sim.dropped_completions,
+                    "{cell}: lost completions"
+                );
+            }
+        }
+    }
+}

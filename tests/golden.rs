@@ -2,14 +2,18 @@
 //!
 //! The simulator is fully deterministic, so these values reproduce
 //! bit-identically on every platform. They exist to catch *unintentional*
-//! changes to the timing model — if you change the model on purpose
+//! changes to the timing model, and (`golden_value_digests`) to the exact
+//! output bits of the value plane — if you change either on purpose
 //! (channel constants, scheduling rules, kernel lowering), re-run with
 //! `UPDATE_GOLDEN=1 cargo test --test golden -- --nocapture` and paste the
 //! printed values.
 
 use mgg::baselines::{DirectNvshmemEngine, UvmGnnEngine};
 use mgg::core::{CacheConfig, CachePolicy, MggConfig, MggEngine};
+use mgg::fault::FaultSpec;
+use mgg::gnn::gat::GatBackend;
 use mgg::gnn::reference::AggregateMode;
+use mgg::gnn::Matrix;
 use mgg::graph::generators::rmat::{rmat, RmatConfig};
 use mgg::sim::ClusterSpec;
 
@@ -97,6 +101,57 @@ fn golden_cached_timings() {
         Golden { name: "cached_layer2_hits", got: second.cache.hits, want: 9_688 },
         Golden { name: "cached_layer2_misses", got: second.cache.misses, want: 1_654 },
         Golden { name: "cached_layer2_evictions", got: second.cache.evictions, want: 1_654 },
+    ]);
+}
+
+/// FNV-1a over the little-endian bytes of a stream of 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes = words.into_iter().flat_map(u64::to_le_bytes);
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn bits(values: &[f32]) -> impl Iterator<Item = u64> + '_ {
+    values.iter().map(|v| u64::from(v.to_bits()))
+}
+
+/// The value plane, bit for bit: a digest of every output float of each
+/// engine aggregation path. The tolerance-based value tests would accept a
+/// reordered float sum; these would not.
+#[test]
+fn golden_value_digests() {
+    let g = scenario();
+    let n = g.num_nodes();
+    let x = Matrix::glorot(n, 16, 5);
+    let engine =
+        |mode| MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
+    let values = |mode| fnv1a(bits(engine(mode).aggregate_values(&x).data()));
+
+    let w: Vec<f32> = (0..g.num_edges()).map(|i| ((i % 11) as f32) / 10.0).collect();
+    let weighted = engine(AggregateMode::Sum).aggregate_values_weighted(&x, &w);
+    let s_dst: Vec<f32> = (0..n).map(|i| ((i * 7) % 13) as f32 / 13.0 - 0.5).collect();
+    let s_src: Vec<f32> = (0..n).map(|i| ((i * 3) % 5) as f32 / 5.0).collect();
+    let (attention, _) = engine(AggregateMode::Sum).attention(&s_dst, &s_src, 0.2);
+    let mut faulty = engine(AggregateMode::Sum);
+    faulty.install_faults(FaultSpec { seed: 11, drop_rate: 0.1, ..FaultSpec::quiet() }).unwrap();
+    let (resilient, rs) = faulty.aggregate_values_resilient(&x).unwrap();
+    let counters = [
+        rs.gets, rs.retries, rs.recovered_gets, rs.timed_out_completions, rs.dead_peer_gets,
+        rs.penalty_ns,
+    ];
+
+    let sum = values(AggregateMode::Sum);
+    let mean = values(AggregateMode::Mean);
+    let gcn = values(AggregateMode::GcnNorm);
+    let weighted = fnv1a(bits(weighted.data()));
+    let attention = fnv1a(bits(&attention));
+    let resilient = fnv1a(bits(resilient.data()).chain(counters));
+    check(&[
+        Golden { name: "values_sum", got: sum, want: 7_231_656_510_207_867_777 },
+        Golden { name: "values_mean", got: mean, want: 10_336_873_387_666_600_586 },
+        Golden { name: "values_gcn_norm", got: gcn, want: 9_383_458_998_183_400_342 },
+        Golden { name: "values_weighted", got: weighted, want: 8_834_437_033_720_453_084 },
+        Golden { name: "attention_weights", got: attention, want: 5_350_917_188_559_715_227 },
+        Golden { name: "resilient_values_and_stats", got: resilient, want: 1_500_886_873_502_935_004 },
     ]);
 }
 
