@@ -1,7 +1,7 @@
 //! Extension: fault injection and graceful degradation.
 //!
 //! Measures what each deterministic fault class costs and how much of it
-//! MGG's resilience layer claws back, against the UVM baseline under the
+//! MGG's recovery path claws back, against the UVM baseline under the
 //! *same* fault schedule. Per fault class:
 //!
 //! * `mgg_healthy_ms` — MGG with no faults installed (reference).

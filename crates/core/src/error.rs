@@ -3,11 +3,10 @@
 //! The executor and CLI hot paths report failures through [`MggError`]
 //! instead of panicking, so callers (the CLI, the bench harness, library
 //! users) can distinguish a misconfiguration from a hardware-limit
-//! violation from a communication failure and react accordingly.
+//! violation from an unrecoverable failure and react accordingly.
 
 use std::fmt;
 
-use mgg_shmem::ShmemError;
 use mgg_sim::LaunchError;
 
 /// Any failure the MGG engine can report.
@@ -19,8 +18,6 @@ pub enum MggError {
     InvalidFaultSpec(String),
     /// The kernel launch violates a hardware limit of the target GPU.
     Launch(LaunchError),
-    /// A resilient one-sided operation exhausted its recovery budget.
-    Shmem(ShmemError),
     /// The installed failures exceed what elastic failover can absorb
     /// (e.g. no surviving GPU, or a corrupt checkpoint): the run cannot
     /// produce a correct answer and says so instead of hanging.
@@ -39,7 +36,6 @@ impl fmt::Display for MggError {
             MggError::InvalidConfig(msg) => write!(f, "invalid MGG configuration: {msg}"),
             MggError::InvalidFaultSpec(msg) => write!(f, "invalid fault spec: {msg}"),
             MggError::Launch(e) => write!(f, "kernel launch rejected: {e}"),
-            MggError::Shmem(e) => write!(f, "communication failure: {e}"),
             MggError::Unrecoverable(msg) => write!(f, "unrecoverable failure: {msg}"),
             MggError::InvalidDelta(msg) => write!(f, "invalid graph delta: {msg}"),
             MggError::MembershipRejected(msg) => write!(f, "membership change rejected: {msg}"),
@@ -51,7 +47,6 @@ impl std::error::Error for MggError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MggError::Launch(e) => Some(e),
-            MggError::Shmem(e) => Some(e),
             _ => None,
         }
     }
@@ -60,12 +55,6 @@ impl std::error::Error for MggError {
 impl From<LaunchError> for MggError {
     fn from(e: LaunchError) -> Self {
         MggError::Launch(e)
-    }
-}
-
-impl From<ShmemError> for MggError {
-    fn from(e: ShmemError) -> Self {
-        MggError::Shmem(e)
     }
 }
 
@@ -79,8 +68,6 @@ mod tests {
         assert!(e.to_string().contains("ps out of range"));
         let e: MggError = LaunchError::ZeroWarps.into();
         assert!(e.to_string().contains("launch rejected"));
-        let e: MggError = ShmemError::GetFailed { pe: 2, row: 5, attempts: 4 }.into();
-        assert!(e.to_string().contains("communication failure"));
         let e = MggError::Unrecoverable("all GPUs dead".into());
         assert!(e.to_string().contains("unrecoverable"));
         let e = MggError::InvalidDelta("node 99 out of range".into());

@@ -5,8 +5,6 @@
 //! functional outputs match the CPU reference (up to floating-point
 //! reassociation) while timing comes from the discrete-event simulation.
 
-use std::convert::Infallible;
-
 use mgg_cache::{CacheConfig, CacheKey, CacheStats, EmbedCache};
 use mgg_churn::{apply_deltas, GraphDelta};
 use mgg_failover::checkpoint::Checkpoint;
@@ -17,7 +15,7 @@ use mgg_gnn::reference::AggregateMode;
 use mgg_gnn::Matrix;
 use mgg_graph::partition::locality::{LocalRef, LocalityPartition, RemoteRef};
 use mgg_graph::{CsrGraph, NodeSplit};
-use mgg_shmem::{ResilienceStats, ResilientRegion, ShmemError, SymmetricRegion};
+use mgg_shmem::SymmetricRegion;
 use mgg_sim::{Cluster, ClusterSpec, GpuSim, KernelStats, NoPaging, SimTime, TraceEvent};
 use mgg_telemetry::{PipelineMetrics, Telemetry};
 
@@ -130,11 +128,7 @@ struct Neighbor {
 /// evacuates a dead GPU's shard: the recovered placement reproduces the
 /// fault-free run's floats exactly.
 #[inline]
-fn walk_neighbors<E>(
-    part: &LocalityPartition,
-    r: u32,
-    mut f: impl FnMut(Neighbor) -> Result<(), E>,
-) -> Result<(), E> {
+fn walk_neighbors(part: &LocalityPartition, r: u32, mut f: impl FnMut(Neighbor)) {
     let (local, remote) = (part.local.row(r), part.remote.row(r));
     let local_nb = |lr: &LocalRef| Neighbor { pe: part.pe, row: lr.local, edge: lr.edge };
     let remote_nb =
@@ -142,66 +136,15 @@ fn walk_neighbors<E>(
     let (mut i, mut j) = (0, 0);
     while i < local.len() && j < remote.len() {
         if local[i].edge < remote[j].edge {
-            f(local_nb(&local[i]))?;
+            f(local_nb(&local[i]));
             i += 1;
         } else {
-            f(remote_nb(&remote[j]))?;
+            f(remote_nb(&remote[j]));
             j += 1;
         }
     }
-    local[i..].iter().try_for_each(|lr| f(local_nb(lr)))?;
-    remote[j..].iter().try_for_each(|rr| f(remote_nb(rr)))
-}
-
-/// Where [`MggEngine::aggregate_row`] reads neighbor embeddings from.
-trait RowSource {
-    /// Why a read can fail.
-    type Error;
-    /// The embedding of `nb`, read on behalf of a destination row on PE
-    /// `home`.
-    fn fetch(&mut self, home: usize, nb: Neighbor) -> Result<&[f32], Self::Error>;
-    /// Settles `home`'s outstanding reads once its destination row is done.
-    fn settle(&mut self, home: usize) -> Result<(), Self::Error>;
-}
-
-/// Direct symmetric-heap reads: the fault-free value plane.
-impl RowSource for &SymmetricRegion {
-    type Error = Infallible;
-
-    #[inline]
-    fn fetch(&mut self, _home: usize, nb: Neighbor) -> Result<&[f32], Infallible> {
-        Ok(self.row(nb.pe, nb.row))
-    }
-
-    #[inline]
-    fn settle(&mut self, _home: usize) -> Result<(), Infallible> {
-        Ok(())
-    }
-}
-
-/// Local rows read directly; remote rows fetched through the resilience
-/// plane with non-blocking GETs, settled once per destination row.
-struct ResilientSource<'a> {
-    region: &'a SymmetricRegion,
-    plane: ResilientRegion<'a>,
-    /// Landing buffer of the latest remote GET.
-    landed: Vec<f32>,
-}
-
-impl RowSource for ResilientSource<'_> {
-    type Error = ShmemError;
-
-    fn fetch(&mut self, home: usize, nb: Neighbor) -> Result<&[f32], ShmemError> {
-        if nb.pe == home {
-            return Ok(self.region.row(nb.pe, nb.row));
-        }
-        self.plane.get_nbi(&mut self.landed, home, nb.pe, nb.row)?;
-        Ok(&self.landed)
-    }
-
-    fn settle(&mut self, home: usize) -> Result<(), ShmemError> {
-        self.plane.quiet(home)
-    }
+    local[i..].iter().for_each(|lr| f(local_nb(lr)));
+    remote[j..].iter().for_each(|rr| f(remote_nb(rr)));
 }
 
 /// Minimum output rows per parallel aggregation job. Below this, the
@@ -1079,41 +1022,6 @@ impl MggEngine {
         self.aggregate_direct(x, AggregateMode::Sum, weight, "engine.aggregate_weighted")
     }
 
-    /// Functional aggregation through the resilience plane: remote rows are
-    /// fetched with non-blocking resilient GETs (retrying transiently
-    /// dropped ones) and settled per destination row. Values are identical
-    /// to [`MggEngine::aggregate_values`] — faults never corrupt data, they
-    /// only cost retries — and the resilience counters report what recovery
-    /// work was needed.
-    ///
-    /// With caching disabled, `retries` and `timed_out_completions` equal
-    /// the simulated kernel's `recovery.retried_gets` and
-    /// `recovery.dropped_completions`. With a cache they differ: the timing
-    /// plane serves cache hits without crossing the fabric, while this
-    /// plane reads every remote row over it, so it issues (and loses) more
-    /// GETs.
-    pub fn aggregate_values_resilient(
-        &self,
-        x: &Matrix,
-    ) -> Result<(Matrix, ResilienceStats), MggError> {
-        let dim = x.cols();
-        let region = self.placement.place_embeddings(x);
-        let mut src = ResilientSource {
-            region: &region,
-            plane: ResilientRegion::new(&region, self.cluster.faults())
-                .with_telemetry(self.telemetry.clone()),
-            landed: vec![0.0; dim],
-        };
-        let mut out = Matrix::zeros(x.rows(), dim);
-        let weight = |v, nb| self.weight(v, nb);
-        // Serial, in row (and so partition) order: the resilience plane
-        // numbers each PE's GETs in the order they are issued.
-        for (v, dst) in out.data_mut().chunks_mut(dim).enumerate() {
-            self.aggregate_row(v, x, self.mode, &mut src, weight, dst)?;
-        }
-        Ok((out, src.plane.stats()))
-    }
-
     /// The row-chunk parallel driver over direct reads. Jobs are contiguous
     /// row ranges sized to `rows / threads` with a minimum-work floor (one
     /// job per partition underfills wide pools and overfills small graphs
@@ -1139,7 +1047,7 @@ impl MggEngine {
         mgg_runtime::par_slices_mut(slices, |ci, out_chunk| {
             for (k, dst) in out_chunk.chunks_mut(dim).enumerate() {
                 let v = ci * chunk_rows + k;
-                let Ok(()) = self.aggregate_row(v, x, mode, &mut &region, &weight, dst);
+                self.aggregate_row(v, x, mode, &region, &weight, dst);
             }
         });
         out
@@ -1149,25 +1057,23 @@ impl MggEngine {
     /// order adds `weight(v, nb) * row`, then `mode` finishes the row with
     /// GCN's self-loop term or Mean's `1/deg` scale.
     #[inline]
-    fn aggregate_row<S: RowSource>(
+    fn aggregate_row(
         &self,
         v: usize,
         x: &Matrix,
         mode: AggregateMode,
-        src: &mut S,
+        region: &SymmetricRegion,
         weight: impl Fn(usize, Neighbor) -> f32,
         dst: &mut [f32],
-    ) -> Result<(), S::Error> {
+    ) {
         let part = &self.placement.parts[self.part_of(v)];
         let r = (v - part.node_range.start as usize) as u32;
         walk_neighbors(part, r, |nb| {
             let w = weight(v, nb);
-            for (d, &s) in dst.iter_mut().zip(src.fetch(part.pe, nb)?) {
+            for (d, &s) in dst.iter_mut().zip(region.row(nb.pe, nb.row)) {
                 *d += w * s;
             }
-            Ok(())
-        })?;
-        src.settle(part.pe)?;
+        });
         match mode {
             AggregateMode::GcnNorm => {
                 // Self-loop term of \hat{A}.
@@ -1187,7 +1093,6 @@ impl MggEngine {
             }
             AggregateMode::Sum => {}
         }
-        Ok(())
     }
 
     /// Index of the partition owning global node `v` (the partitions'
@@ -1235,9 +1140,8 @@ impl mgg_gnn::gat::GatBackend for MggEngine {
                 entries.clear();
                 // Edge-order walk keeps the softmax reduction order (and
                 // so the weights, bitwise) independent of the node split.
-                let Ok(()) = walk_neighbors(part, r, |nb| {
+                walk_neighbors(part, r, |nb| {
                     entries.push((nb.edge, leaky(s_dst[v] + s_src[self.global(nb)])));
-                    Ok::<(), Infallible>(())
                 });
                 if entries.is_empty() {
                     continue;
@@ -1405,7 +1309,7 @@ mod tests {
         let a = plain.simulate_aggregation(64).unwrap();
         let b = faulty.simulate_aggregation(64).unwrap();
         assert_eq!(a, b, "quiet fault spec must not perturb timing");
-        let (va, _) = plain.aggregate_values_resilient(&x).unwrap();
+        let va = plain.aggregate_values(&x);
         let vb = faulty.aggregate_values(&x);
         assert_eq!(va.data(), vb.data(), "quiet faults must not perturb values");
     }
@@ -1471,8 +1375,7 @@ mod tests {
         .unwrap();
         let stats = e.simulate_aggregation(32).unwrap();
         assert!(stats.recovery.retried_gets > 0, "drop rate 0.2 must hit some gets");
-        let (got, rstats) = e.aggregate_values_resilient(&x).unwrap();
-        assert!(rstats.retries > 0);
+        let got = e.aggregate_values(&x);
         let want = aggregate(&g, &x, AggregateMode::Sum);
         assert!(got.max_abs_diff(&want) < 1e-3, "recovered values must stay exact");
     }

@@ -61,8 +61,10 @@ impl TuneResult {
     }
 }
 
-/// The cross-iteration tuner. Generic over the latency oracle so it can
-/// drive the real simulator or synthetic cost surfaces in tests.
+/// The §4 cross-iteration optimizer: greedy `ps → dist → wpb` coordinate
+/// search with the "retreat ps" rule and top-3 stopping criterion. Generic
+/// over the latency oracle so it can drive the real simulator or synthetic
+/// cost surfaces in tests.
 ///
 /// # Examples
 ///
@@ -78,11 +80,6 @@ impl TuneResult {
 /// assert_eq!(result.best, MggConfig { ps: 8, dist: 2, wpb: 2 });
 /// assert!(result.iterations <= 14); // the paper reports ~10 probes
 /// ```
-/// Evaluates a candidate set concurrently on the worker pool.
-type BatchEval<F> = fn(&F, &[MggConfig]) -> Vec<u64>;
-
-/// The §4 cross-iteration optimizer: greedy `ps → dist → wpb` coordinate
-/// search with the "retreat ps" rule and top-3 stopping criterion.
 pub struct Tuner<F> {
     eval: F,
     table: HashMap<MggConfig, u64>,
@@ -90,19 +87,7 @@ pub struct Tuner<F> {
     /// Feasibility filter (the §4 hardware constraints).
     feasible: Box<dyn Fn(&MggConfig) -> bool>,
     telemetry: Telemetry,
-    /// Latencies pre-computed by speculative batch evaluation, consumed by
-    /// [`Tuner::probe`] at commit time. Leftovers (speculation past the
-    /// climb's stop point) are discarded and never reach table or trace.
-    speculated: HashMap<MggConfig, u64>,
-    /// Batch evaluator installed by [`Tuner::with_speculation`]. A
-    /// monomorphized fn pointer so the plain [`FnMut`] constructor stays
-    /// available.
-    batch: Option<BatchEval<F>>,
 }
-
-/// How many upcoming doubling candidates a speculative climb evaluates
-/// concurrently ahead of the commit point.
-const SPECULATION_DEPTH: u32 = 3;
 
 impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
     /// Creates a tuner over a latency oracle (`eval` returns nanoseconds).
@@ -113,8 +98,6 @@ impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
             trace: Vec::new(),
             feasible: Box::new(|_| true),
             telemetry: Telemetry::disabled(),
-            speculated: HashMap::new(),
-            batch: None,
         }
     }
 
@@ -139,13 +122,7 @@ impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
         if let Some(&lat) = self.table.get(&cfg) {
             return Some(lat);
         }
-        // Commit point: a speculatively evaluated latency enters the table,
-        // trace and telemetry here, in exactly the order the sequential
-        // search would have evaluated it.
-        let lat = match self.speculated.remove(&cfg) {
-            Some(lat) => lat,
-            None => (self.eval)(&cfg),
-        };
+        let lat = (self.eval)(&cfg);
         self.table.insert(cfg, lat);
         self.trace.push(TuneStep { config: cfg, latency_ns: lat });
         self.telemetry.counter_add("tuner.probes", 1);
@@ -167,7 +144,6 @@ impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
         let mut probed = vec![(1u32, start_latency)];
         let mut v = 2u32;
         while v <= max {
-            self.speculate_ahead(base, &set, max, v);
             let cfg = set(base, v);
             let Some(lat) = self.probe(cfg) else { break };
             probed.push((v, lat));
@@ -183,43 +159,6 @@ impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
             v *= 2;
         }
         (best_v, best_lat, probed)
-    }
-
-    /// With speculation installed, batch-evaluates the next
-    /// [`SPECULATION_DEPTH`] un-cached doubling candidates from `v`
-    /// concurrently and parks the latencies for [`Tuner::probe`] to commit.
-    /// Purely a scheduling optimization: candidates past the climb's stop
-    /// point stay parked and never affect the search.
-    fn speculate_ahead(
-        &mut self,
-        base: MggConfig,
-        set: &impl Fn(MggConfig, u32) -> MggConfig,
-        max: u32,
-        v: u32,
-    ) {
-        let Some(batch) = self.batch else { return };
-        let mut candidates = Vec::new();
-        let mut cand = v;
-        for _ in 0..SPECULATION_DEPTH {
-            if cand > max {
-                break;
-            }
-            let cfg = set(base, cand);
-            if (self.feasible)(&cfg)
-                && !self.table.contains_key(&cfg)
-                && !self.speculated.contains_key(&cfg)
-            {
-                candidates.push(cfg);
-            }
-            cand *= 2;
-        }
-        if candidates.len() < 2 {
-            return; // nothing to overlap
-        }
-        let lats = batch(&self.eval, &candidates);
-        for (cfg, lat) in candidates.into_iter().zip(lats) {
-            self.speculated.insert(cfg, lat);
-        }
     }
 
     /// Runs the full §4 search.
@@ -300,22 +239,6 @@ impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
             iterations: self.trace.len(),
             trace: self.trace,
         }
-    }
-}
-
-impl<F: Fn(&MggConfig) -> u64 + Sync> Tuner<F> {
-    /// Enables speculative climbing: each climb step batch-evaluates the
-    /// next few doubling candidates concurrently on the [`mgg_runtime`]
-    /// worker pool, committing results in deterministic search order. The
-    /// produced [`TuneResult`] — best config, latency, trace and table —
-    /// is identical to the sequential search; only wall-clock changes.
-    /// Requires a shareable oracle (`Fn + Sync`, e.g. one driving
-    /// independent simulator instances).
-    pub fn with_speculation(mut self) -> Self {
-        self.batch = Some(|eval, cfgs| {
-            mgg_runtime::profile::labeled("tuner.speculate", || mgg_runtime::par_map(cfgs, eval))
-        });
-        self
     }
 }
 
@@ -414,50 +337,6 @@ mod tests {
         let plain = Tuner::new(surface(opt)).run();
         assert_eq!(plain.best, result.best);
         assert_eq!(plain.iterations, result.iterations);
-    }
-
-    #[test]
-    fn speculative_search_matches_sequential_exactly() {
-        // Fn + Sync variant of the synthetic surface.
-        let surf = |opt: MggConfig| {
-            move |c: &MggConfig| -> u64 {
-                let d = |a: u32, b: u32| ((a as f64).log2() - (b as f64).log2()).abs();
-                let score = d(c.ps, opt.ps) + d(c.dist, opt.dist) + d(c.wpb, opt.wpb);
-                10_000 + (score * 1_000.0) as u64
-            }
-        };
-        for opt in [
-            MggConfig { ps: 16, dist: 4, wpb: 2 },
-            MggConfig { ps: 1, dist: 1, wpb: 1 },
-            MggConfig { ps: 4, dist: 1, wpb: 16 },
-            MggConfig { ps: 32, dist: 16, wpb: 16 },
-        ] {
-            let seq = Tuner::new(surf(opt)).run();
-            for threads in [1usize, 2, 4, 7] {
-                let spec = mgg_runtime::with_threads(threads, || {
-                    Tuner::new(surf(opt)).with_speculation().run()
-                });
-                assert_eq!(spec.best, seq.best, "{opt:?} @ {threads} threads");
-                assert_eq!(spec.best_latency_ns, seq.best_latency_ns);
-                // The probe trace (order included) must be identical:
-                // speculation may only change wall-clock, never the search.
-                assert_eq!(spec.trace, seq.trace, "{opt:?} @ {threads} threads");
-                assert_eq!(spec.iterations, seq.iterations);
-            }
-        }
-    }
-
-    #[test]
-    fn speculative_search_respects_feasibility() {
-        let eval = |c: &MggConfig| 10_000 - (c.ps * 10 + c.dist + c.wpb) as u64;
-        let seq = Tuner::new(eval).with_feasibility(|c| c.ps <= 8 && c.wpb <= 4).run();
-        let spec = Tuner::new(eval)
-            .with_feasibility(|c| c.ps <= 8 && c.wpb <= 4)
-            .with_speculation()
-            .run();
-        assert_eq!(spec.best, seq.best);
-        assert_eq!(spec.trace, seq.trace);
-        assert!(spec.trace.iter().all(|s| s.config.ps <= 8 && s.config.wpb <= 4));
     }
 
     #[test]

@@ -7,10 +7,6 @@
 //! payload guards against torn or corrupted snapshots — a restore that
 //! fails validation is treated as "no checkpoint" rather than silently
 //! resuming from bad state.
-//!
-//! Two stores are provided: [`MemoryStore`] (the default inside
-//! `simulate_aggregation`, zero I/O) and [`FileStore`] (JSON files, one per
-//! epoch, for CLI runs that should survive the process).
 
 use serde::{Deserialize, Serialize};
 
@@ -63,102 +59,6 @@ impl Checkpoint {
     }
 }
 
-/// Persistence behind checkpoint/resume. Implementations keep only the
-/// latest valid checkpoint reachable; resume always restarts from the most
-/// recent epoch boundary.
-pub trait CheckpointStore {
-    /// Persists `ckpt`; replaces any older snapshot.
-    fn save(&mut self, ckpt: Checkpoint) -> Result<(), String>;
-    /// The most recent *valid* checkpoint, if any.
-    fn latest(&self) -> Option<Checkpoint>;
-}
-
-/// In-memory store: the engine's default (checkpoints live only as long as
-/// the run, which is exactly the resume scope of a simulation).
-#[derive(Debug, Default)]
-pub struct MemoryStore {
-    latest: Option<Checkpoint>,
-}
-
-impl MemoryStore {
-    /// An empty store holding no checkpoint.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl CheckpointStore for MemoryStore {
-    fn save(&mut self, ckpt: Checkpoint) -> Result<(), String> {
-        if !ckpt.is_valid() {
-            return Err("refusing to store checkpoint with bad checksum".into());
-        }
-        self.latest = Some(ckpt);
-        Ok(())
-    }
-
-    fn latest(&self) -> Option<Checkpoint> {
-        self.latest.clone().filter(Checkpoint::is_valid)
-    }
-}
-
-/// File-backed store: one JSON document per epoch under `dir`, named
-/// `ckpt-<epoch>.json`. Corrupt or truncated files are skipped on load.
-#[derive(Debug)]
-pub struct FileStore {
-    dir: std::path::PathBuf,
-}
-
-impl FileStore {
-    /// Opens (creating if needed) a store rooted at `dir`.
-    pub fn open(dir: impl Into<std::path::PathBuf>) -> Result<Self, String> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("checkpoint dir {}: {e}", dir.display()))?;
-        Ok(FileStore { dir })
-    }
-
-    fn path_for(&self, epoch: u64) -> std::path::PathBuf {
-        self.dir.join(format!("ckpt-{epoch}.json"))
-    }
-}
-
-impl CheckpointStore for FileStore {
-    fn save(&mut self, ckpt: Checkpoint) -> Result<(), String> {
-        if !ckpt.is_valid() {
-            return Err("refusing to store checkpoint with bad checksum".into());
-        }
-        let text = serde_json::to_string(&ckpt).map_err(|e| e.to_string())?;
-        let path = self.path_for(ckpt.epoch);
-        // Write-then-rename so a crash mid-write never leaves a torn file
-        // under the canonical name.
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, text).map_err(|e| format!("{}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(())
-    }
-
-    fn latest(&self) -> Option<Checkpoint> {
-        let mut best: Option<Checkpoint> = None;
-        let entries = std::fs::read_dir(&self.dir).ok()?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if !name.starts_with("ckpt-") || !name.ends_with(".json") {
-                continue;
-            }
-            let Ok(text) = std::fs::read_to_string(entry.path()) else { continue };
-            let Ok(ckpt) = serde_json::from_str::<Checkpoint>(&text) else { continue };
-            if !ckpt.is_valid() {
-                continue;
-            }
-            if best.as_ref().is_none_or(|b| ckpt.epoch > b.epoch) {
-                best = Some(ckpt);
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,45 +78,5 @@ mod tests {
         assert!(c.is_valid());
         c.features[1] += 1.0;
         assert!(!c.is_valid());
-    }
-
-    #[test]
-    fn memory_store_roundtrip_keeps_latest() {
-        let mut store = MemoryStore::new();
-        assert!(store.latest().is_none());
-        store.save(sample(0)).unwrap();
-        store.save(sample(1)).unwrap();
-        assert_eq!(store.latest().unwrap().epoch, 1);
-    }
-
-    #[test]
-    fn memory_store_rejects_corrupt() {
-        let mut store = MemoryStore::new();
-        let mut c = sample(0);
-        c.checksum ^= 1;
-        assert!(store.save(c).is_err());
-    }
-
-    #[test]
-    fn file_store_roundtrip_bit_identical() {
-        let dir = std::env::temp_dir().join(format!("mgg-ckpt-{}", std::process::id()));
-        let mut store = FileStore::open(&dir).unwrap();
-        let c = sample(5);
-        store.save(c.clone()).unwrap();
-        store.save(sample(2)).unwrap();
-        let restored = store.latest().unwrap();
-        assert_eq!(restored, c, "latest-epoch checkpoint must win, bit-identical");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_store_skips_corrupt_files() {
-        let dir = std::env::temp_dir().join(format!("mgg-ckpt-bad-{}", std::process::id()));
-        let mut store = FileStore::open(&dir).unwrap();
-        store.save(sample(1)).unwrap();
-        std::fs::write(dir.join("ckpt-9.json"), "{not json").unwrap();
-        let restored = store.latest().unwrap();
-        assert_eq!(restored.epoch, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

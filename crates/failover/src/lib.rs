@@ -11,9 +11,10 @@
 //! 2. **Routing** — [`plan_route`] finds a surviving path around a dead
 //!    NVLink (shortest hop-count over `usable_links`), falling back to
 //!    host/PCIe staging when the fabric is partitioned.
-//! 3. **Checkpointing** — the [`checkpoint`] module persists epoch-boundary
-//!    partition state + aggregated features so a run interrupted mid-epoch
-//!    resumes from the last epoch boundary instead of restarting.
+//! 3. **Checkpointing** — the [`checkpoint`] module captures epoch-boundary
+//!    partition state + aggregated features in a checksummed snapshot so a
+//!    run interrupted mid-epoch resumes from the last epoch boundary
+//!    instead of restarting.
 //!
 //! Everything here is deterministic: given the same fault schedule and
 //! horizon, the monitor produces bit-identical cluster views, so recovery

@@ -247,9 +247,9 @@ fn unit_f64(h: u64) -> f64 {
 ///
 /// Derived from a [`FaultSpec`] by [`FaultSchedule::derive`], or built
 /// manually (e.g. [`FaultSchedule::link_outage`]) for pinned test
-/// scenarios. Timing hooks in `mgg-sim` query it; the resilience layer in
-/// `mgg-shmem` consults the same drop decisions so the functional and
-/// timing planes agree on *which* operations failed.
+/// scenarios. Timing hooks in `mgg-sim` query it, and its drop decisions
+/// are pure functions, so a test can replay exactly *which* operations
+/// failed without running the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     spec: FaultSpec,
@@ -486,8 +486,8 @@ impl FaultSchedule {
 
     /// Whether the `serial`-th one-sided GET issued by `pe` is transiently
     /// dropped. Stateless: the (seed, pe, serial) triple fully determines
-    /// the outcome, so the timing simulator and the functional resilience
-    /// layer agree without sharing state.
+    /// the outcome, so anyone holding the schedule can replay the timing
+    /// simulator's decisions without sharing its state.
     pub fn drops_get(&self, pe: usize, serial: u64) -> bool {
         self.drops(STREAM_DROP_GET, pe, serial)
     }

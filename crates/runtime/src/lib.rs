@@ -1,9 +1,8 @@
 //! Deterministic parallel execution runtime for the MGG host stack.
 //!
 //! Every parallel surface in this workspace (bench sweep cells, functional
-//! aggregation, chaos seed matrices, speculative tuner probes) runs through
-//! this crate so there is exactly one place where the determinism contract
-//! is enforced:
+//! aggregation, chaos seed matrices) runs through this crate so there is
+//! exactly one place where the determinism contract is enforced:
 //!
 //! * **Slot merge** — [`par_map`]/[`par_map_indexed`] write each job's
 //!   result into a preallocated, cache-line-padded slot owned by its input

@@ -15,21 +15,16 @@
 //!   [`barrier_all`], by advancing the cluster channels directly.
 //!
 //! The split keeps values exact and timing deterministic without simulating
-//! data movement byte by byte.
-
-//! A third plane — **resilience** — wraps the data plane when a fault
-//! schedule is installed: [`ResilientRegion`] retries transiently dropped
-//! GETs and settles lost non-blocking completions by timeout, returning
-//! [`ShmemError`] instead of hanging or panicking.
+//! data movement byte by byte. Injected faults follow the same split:
+//! `mgg-sim` prices their retries and timeouts into the kernel's recovery
+//! counters, and the data plane never sees them.
 
 #![deny(missing_docs)]
 
 pub mod collectives;
 pub mod region;
-pub mod resilience;
 
 pub use collectives::{
     barrier_all, barrier_all_telemetry, sum_reduce_all, sum_reduce_all_telemetry,
 };
 pub use region::SymmetricRegion;
-pub use resilience::{ResilienceStats, ResilientRegion, RetryPolicy, ShmemError};

@@ -560,9 +560,8 @@ fn issue(
                 WarpOp::RemoteGet { peer, bytes, nbi } => {
                     if faults.is_dead(peer as usize, now) {
                         // Dead target PE: no wire traffic; the operation
-                        // completes (as an error surfaced by the resilience
-                        // layer) after the bounded peer-death timeout —
-                        // never a hang.
+                        // completes after the bounded peer-death timeout
+                        // and counts as a dead-peer GET — never a hang.
                         let done = now + overhead + PEER_DEATH_TIMEOUT_NS;
                         faults.recovery.dead_peer_gets += 1;
                         faults.recovery.recovery_latency_ns += PEER_DEATH_TIMEOUT_NS;

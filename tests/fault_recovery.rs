@@ -10,12 +10,13 @@
 
 use proptest::prelude::*;
 
-use mgg::core::{MggConfig, MggEngine, MggError, RecoveryAction};
+use mgg::core::{CacheConfig, CachePolicy, MggConfig, MggEngine, MggError, RecoveryAction};
 use mgg::fault::{FaultSchedule, FaultSpec, LinkFaultWindow};
 use mgg::sim::RecoveryStats;
 use mgg::gnn::reference::AggregateMode;
 use mgg::gnn::Matrix;
 use mgg::graph::generators::rmat::{rmat, RmatConfig};
+use mgg::graph::CsrGraph;
 use mgg::sim::ClusterSpec;
 
 fn engine(gpus: usize) -> MggEngine {
@@ -27,7 +28,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A zero-rate spec (any seed, all knobs at their quiet values) must
-    /// leave both planes bit-identical to the fault-free engine.
+    /// leave timing and values bit-identical to the fault-free engine.
     #[test]
     fn zero_rate_spec_is_bit_identical(seed in 0u64..u64::MAX, gpus in 2usize..6, dim in 8usize..64) {
         let mut plain = engine(gpus);
@@ -43,10 +44,10 @@ proptest! {
         let g = rmat(&RmatConfig::graph500(9, 5_000, 29));
         let x = Matrix::glorot(g.num_nodes(), dim, 3);
         let want = plain.aggregate_values(&x);
-        let (got, stats) = quiet.aggregate_values_resilient(&x).unwrap();
+        let got = quiet.aggregate_values(&x);
         prop_assert_eq!(got.data(), want.data(), "values must not change");
-        prop_assert_eq!(stats.retries, 0);
-        prop_assert_eq!(stats.timed_out_completions, 0);
+        prop_assert_eq!(b.recovery.retried_gets, 0);
+        prop_assert_eq!(b.recovery.dropped_completions, 0);
     }
 
     /// Schedule derivation is a pure function of `(seed, spec, num_gpus)`.
@@ -300,41 +301,78 @@ fn injected_drops_recover_and_match_reference() {
     assert!(stats.recovery.retried_gets > 0, "10% drop rate must retry some GETs");
 
     let x = Matrix::glorot(g.num_nodes(), 32, 5);
-    let (got, rstats) = e.aggregate_values_resilient(&x).unwrap();
-    assert!(rstats.recovered_gets > 0);
+    let got = e.aggregate_values(&x);
     let want = mgg::gnn::reference::aggregate(&g, &x, AggregateMode::GcnNorm);
     assert!(got.max_abs_diff(&want) < 1e-3, "recovered outputs must match the CPU reference");
 }
 
-/// The recovery counters have two owners: the simulated kernel and the
-/// resilient value plane. Without a cache both issue one GET per remote
-/// adjacency entry on each PE, and drop decisions are a pure function of
-/// (PE, serial), so the two must count the same retries and lost
-/// completions — though not on the same edges, since the simulator numbers
-/// GETs in simulated issue order and the value plane in edge order. (With
-/// a cache the planes differ by design: cache hits never cross the fabric
-/// in simulated time.)
+/// `KernelStats.recovery` is the one owner of the retry and lost-completion
+/// counts, so check it against the fault schedule itself. Drop decisions
+/// are a pure function of (PE, serial) and each PE numbers its GETs from 0,
+/// so a PE that issues `n` GETs retries exactly the serials below `n` that
+/// `drops_get` names and loses exactly those `drops_completion` names.
+/// Every GET crosses the fabric once plus once per retry, so a PE's ingress
+/// request count is `n` plus its drops. Without a cache `n` is the PE's
+/// remote adjacency count; with one, `n` is solved from that identity and
+/// the GETs must be exactly the cache misses.
 #[test]
-fn uncached_recovery_counters_agree_between_planes() {
-    let dim = 16;
+fn recovery_counters_match_the_fault_schedule() {
+    let lfu_1mib = CacheConfig { capacity_bytes: 1 << 20, policy: CachePolicy::Lfu };
     for scale in [9, 10] {
         let g = rmat(&RmatConfig::graph500(scale, 10_000, 2024));
-        let x = Matrix::glorot(g.num_nodes(), dim, 5);
         for gpus in [2, 4, 8] {
             for drop_rate in [0.02, 0.1, 0.2] {
-                let cell = format!("scale {scale}, {gpus} GPUs, drop rate {drop_rate}");
-                let (spec, cfg) = (ClusterSpec::dgx_a100(gpus), MggConfig::default_fixed());
-                let mut e = MggEngine::new(&g, spec, cfg, AggregateMode::Sum);
-                e.install_faults(FaultSpec { seed: 11, drop_rate, ..Default::default() }).unwrap();
-                let sim = e.simulate_aggregation(dim).unwrap().recovery;
-                let (_, values) = e.aggregate_values_resilient(&x).unwrap();
-                assert!(sim.retried_gets > 0, "{cell}: no GET was dropped");
-                assert_eq!(values.retries, sim.retried_gets, "{cell}: retries");
-                assert_eq!(
-                    values.timed_out_completions, sim.dropped_completions,
-                    "{cell}: lost completions"
-                );
+                for cache in [None, Some(lfu_1mib)] {
+                    check_counters_against_schedule(&g, gpus, drop_rate, cache);
+                }
             }
         }
+    }
+}
+
+/// One cell of `recovery_counters_match_the_fault_schedule`, at dim 16.
+fn check_counters_against_schedule(
+    g: &CsrGraph,
+    gpus: usize,
+    drop_rate: f64,
+    cache: Option<CacheConfig>,
+) {
+    let cell = format!("{} nodes, {gpus} GPUs, drop rate {drop_rate}, {cache:?}", g.num_nodes());
+    let spec = FaultSpec { seed: 11, drop_rate, ..Default::default() };
+    let schedule = FaultSchedule::derive(&spec, gpus);
+    let (cluster, config) = (ClusterSpec::dgx_a100(gpus), MggConfig::default_fixed());
+    let mut e = MggEngine::new(g, cluster, config, AggregateMode::Sum);
+    e.set_cache(cache);
+    e.install_faults(spec).unwrap();
+    let stats = e.simulate_aggregation(16).unwrap();
+    let (mut gets, mut retries, mut lost) = (0, 0, 0);
+    for pe in 0..gpus {
+        let requests = stats.traffic.link_in[pe].requests;
+        let count = |n: u64, drops: fn(&FaultSchedule, usize, u64) -> bool| {
+            (0..n).filter(|&s| drops(&schedule, pe, s)).count() as u64
+        };
+        let n = if cache.is_none() {
+            e.placement.parts[pe].remote.num_entries() as u64
+        } else {
+            // `n + drops(n)` grows by 1 or 2 per GET, so at most one `n`
+            // reaches `requests` exactly.
+            let (mut n, mut crossed) = (0, 0);
+            while crossed < requests {
+                crossed += 1 + u64::from(schedule.drops_get(pe, n));
+                n += 1;
+            }
+            n
+        };
+        let pe_retries = count(n, FaultSchedule::drops_get);
+        assert_eq!(requests, n + pe_retries, "{cell}: PE {pe} ingress requests");
+        gets += n;
+        retries += pe_retries;
+        lost += count(n, FaultSchedule::drops_completion);
+    }
+    assert!(retries > 0, "{cell}: no GET was dropped");
+    assert_eq!(stats.recovery.retried_gets, retries, "{cell}: retries");
+    assert_eq!(stats.recovery.dropped_completions, lost, "{cell}: lost completions");
+    if cache.is_some() {
+        assert_eq!(gets, stats.cache.misses, "{cell}: GETs against cache misses");
     }
 }

@@ -115,7 +115,8 @@ fn bits(values: &[f32]) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// The value plane, bit for bit: a digest of every output float of each
-/// engine aggregation path. The tolerance-based value tests would accept a
+/// engine aggregation path, plus a faulty engine's values and its timing-plane
+/// recovery counters. The tolerance-based value tests would accept a
 /// reordered float sum; these would not.
 #[test]
 fn golden_value_digests() {
@@ -133,25 +134,26 @@ fn golden_value_digests() {
     let (attention, _) = engine(AggregateMode::Sum).attention(&s_dst, &s_src, 0.2);
     let mut faulty = engine(AggregateMode::Sum);
     faulty.install_faults(FaultSpec { seed: 11, drop_rate: 0.1, ..FaultSpec::quiet() }).unwrap();
-    let (resilient, rs) = faulty.aggregate_values_resilient(&x).unwrap();
-    let counters = [
-        rs.gets, rs.retries, rs.recovered_gets, rs.timed_out_completions, rs.dead_peer_gets,
-        rs.penalty_ns,
-    ];
+    let recovery = faulty.simulate_aggregation(16).unwrap().recovery;
+    let faulty_sum = fnv1a(bits(faulty.aggregate_values(&x).data()));
 
     let sum = values(AggregateMode::Sum);
     let mean = values(AggregateMode::Mean);
     let gcn = values(AggregateMode::GcnNorm);
     let weighted = fnv1a(bits(weighted.data()));
     let attention = fnv1a(bits(&attention));
-    let resilient = fnv1a(bits(resilient.data()).chain(counters));
     check(&[
         Golden { name: "values_sum", got: sum, want: 7_231_656_510_207_867_777 },
         Golden { name: "values_mean", got: mean, want: 10_336_873_387_666_600_586 },
         Golden { name: "values_gcn_norm", got: gcn, want: 9_383_458_998_183_400_342 },
         Golden { name: "values_weighted", got: weighted, want: 8_834_437_033_720_453_084 },
         Golden { name: "attention_weights", got: attention, want: 5_350_917_188_559_715_227 },
-        Golden { name: "resilient_values_and_stats", got: resilient, want: 1_500_886_873_502_935_004 },
+        // Faults cost retries and timeouts in the timing plane; they never
+        // move a value, so the faulty engine's digest is `values_sum`.
+        Golden { name: "faulty_values_sum", got: faulty_sum, want: 7_231_656_510_207_867_777 },
+        Golden { name: "faulty_retried_gets", got: recovery.retried_gets, want: 1_145 },
+        Golden { name: "faulty_dropped_completions", got: recovery.dropped_completions, want: 1_132 },
+        Golden { name: "faulty_recovery_latency_ns", got: recovery.recovery_latency_ns, want: 4_099_428 },
     ]);
 }
 

@@ -1,13 +1,13 @@
 //! Parallel execution is an implementation detail: every result produced
 //! through the `mgg-runtime` worker pool must be bit-identical to the
 //! sequential run at any thread count. These tests pin that contract
-//! across the pool itself, the engine's aggregation path, the speculative
-//! tuner, and a chaos seed matrix — deliberately including an odd worker
-//! count (7) to catch stride/chunking assumptions.
+//! across the pool itself, the engine's aggregation path and a chaos seed
+//! matrix — deliberately including an odd worker count (7) to catch
+//! stride/chunking assumptions.
 
 use proptest::prelude::*;
 
-use mgg::core::{MggConfig, MggEngine, Tuner};
+use mgg::core::{MggConfig, MggEngine};
 use mgg::fault::FaultSpec;
 use mgg::gnn::reference::AggregateMode;
 use mgg::gnn::Matrix;
@@ -163,31 +163,6 @@ fn kernel_stats_are_thread_count_invariant() {
     for t in THREAD_COUNTS {
         let par = with_threads(t, run);
         assert_eq!(seq, par, "KernelStats diverged at {t} threads");
-    }
-}
-
-/// The speculative tuner commits probes in the exact order of the
-/// sequential hill-climb, so the result — best config, best latency, and
-/// the full probe trace — is identical.
-#[test]
-fn speculative_tuning_matches_sequential_search() {
-    // A latency surface with distinct optima per knob; deliberately not
-    // monotone so the climb's stop/retreat rules all see traffic.
-    let surface = |cfg: &MggConfig| -> u64 {
-        let ps = cfg.ps as i64;
-        let dist = cfg.dist as i64;
-        let wpb = cfg.wpb as i64;
-        (10_000 + (ps - 8).pow(2) * 90 + (dist - 4).pow(2) * 55 + (wpb - 2).pow(2) * 35) as u64
-    };
-    let sequential = Tuner::new(surface).run();
-    for t in [1usize, 2, 4, 7] {
-        let speculative = with_threads(t, || Tuner::new(surface).with_speculation().run());
-        assert_eq!(sequential.best, speculative.best, "best config diverged at {t} threads");
-        assert_eq!(sequential.best_latency_ns, speculative.best_latency_ns);
-        assert_eq!(
-            sequential.trace, speculative.trace,
-            "probe trace diverged at {t} threads"
-        );
     }
 }
 
