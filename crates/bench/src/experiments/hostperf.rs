@@ -21,8 +21,11 @@
 //!    for ROADMAP open item 1. The profiled run's digest is reported
 //!    separately and must equal the unprofiled one: profiling is
 //!    bit-identity-preserving by contract.
-//! 3. **Event-loop throughput.** Events/sec through the calendar queue
-//!    (deterministic push/pop stream), the simulator's single hottest path.
+//! 3. **Kernel probe.** Host throughput of one real
+//!    `simulate_aggregation` (ENWIKI stand-in, 8 GPUs, dim 64): simulated
+//!    warps and remote requests per host second, from the fastest of
+//!    `PROBE_RUNS` runs. A real kernel keeps thousands of events pending
+//!    in same-time cohorts, which a synthetic push/pop stream does not.
 //!
 //! Wall-clock numbers are hardware-dependent and reported for trend
 //! tracking only; correctness signals (digests) are the stable part.
@@ -31,7 +34,7 @@ use mgg_core::{MggConfig, MggEngine};
 use mgg_gnn::reference::AggregateMode;
 use mgg_graph::datasets::Dataset;
 use mgg_runtime::profile::{OverheadBreakdown, RuntimeProfile};
-use mgg_sim::{ClusterSpec, EventQueue};
+use mgg_sim::ClusterSpec;
 use serde::Serialize;
 
 use crate::experiments::common::datasets;
@@ -39,6 +42,15 @@ use crate::report::ExperimentReport;
 
 /// Timed (unprofiled) runs per thread count; the row reports the best.
 pub const RUNS_PER_THREADS: usize = 3;
+
+/// Timed runs of the kernel probe; its rates come from the fastest.
+pub const PROBE_RUNS: usize = 15;
+
+/// GPUs of the kernel probe.
+const PROBE_GPUS: usize = 8;
+
+/// Embedding dimension of the kernel probe.
+const PROBE_DIM: usize = 64;
 
 /// Aggregation dimensions swept per dataset, in latency order.
 const DIMS: [usize; 2] = [16, 64];
@@ -78,9 +90,37 @@ pub struct HostPerfRow {
     pub overhead: OverheadBreakdown,
 }
 
+/// Host throughput of one real kernel simulation.
+#[derive(Debug, Clone, Serialize)]
+pub struct KernelProbe {
+    /// Dataset stand-in simulated.
+    pub dataset: String,
+    /// Number of GPUs.
+    pub gpus: usize,
+    /// Embedding dimension.
+    pub dim: usize,
+    /// Simulated kernel makespan, ns (identical on every run).
+    pub makespan_ns: u64,
+    /// Warps the kernel simulated.
+    pub warps: u64,
+    /// Inter-GPU requests the kernel simulated.
+    pub remote_requests: u64,
+    /// Timed runs; the host time and rates below are the fastest run's.
+    pub runs: usize,
+    /// Host wall-clock of the fastest run, ns.
+    pub host_ns: u64,
+    /// Simulated warps per host second.
+    pub warps_per_sec: f64,
+    /// Simulated inter-GPU requests per host second.
+    pub remote_requests_per_sec: f64,
+}
+
 /// The host-runtime attribution report.
 #[derive(Debug, Clone, Serialize)]
 pub struct HostPerfReport {
+    /// `std::thread::available_parallelism` of the host that made the
+    /// report: wall-clock speedups mean nothing without it.
+    pub available_parallelism: usize,
     /// Sweep cells.
     pub sweep_cells: usize,
     /// The exact cells swept, in job order.
@@ -92,10 +132,8 @@ pub struct HostPerfReport {
     /// True iff every thread count produced bit-identical sweep results,
     /// profiled runs included.
     pub digests_match: bool,
-    /// Calendar-queue throughput on the synthetic event stream.
-    pub event_loop_events_per_sec: f64,
-    /// Event loop events.
-    pub event_loop_events: u64,
+    /// Host throughput of one real kernel.
+    pub kernel_probe: KernelProbe,
 }
 
 fn fnv1a(values: &[u64]) -> String {
@@ -158,39 +196,40 @@ fn run_sweep_profiled(ds: &[Dataset], threads: usize) -> (u64, Vec<u64>, Runtime
     (wall_ns, lats, profile)
 }
 
-/// Deterministic push/pop stream through the calendar queue, measuring raw
-/// event-loop throughput. Mirrors the simulator's access pattern: bursts of
-/// near-future events with occasional far-future stragglers.
-fn event_loop_throughput() -> (u64, f64) {
-    const N: u64 = 2_000_000;
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut next_rand = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut processed: u64 = 0;
-    let mut sink: u64 = 0;
-    let start = std::time::Instant::now();
-    // Seed a burst, then steady-state pop-2-push-1 until drained.
-    for i in 0..64 {
-        q.push(i, i);
+/// Times `runs` identical `simulate_aggregation` calls of one engine on
+/// `d` and reports the fastest. Engine construction is outside the timing;
+/// the first call also warms this thread's recycled simulator buffers.
+fn kernel_probe(d: &Dataset, runs: usize) -> KernelProbe {
+    let mut eng = MggEngine::new(
+        &d.graph,
+        ClusterSpec::dgx_a100(PROBE_GPUS),
+        MggConfig::default_fixed(),
+        AggregateMode::Sum,
+    );
+    let mut host_ns = u64::MAX;
+    let mut stats = None;
+    for _ in 0..runs {
+        let start = std::time::Instant::now();
+        let s = eng.simulate_aggregation(PROBE_DIM).expect("valid launch");
+        host_ns = host_ns.min(start.elapsed().as_nanos() as u64);
+        stats = Some(s);
     }
-    while let Some((now, v)) = q.pop() {
-        sink = sink.wrapping_add(v);
-        processed += 1;
-        if processed < N {
-            let r = next_rand();
-            // 1/32 of events are far-future stragglers (bucket-lap path).
-            let delta = if r % 32 == 0 { 50_000 + r % 100_000 } else { 1 + r % 700 };
-            q.push(now + delta, r);
-        }
+    let stats = stats.expect("at least one probe run");
+    let warps: u64 = stats.per_gpu.iter().map(|g| g.warps).sum();
+    let remote_requests = stats.traffic.remote_requests();
+    let secs = host_ns.max(1) as f64 / 1e9;
+    KernelProbe {
+        dataset: d.spec.name.to_string(),
+        gpus: PROBE_GPUS,
+        dim: PROBE_DIM,
+        makespan_ns: stats.makespan_ns(),
+        warps,
+        remote_requests,
+        runs,
+        host_ns,
+        warps_per_sec: warps as f64 / secs,
+        remote_requests_per_sec: remote_requests as f64 / secs,
     }
-    let secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
-    (processed, processed as f64 / secs.max(1e-9))
 }
 
 /// Runs the host-performance benchmark.
@@ -235,16 +274,17 @@ pub fn run(scale: f64) -> HostPerfReport {
         .iter()
         .all(|r| r.digest == rows[0].digest && r.digest_profiled == rows[0].digest);
 
-    let (event_loop_events, event_loop_events_per_sec) = event_loop_throughput();
+    let enwiki = ds.iter().find(|d| d.spec.name == "ENWIKI").expect("ENWIKI is a Table 3 dataset");
+    let kernel_probe = kernel_probe(enwiki, PROBE_RUNS);
 
     HostPerfReport {
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         sweep_cells: cell_names.len(),
         cells: cell_names,
         runs_per_thread_count: RUNS_PER_THREADS,
         rows,
         digests_match,
-        event_loop_events_per_sec,
-        event_loop_events,
+        kernel_probe,
     }
 }
 
@@ -254,7 +294,11 @@ impl ExperimentReport for HostPerfReport {
     }
 
     fn print(&self) {
-        println!("Host performance: sweep scaling + overhead attribution");
+        println!(
+            "Host performance: sweep scaling + overhead attribution \
+             (available_parallelism {})",
+            self.available_parallelism
+        );
         println!(
             "{:<8} {:>12} {:>9}  {:>6} {:>6} {:>6} {:>6} {:>6}  digest",
             "threads", "wall (ms)", "speedup", "exec%", "cont%", "spawn%", "idle%", "merge%"
@@ -288,10 +332,20 @@ impl ExperimentReport for HostPerfReport {
             self.runs_per_thread_count,
             if self.digests_match { "IDENTICAL" } else { "DIVERGED" }
         );
+        let p = &self.kernel_probe;
         println!(
-            "event loop: {:.1}M events/sec over {} events (calendar queue)",
-            self.event_loop_events_per_sec / 1e6,
-            self.event_loop_events
+            "kernel probe ({}, {} GPUs, dim {}): {:.2}M warps/sec, {:.2}M remote requests/sec \
+             ({} warps, {} requests, {:.1} ms host for {:.1} us simulated, best of {})",
+            p.dataset,
+            p.gpus,
+            p.dim,
+            p.warps_per_sec / 1e6,
+            p.remote_requests_per_sec / 1e6,
+            p.warps,
+            p.remote_requests,
+            p.host_ns as f64 / 1e6,
+            p.makespan_ns as f64 / 1e3,
+            p.runs
         );
     }
 }
@@ -354,10 +408,21 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_processes_full_stream() {
-        let (events, eps) = event_loop_throughput();
-        // 64 seed events plus one push per pop while under the N budget.
-        assert_eq!(events, 2_000_000 + 63);
-        assert!(eps > 0.0);
+    fn kernel_probe_reports_the_kernels_own_counts() {
+        let ds = datasets(0.05);
+        let d = ds.iter().find(|d| d.spec.name == "ENWIKI").expect("ENWIKI");
+        let probe = kernel_probe(d, 2);
+        let mut eng = MggEngine::new(
+            &d.graph,
+            ClusterSpec::dgx_a100(PROBE_GPUS),
+            MggConfig::default_fixed(),
+            AggregateMode::Sum,
+        );
+        let stats = eng.simulate_aggregation(PROBE_DIM).expect("valid launch");
+        assert_eq!(probe.makespan_ns, stats.makespan_ns());
+        assert_eq!(probe.warps, stats.per_gpu.iter().map(|g| g.warps).sum::<u64>());
+        assert_eq!(probe.remote_requests, stats.traffic.remote_requests());
+        assert!(probe.warps > 0 && probe.remote_requests > 0);
+        assert!(probe.warps_per_sec > 0.0 && probe.remote_requests_per_sec > 0.0);
     }
 }

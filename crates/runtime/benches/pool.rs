@@ -7,8 +7,8 @@
 //!   through a mutex and sorts afterwards (the pre-refactor shape).
 //! * **dispatch latency** — an empty region through the persistent pool
 //!   (park/unpark) vs spawning fresh scoped threads per region.
-//! * **event queue drain** — the simulator's calendar queue on a
-//!   deterministic push/pop stream shaped like its event loop.
+//! * **event queue drain** — the simulator's event queue (a binary heap on
+//!   `(time, seq)`) on a deterministic push/pop stream.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -96,7 +96,7 @@ fn bench_event_queue_drain(c: &mut Criterion) {
     const GPUS: usize = 8;
     let mut group = c.benchmark_group("event_queue_drain");
     group.sample_size(10);
-    group.bench_function("calendar", |b| {
+    group.bench_function("binary_heap", |b| {
         b.iter(|| {
             let mut q: mgg_sim::EventQueue<u64> = mgg_sim::EventQueue::new();
             let mut state: u64 = 0x9e37_79b9_7f4a_7c15;

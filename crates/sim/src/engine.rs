@@ -1,221 +1,97 @@
 //! Deterministic event queue for the simulation main loop.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Minimum bucket count (power of two).
-const MIN_BUCKETS: usize = 16;
-
 /// An event queue delivering `(time, payload)` pairs in time order, with
 /// FIFO tie-breaking by insertion sequence so runs are fully deterministic.
 ///
-/// Internally a bucketed *calendar queue* (Brown 1988): events hash into
-/// `buckets.len()` time-sliced buckets by `(time / width) % buckets`, and
-/// `pop` walks slots in calendar order, so the common discrete-event
-/// pattern — pops near the current time, pushes slightly ahead of it —
-/// costs O(1) amortized instead of the binary heap's O(log n). The
-/// ordering contract is exact: among all pending events the one with the
-/// smallest `(time, insertion seq)` pops first, identical to the previous
-/// `BinaryHeap` implementation for every push/pop interleaving.
+/// A binary heap keyed on `(time, insertion seq)`: among all pending events
+/// the one with the smallest key pops first, for every push/pop
+/// interleaving. Push and pop are O(log n) however the pending times are
+/// spread, which matters because a simulated kernel puts thousands of
+/// events on the same nanosecond (every SM issues at t=0, and every `_nbi`
+/// GET frees its scheduler slot one request overhead later).
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// `buckets[slot & mask]` holds events of every calendar "year" that
-    /// maps onto the slot; entries are `(time, seq, payload)`.
-    buckets: Vec<Vec<(SimTime, u64, T)>>,
-    /// Power-of-two bucket-count mask.
-    mask: usize,
-    /// Nanoseconds of simulated time per bucket.
-    width: SimTime,
-    /// Absolute slot (`time / width`) the next pop scans from. Invariant:
-    /// every pending event's slot is >= `cur_slot`.
-    cur_slot: u64,
-    len: usize,
+    heap: BinaryHeap<Entry<T>>,
+    /// Sequence number of the next push: the tie-breaker among equal times.
     seq: u64,
-    /// Cached `(bucket, index)` of the current minimum, found by [`Self::peek`]
-    /// and consumed by the next [`Self::pop`]; invalidated by any push that
-    /// could beat it and by resizes.
-    peeked: Option<(usize, usize)>,
+}
+
+/// A pending event, ordered by its `(time, seq)` key alone (the payload
+/// never takes part) and reversed, so the max-heap yields the smallest key.
+#[derive(Debug)]
+struct Entry<T> {
+    time: SimTime,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> Entry<T> {
+    #[inline]
+    fn key(&self) -> Reverse<(SimTime, u64)> {
+        Reverse((self.time, self.seq))
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: MIN_BUCKETS - 1,
-            // Matched to the simulator's typical inter-event gap (tens to
-            // hundreds of ns); resizes re-estimate it from live events.
-            width: 256,
-            cur_slot: 0,
-            len: 0,
-            seq: 0,
-            peeked: None,
-        }
+        EventQueue { heap: BinaryHeap::new(), seq: 0 }
     }
 
-    /// Empties the queue while keeping every bucket allocation (and the
-    /// calibrated bucket width), so a simulator run can reuse the queue of
-    /// the previous run without re-growing it. Ordering is unaffected: the
-    /// contract depends only on stored `(time, seq)` keys, never on bucket
-    /// layout, and `seq` restarts at 0 exactly like a fresh queue.
-    pub fn recycle(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.cur_slot = 0;
-        self.len = 0;
+    /// Empties the queue but keeps its allocation, so a simulator run can
+    /// reuse the queue of the previous run without re-growing it. `seq`
+    /// restarts at 0, so a cleared queue orders events exactly like a
+    /// fresh one.
+    pub fn clear(&mut self) {
+        self.heap.clear();
         self.seq = 0;
-        self.peeked = None;
-    }
-
-    #[inline]
-    fn slot_of(&self, time: SimTime) -> u64 {
-        time / self.width
     }
 
     /// Schedules `payload` at `time`.
     pub fn push(&mut self, time: SimTime, payload: T) {
-        let slot = self.slot_of(time);
-        if self.len == 0 {
-            // Empty queue: re-anchor the scan position directly.
-            self.cur_slot = slot;
-        } else if slot < self.cur_slot {
-            // Out-of-order push (allowed by the API even though the DES
-            // loop never time-travels): rewind the scan position.
-            self.cur_slot = slot;
-        }
-        let b = (slot as usize) & self.mask;
-        // A pushed event can beat the cached minimum only with a strictly
-        // smaller time: its seq is larger than every pending event's.
-        if let Some((pb, pi)) = self.peeked {
-            if time < self.buckets[pb][pi].0 {
-                self.peeked = None;
-            }
-        }
-        self.buckets[b].push((time, self.seq, payload));
+        self.heap.push(Entry { time, seq: self.seq, payload });
         self.seq += 1;
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
     }
 
     /// Removes and returns the earliest event (smallest `(time, seq)`).
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let (b, idx) = self.locate()?;
-        self.peeked = None;
-        Some(self.take(b, idx))
-    }
-
-    /// The earliest event without removing it (smallest `(time, seq)`).
-    /// The located position is cached, so a `peek` followed by `pop` costs
-    /// one calendar walk, not two.
-    pub fn peek(&mut self) -> Option<(SimTime, &T)> {
-        let (b, idx) = self.locate()?;
-        self.peeked = Some((b, idx));
-        let (t, _, ref p) = self.buckets[b][idx];
-        Some((t, p))
-    }
-
-    /// `(bucket, index)` of the earliest event, advancing `cur_slot` to its
-    /// calendar slot (sound: no pending event lives in an earlier slot).
-    fn locate(&mut self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(loc) = self.peeked {
-            return Some(loc);
-        }
-        // Walk calendar slots from the current position. Each probe scans
-        // one bucket for events belonging to the probed year-slot; a full
-        // lap without a hit means the next event is far in the future, so
-        // jump straight to the global minimum.
-        let nbuckets = self.buckets.len() as u64;
-        for probe in 0..nbuckets {
-            let slot = self.cur_slot + probe;
-            let b = (slot as usize) & self.mask;
-            let lo = slot.saturating_mul(self.width);
-            let hi = lo.saturating_add(self.width);
-            if let Some(idx) = Self::min_in_window(&self.buckets[b], lo, hi) {
-                self.cur_slot = slot;
-                return Some((b, idx));
-            }
-        }
-        // Sparse tail: direct min over everything (rare), then re-anchor.
-        let (b, idx) = self.global_min().expect("len > 0");
-        self.cur_slot = self.buckets[b][idx].0 / self.width;
-        Some((b, idx))
-    }
-
-    /// Index of the smallest `(time, seq)` entry of `bucket` with
-    /// `lo <= time < hi`, if any.
-    #[inline]
-    fn min_in_window(bucket: &[(SimTime, u64, T)], lo: SimTime, hi: SimTime) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, &(t, s, _)) in bucket.iter().enumerate() {
-            if t >= lo && t < hi && best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                best = Some((t, s, i));
-            }
-        }
-        best.map(|(_, _, i)| i)
-    }
-
-    /// `(bucket, index)` of the globally smallest `(time, seq)` entry.
-    fn global_min(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(SimTime, u64, usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, &(t, s, _)) in bucket.iter().enumerate() {
-                if best.is_none_or(|(bt, bs, _, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, b, i));
-                }
-            }
-        }
-        best.map(|(_, _, b, i)| (b, i))
-    }
-
-    /// Removes entry `idx` of bucket `b` and returns `(time, payload)`.
-    fn take(&mut self, b: usize, idx: usize) -> (SimTime, T) {
-        let (t, _, p) = self.buckets[b].swap_remove(idx);
-        self.len -= 1;
-        (t, p)
-    }
-
-    /// Rebuilds with `nbuckets` buckets and a width re-estimated from the
-    /// live events' time span, preserving all entries and the ordering
-    /// contract (which depends only on stored `(time, seq)` keys).
-    fn resize(&mut self, nbuckets: usize) {
-        self.peeked = None;
-        let old: Vec<(SimTime, u64, T)> =
-            self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let (mut min_t, mut max_t) = (SimTime::MAX, 0);
-        for &(t, _, _) in &old {
-            min_t = min_t.min(t);
-            max_t = max_t.max(t);
-        }
-        // Aim for ~1 event per bucket across the live span.
-        let span = max_t.saturating_sub(min_t);
-        self.width = (span / old.len().max(1) as u64).max(1);
-        self.mask = nbuckets - 1;
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        // Re-anchor the scan position at the earliest live event, which
-        // preserves the invariant cur_slot <= slot(event) for every event.
-        self.cur_slot = min_t / self.width;
-        for (t, s, p) in old {
-            let b = ((t / self.width) as usize) & self.mask;
-            self.buckets[b].push((t, s, p));
-        }
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -313,7 +189,6 @@ mod tests {
 
     #[test]
     fn far_apart_times_pop_correctly() {
-        // Events many calendar laps apart exercise the sparse-tail jump.
         let mut q = EventQueue::new();
         q.push(1_000_000_000, "far");
         q.push(3, "near");
@@ -348,14 +223,32 @@ mod tests {
         }
     }
 
-    /// Exhaustive cross-check against the reference semantics (a binary
-    /// heap on `(time, seq)`), including resize-triggering volumes.
+    /// Randomized push/pop/clear stream checked pop for pop against a
+    /// sorted-`Vec` oracle on `(time, seq)`. The stream has the shapes a
+    /// simulated kernel produces: same-time cohorts of thousands of events
+    /// (every SM issuing at one instant), short gaps, far-future
+    /// stragglers, and a clear partway through that restarts `seq`.
     #[test]
-    fn matches_reference_heap_order_exactly() {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+    fn matches_sorted_vec_oracle_on_time_then_seq() {
+        /// Pending `(time, seq)` keys, sorted descending so the minimum
+        /// pops off the end.
+        struct Oracle {
+            keys: Vec<(SimTime, u64)>,
+            seq: u64,
+        }
+        impl Oracle {
+            fn push(&mut self, time: SimTime) {
+                let key = (time, self.seq);
+                let at = self.keys.partition_point(|&k| k > key);
+                self.keys.insert(at, key);
+                self.seq += 1;
+            }
+            fn pop(&mut self) -> Option<(SimTime, u64)> {
+                self.keys.pop()
+            }
+        }
         let mut q = EventQueue::new();
-        let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut oracle = Oracle { keys: Vec::new(), seq: 0 };
         // Deterministic pseudo-random stream (splitmix-ish).
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut rand = move || {
@@ -364,73 +257,63 @@ mod tests {
             state ^= state >> 27;
             state
         };
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        for round in 0..2_000u64 {
-            // Push a burst ahead of `now` (occasionally a large jump).
-            let burst = (rand() % 4) + 1;
-            for _ in 0..burst {
-                let dt = match rand() % 10 {
-                    0 => rand() % 1_000_000,
-                    1..=3 => 0,
-                    _ => rand() % 500,
-                };
-                q.push(now + dt, seq);
-                reference.push(Reverse((now + dt, seq)));
-                seq += 1;
+        let (mut now, mut pops, mut cleared) = (0u64, 0usize, false);
+        for round in 0..400u64 {
+            if round == 200 {
+                // Clear with thousands pending: both restart from seq 0.
+                assert!(q.len() > 1_000, "clear must drop a full queue");
+                q.clear();
+                oracle = Oracle { keys: Vec::new(), seq: 0 };
+                cleared = true;
             }
-            // Pop a few and compare exactly (time AND payload identity).
-            for _ in 0..(rand() % 4) {
-                let got = q.pop();
-                let want = reference.pop().map(|Reverse((t, s))| (t, s));
-                assert_eq!(got, want, "round {round}");
-                if let Some((t, _)) = got {
-                    now = now.max(t);
+            let burst = match rand() % 8 {
+                // A same-time cohort of thousands of events.
+                0 => 1_000 + rand() % 3_000,
+                _ => 1 + rand() % 64,
+            };
+            let cohort_time = now + rand() % 200;
+            for _ in 0..burst {
+                let t = match rand() % 16 {
+                    0 => now + 1_000_000 + rand() % 1_000_000_000,
+                    1..=10 => cohort_time,
+                    _ => now + rand() % 700,
+                };
+                // The payload is the seq the oracle assigns, so a pop that
+                // breaks a time tie wrongly returns the wrong payload.
+                q.push(t, oracle.seq);
+                oracle.push(t);
+            }
+            for _ in 0..rand() % (2 * burst + 1) {
+                let want = oracle.pop();
+                assert_eq!(q.pop(), want, "round {round}");
+                assert_eq!(q.len(), oracle.keys.len());
+                if let Some((t, _)) = want {
+                    now = t;
+                    pops += 1;
                 }
             }
         }
-        // Drain both.
-        loop {
-            let got = q.pop();
-            let want = reference.pop().map(|Reverse((t, s))| (t, s));
-            assert_eq!(got, want);
-            if got.is_none() {
-                break;
-            }
+        while let Some(want) = oracle.pop() {
+            assert_eq!(q.pop(), Some(want));
+            pops += 1;
         }
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+        assert!(cleared && pops > 100_000, "stream too small: {pops} pops");
     }
 
     #[test]
-    fn peek_matches_pop_and_survives_pushes() {
-        let mut q = EventQueue::new();
-        q.push(50, "b");
-        q.push(10, "a");
-        assert_eq!(q.peek(), Some((10, &"a")));
-        // A later-time push must not disturb the cached minimum...
-        q.push(70, "c");
-        assert_eq!(q.peek(), Some((10, &"a")));
-        // ...and an earlier-time push must replace it.
-        q.push(5, "z");
-        assert_eq!(q.peek(), Some((5, &"z")));
-        assert_eq!(q.pop(), Some((5, "z")));
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.pop(), Some((50, "b")));
-        assert_eq!(q.pop(), Some((70, "c")));
-        assert_eq!(q.peek(), None);
-    }
-
-    #[test]
-    fn recycle_preserves_capacity_and_restarts_clean() {
+    fn cleared_queue_behaves_like_a_fresh_one() {
         let mut q = EventQueue::new();
         for i in 0..500u64 {
             q.push(i * 13, i);
         }
-        let buckets_before = q.buckets.len();
-        assert!(buckets_before > MIN_BUCKETS, "volume must have resized");
-        q.recycle();
+        q.pop();
+        let capacity = q.heap.capacity();
+        q.clear();
+        assert_eq!(q.heap.capacity(), capacity, "clear keeps the allocation");
         assert!(q.is_empty());
-        assert_eq!(q.buckets.len(), buckets_before, "allocations kept");
-        // Recycled queue behaves exactly like a fresh one.
+        assert_eq!(q.pop(), None);
         q.push(30, 3);
         q.push(10, 1);
         q.push(10, 2);

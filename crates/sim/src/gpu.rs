@@ -179,7 +179,7 @@ const SCRATCH_OPS_CAP: usize = 4096;
 
 /// Per-host-thread reusable simulator state. Worker threads on the
 /// persistent `mgg-runtime` pool run many simulations back to back (one
-/// sweep cell each); reusing the event queue's calibrated buckets and the
+/// sweep cell each); reusing the event queue's heap allocation and the
 /// warps' op buffers across runs removes the per-cell allocator storm that
 /// used to inflate parallel exec time. Purely host-side: recycled buffers
 /// are emptied before reuse, so simulated results are unchanged.
@@ -257,7 +257,7 @@ impl GpuSim {
         }
 
         let mut q = recycled_queue.unwrap_or_default();
-        q.recycle();
+        q.clear();
 
         // Initial block admission: fill every SM up to its residency limit,
         // round-robin over SMs the way the hardware rasterizes a grid.
