@@ -52,9 +52,6 @@ pub struct UvmGnnEngine {
     pub last_stats: Option<KernelStats>,
     /// UVM fault statistics of the most recent simulated kernel.
     pub last_uvm_stats: Option<UvmStats>,
-    /// Warp trace of the most recent run, when tracing was requested or
-    /// telemetry is enabled.
-    pub last_trace: Option<Vec<TraceEvent>>,
     telemetry: Telemetry,
 }
 
@@ -96,7 +93,6 @@ impl UvmGnnEngine {
             mode,
             last_stats: None,
             last_uvm_stats: None,
-            last_trace: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -104,14 +100,8 @@ impl UvmGnnEngine {
     /// Installs a telemetry handle; subsequent runs record `launch` and
     /// `aggregate` phase spans, the warp trace, and derived pipeline
     /// metrics into it.
-    /// Installs a telemetry handle for subsequent simulations.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// The currently installed telemetry handle.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Simulates one cold aggregation pass at dimension `dim`.
@@ -162,7 +152,6 @@ impl UvmGnnEngine {
         }
         self.last_stats = Some(stats.clone());
         self.last_uvm_stats = Some(self.uvm.stats().clone());
-        self.last_trace = trace.clone();
         (stats, trace)
     }
 
@@ -290,7 +279,6 @@ mod tests {
         let (traced, events) = e.simulate_aggregation_traced(32);
         assert_eq!(plain, traced, "tracing must not change stats");
         assert!(!events.is_empty());
-        assert_eq!(e.last_trace.as_ref().unwrap().len(), events.len());
 
         let tel = Telemetry::enabled();
         e.set_telemetry(tel.clone());

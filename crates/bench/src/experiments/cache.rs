@@ -35,7 +35,7 @@ use mgg_telemetry::Telemetry;
 use serde::Serialize;
 
 use crate::experiments::common::datasets;
-use crate::report::ExperimentReport;
+use crate::report::{fnv1a, ExperimentReport};
 
 /// Cache configurations swept per dataset: (MiB per GPU, policy).
 const GRID: &[(u32, CachePolicy)] =
@@ -150,17 +150,6 @@ fn run_cell(
         total_ns += stats.makespan_ns();
     }
     (total_ns / layers as u64, eng.cache_stats())
-}
-
-fn fnv1a(values: impl Iterator<Item = u64>) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
 }
 
 /// Runs the 1 MiB LFU cell — the smallest cache in the grid, so the one

@@ -33,7 +33,7 @@ use mgg_sim::ClusterSpec;
 use serde::Serialize;
 
 use crate::experiments::common::datasets;
-use crate::report::ExperimentReport;
+use crate::report::{fnv1a, ExperimentReport};
 
 /// Offered load of the ceiling run and the drill, as a multiple of
 /// calibrated saturation.
@@ -166,17 +166,6 @@ pub struct ChurnBenchReport {
     /// Serving scenarios and engine mutations replay digest-identically
     /// on sequential and parallel pools.
     pub replay_matches: bool,
-}
-
-fn fnv1a(values: impl Iterator<Item = u64>) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
 }
 
 /// The drill's churn plane: steady deltas, a mid-window burst, and the

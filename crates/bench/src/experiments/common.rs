@@ -111,4 +111,41 @@ mod tests {
         let gin = model_time_ns(&mut engine, ModelKind::Gin, n, d.spec.dim, d.spec.classes, &cost);
         assert!(gin > gcn, "5-layer GIN ({gin}) must exceed 2-layer GCN ({gcn})");
     }
+
+    /// `model_time_ns` re-derives the timing of `Gcn::forward` and
+    /// `Gin::forward` without computing values; the two must agree to the
+    /// nanosecond, on both fig8 engines. PROT's 128-dim input against
+    /// GCN's 16 hidden dims exercises the transform-first layer, and its
+    /// 112 classes the aggregate-first one.
+    #[test]
+    fn model_time_matches_the_models_own_forward_timing() {
+        use mgg_gnn::models::{Aggregator, Gcn, Gin, LayerTiming};
+        use mgg_gnn::Matrix;
+
+        let d = DatasetSpec::prot().build(0.0625);
+        let (n, dim, classes) = (d.graph.num_nodes(), d.spec.dim, d.spec.classes);
+        let spec = ClusterSpec::dgx_a100(4);
+        let cost = DenseCostModel::a100(4);
+        let x = Matrix::glorot(n, dim, 7);
+        let summed = |t: Vec<LayerTiming>| t.iter().map(LayerTiming::total_ns).sum::<u64>();
+        for kind in [ModelKind::Gcn, ModelKind::Gin] {
+            let mode = kind.aggregate_mode();
+            let forward = |agg: &mut dyn Aggregator| match kind {
+                ModelKind::Gcn => summed(Gcn::paper(dim, classes, 3).forward(agg, &x, &cost).1),
+                ModelKind::Gin => summed(Gin::paper(dim, classes, 3).forward(agg, &x, &cost).1),
+            };
+            let mgg = || MggEngine::new(&d.graph, spec.clone(), MggConfig::default_fixed(), mode);
+            let uvm = || UvmGnnEngine::new(&d.graph, spec.clone(), mode);
+            assert_eq!(
+                forward(&mut mgg()),
+                model_time_ns(&mut mgg(), kind, n, dim, classes, &cost),
+                "{kind:?} on MGG"
+            );
+            assert_eq!(
+                forward(&mut uvm()),
+                model_time_ns(&mut uvm(), kind, n, dim, classes, &cost),
+                "{kind:?} on UVM"
+            );
+        }
+    }
 }

@@ -16,11 +16,9 @@
 //! 2. **Overhead attribution.** One additional run per thread count under
 //!    `mgg_runtime::profile::collect`, breaking the worker-lane time into
 //!    on-CPU task-exec / contended-exec (descheduled mid-job) / spawn /
-//!    idle / ordered-merge-wait (plus telemetry fork/merge and
-//!    recorder-mutex contention) — the "where did the speedup go" data
-//!    for ROADMAP open item 1. The profiled run's digest is reported
-//!    separately and must equal the unprofiled one: profiling is
-//!    bit-identity-preserving by contract.
+//!    idle / ordered-merge-wait — the "where did the speedup go" data.
+//!    The profiled run's digest is reported separately and must equal the
+//!    unprofiled one: profiling is bit-identity-preserving by contract.
 //! 3. **Kernel probe.** Host throughput of one real
 //!    `simulate_aggregation` (ENWIKI stand-in, 8 GPUs, dim 64): simulated
 //!    warps and remote requests per host second, from the fastest of
@@ -38,7 +36,7 @@ use mgg_sim::ClusterSpec;
 use serde::Serialize;
 
 use crate::experiments::common::datasets;
-use crate::report::ExperimentReport;
+use crate::report::{fnv1a, ExperimentReport};
 
 /// Timed (unprofiled) runs per thread count; the row reports the best.
 pub const RUNS_PER_THREADS: usize = 3;
@@ -134,17 +132,6 @@ pub struct HostPerfReport {
     pub digests_match: bool,
     /// Host throughput of one real kernel.
     pub kernel_probe: KernelProbe,
-}
-
-fn fnv1a(values: &[u64]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
 }
 
 /// Runs the sweep once at `threads` workers, returning (wall_ns, latencies).
@@ -252,7 +239,7 @@ pub fn run(scale: f64) -> HostPerfReport {
             let (w, lats) = run_sweep(&ds, threads);
             wall_ns = wall_ns.min(w);
             if run == 0 {
-                digest = fnv1a(&lats);
+                digest = fnv1a(lats.iter().copied());
             }
         }
         let (_, profiled_lats, profile) = run_sweep_profiled(&ds, threads);
@@ -262,7 +249,7 @@ pub fn run(scale: f64) -> HostPerfReport {
             wall_ns,
             speedup: 0.0, // filled in below once the 1-thread row exists
             digest,
-            digest_profiled: fnv1a(&profiled_lats),
+            digest_profiled: fnv1a(profiled_lats.iter().copied()),
             overhead: profile.breakdown(),
         });
     }

@@ -36,6 +36,19 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.clamp(1, width))
 }
 
+/// 64-bit FNV-1a over the little-endian bytes of `values`, as 16 hex
+/// digits: the determinism digest the experiments report.
+pub fn fnv1a(values: impl IntoIterator<Item = u64>) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    format!("{h:016x}")
+}
+
 /// Geometric mean of a slice of ratios.
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

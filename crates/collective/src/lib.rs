@@ -18,41 +18,10 @@
 #![deny(missing_docs)]
 
 use mgg_sim::{Cluster, SimTime};
-use mgg_telemetry::Telemetry;
 
 /// Per-call host launch overhead of a collective (kernel launch + stream
 /// synchronization on the way out).
 pub const COLLECTIVE_LAUNCH_NS: u64 = 14_000;
-
-/// [`ring_allreduce`] recorded as a `collective.allreduce` span plus
-/// `collective.allreduce_bytes` / `collective.allreduce_ns` counters.
-pub fn ring_allreduce_telemetry(
-    cluster: &mut Cluster,
-    bytes: u64,
-    telemetry: &Telemetry,
-) -> SimTime {
-    let _span = telemetry.span("collective.allreduce");
-    let t = ring_allreduce(cluster, bytes);
-    telemetry.counter_add("collective.allreduces", 1);
-    telemetry.counter_add("collective.allreduce_bytes", bytes);
-    telemetry.counter_add("collective.allreduce_ns", t);
-    t
-}
-
-/// [`ring_allgather`] recorded as a `collective.allgather` span plus
-/// `collective.allgather_bytes` / `collective.allgather_ns` counters.
-pub fn ring_allgather_telemetry(
-    cluster: &mut Cluster,
-    contrib: &[u64],
-    telemetry: &Telemetry,
-) -> SimTime {
-    let _span = telemetry.span("collective.allgather");
-    let t = ring_allgather(cluster, contrib);
-    telemetry.counter_add("collective.allgathers", 1);
-    telemetry.counter_add("collective.allgather_bytes", contrib.iter().sum());
-    telemetry.counter_add("collective.allgather_ns", t);
-    t
-}
 
 /// Simulated duration of a ring all-reduce of `bytes` per GPU.
 ///
@@ -165,30 +134,6 @@ mod tests {
         let t = sendrecv(&mut c, 0, 1, 256 << 20);
         // 256 MiB over ~255 GB/s is ~1.05 ms.
         assert!(t > 900_000, "t={t}");
-    }
-
-    #[test]
-    fn instrumented_collectives_cost_the_same_and_record() {
-        let tel = Telemetry::enabled();
-        let mut c1 = Cluster::new(ClusterSpec::dgx_a100(4));
-        let plain = ring_allreduce(&mut c1, 4 << 20);
-        let mut c2 = Cluster::new(ClusterSpec::dgx_a100(4));
-        let instrumented = ring_allreduce_telemetry(&mut c2, 4 << 20, &tel);
-        assert_eq!(plain, instrumented);
-        assert_eq!(tel.counter_value("collective.allreduces"), 1);
-        assert_eq!(tel.counter_value("collective.allreduce_bytes"), 4 << 20);
-        assert_eq!(tel.counter_value("collective.allreduce_ns"), plain);
-
-        c2.reset();
-        let contrib = [1 << 20, 2 << 20, 0, 3 << 20];
-        let t = ring_allgather_telemetry(&mut c2, &contrib, &tel);
-        assert!(t > 0);
-        assert_eq!(tel.counter_value("collective.allgather_bytes"), 6 << 20);
-        assert_eq!(tel.counter_value("collective.allgather_ns"), t);
-        let names: Vec<String> =
-            tel.snapshot().spans.iter().map(|s| s.name.clone()).collect();
-        assert!(names.contains(&"collective.allreduce".to_string()));
-        assert!(names.contains(&"collective.allgather".to_string()));
     }
 
     #[test]

@@ -202,8 +202,6 @@ pub struct MggEngine {
     pending_restore_ns: u64,
     /// Statistics of the most recent simulated kernel.
     pub last_stats: Option<KernelStats>,
-    /// Warp trace of the most recent simulated kernel, when it was traced.
-    pub last_trace: Option<Vec<TraceEvent>>,
     /// Telemetry sink for engine phases and counters (disabled by default,
     /// in which case every recording call is a no-op).
     telemetry: Telemetry,
@@ -259,11 +257,6 @@ impl MggEngine {
         self.telemetry = telemetry;
     }
 
-    /// The engine's telemetry handle (disabled unless one was attached).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Builds the engine with a caller-chosen node split (ablations).
     pub fn with_split(
         graph: &CsrGraph,
@@ -309,7 +302,6 @@ impl MggEngine {
             checkpoint_restores: 0,
             pending_restore_ns: 0,
             last_stats: None,
-            last_trace: None,
             telemetry: Telemetry::disabled(),
         })
     }
@@ -814,11 +806,12 @@ impl MggEngine {
     ///
     /// Under an installed fault scenario with impaired GPUs, the first
     /// call additionally performs graceful degradation: the run that
-    /// observed the degradation is treated as the detection pass, placement
-    /// is re-planned with capacity weights proportional to each GPU's
-    /// health, and the kernel is re-run on the re-balanced placement. The
-    /// returned statistics are those of the recovered run, with the
-    /// detection pass charged to `recovery.recovery_latency_ns`.
+    /// observed the degradation is treated as the detection pass,
+    /// [`MggEngine::recover`] re-plans placement with capacity weights
+    /// proportional to each GPU's health (rerouting and evacuating first
+    /// under permanent failures), and the kernel is re-run on the recovered
+    /// placement. The returned statistics are those of the recovered run,
+    /// with the detection pass charged to `recovery.recovery_latency_ns`.
     pub fn simulate_aggregation(&mut self, dim: usize) -> Result<KernelStats, MggError> {
         Ok(self.simulate_aggregation_impl(dim, false)?.0)
     }
@@ -845,48 +838,33 @@ impl MggEngine {
         // simulation outcome (the sim crate's tests pin that equivalence).
         let want_trace = want_trace || tel.is_enabled();
         let (mut stats, mut trace) = self.run_kernel(dim, want_trace)?;
-        let action = self.recovery_action();
-        let permanent = self.cluster.faults().is_some_and(FaultSchedule::has_permanent);
-        if permanent && !self.replanned {
-            // Permanent GPU/link failures: the first run is the detection
-            // pass (it halts at the failure), then the engine executes
-            // recovery — reroute, evacuate, possibly degrade to UVM — and
+        if self.recovery_action() != RecoveryAction::None && !self.replanned {
+            // The first run is the detection pass (under a permanent
+            // failure it halts there). The engine then executes recovery —
+            // rebalance, reroute, evacuate, possibly degrade to UVM — and
             // re-runs on the recovered configuration.
             let _span = tel.span("recover");
             let report = self.recover(dim)?;
             let (mut recovered, recovered_trace) = self.run_kernel(dim, want_trace)?;
-            if report.evacuated_gpus > 0 || report.action == RecoveryAction::UvmFallback {
-                recovered.recovery.replans += 1;
+            let r = &mut recovered.recovery;
+            if report.evacuated_gpus > 0
+                || matches!(report.action, RecoveryAction::Rebalance | RecoveryAction::UvmFallback)
+            {
+                r.replans += 1;
             }
-            recovered.recovery.evacuations += report.evacuated_gpus as u64;
+            r.evacuations += report.evacuated_gpus as u64;
             if report.action == RecoveryAction::UvmFallback {
-                recovered.recovery.uvm_fallbacks += 1;
+                r.uvm_fallbacks += 1;
             }
             // The failure's blast radius, observed by the detection pass.
-            recovered.recovery.halted_warps += stats.recovery.halted_warps;
-            recovered.recovery.dead_peer_gets += stats.recovery.dead_peer_gets;
-            // Detection → resume latency: the aborted pass overlaps the
-            // monitor's detection horizon; the longer of the two dominates.
+            r.halted_warps += stats.recovery.halted_warps;
+            r.dead_peer_gets += stats.recovery.dead_peer_gets;
+            // Detection → resume latency: the detection pass overlaps the
+            // monitor's detection horizon (zero for transient impairment);
+            // the longer of the two dominates.
             let detection_ns = stats.makespan_ns().max(report.detection_ns);
-            recovered.recovery.recovery_latency_ns += detection_ns;
-            tel.counter_add("engine.replans", u64::from(recovered.recovery.replans > 0));
-            tel.counter_add("engine.recovery_detection_ns", detection_ns);
-            stats = recovered;
-            trace = recovered_trace;
-        } else if action != RecoveryAction::None && !self.replanned {
-            let _span = tel.span("recover");
-            let sched = self.cluster.faults().expect("action implies faults").clone();
-            let weights: Vec<f64> =
-                (0..sched.num_gpus()).map(|g| sched.health(g).max(0.05)).collect();
-            let detection_ns = stats.makespan_ns();
-            self.replan_weighted(&weights);
-            let (mut recovered, recovered_trace) = self.run_kernel(dim, want_trace)?;
-            recovered.recovery.replans += 1;
-            if action == RecoveryAction::UvmFallback {
-                recovered.recovery.uvm_fallbacks += 1;
-            }
-            recovered.recovery.recovery_latency_ns += detection_ns;
-            tel.counter_add("engine.replans", 1);
+            r.recovery_latency_ns += detection_ns;
+            tel.counter_add("engine.replans", u64::from(r.replans > 0));
             tel.counter_add("engine.recovery_detection_ns", detection_ns);
             stats = recovered;
             trace = recovered_trace;
@@ -916,7 +894,6 @@ impl MggEngine {
             tel.set_pipeline(PipelineMetrics::derive(&stats, events));
         }
         self.last_stats = Some(stats.clone());
-        self.last_trace = trace.clone();
         Ok((stats, trace))
     }
 
@@ -1454,11 +1431,10 @@ mod tests {
         let (traced, events) = traced_engine.simulate_aggregation_traced(64).unwrap();
         assert_eq!(plain, traced);
         assert!(!events.is_empty());
-        // Every GPU contributed events, and the engine kept the trace.
+        // Every GPU contributed events.
         for g in 0..4u16 {
             assert!(events.iter().any(|e| e.gpu == g), "gpu {g} missing from trace");
         }
-        assert_eq!(traced_engine.last_trace.as_deref(), Some(&events[..]));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 
-use mgg_telemetry::Telemetry;
 use serde::Serialize;
 
 use crate::config::MggConfig;
@@ -86,7 +85,6 @@ pub struct Tuner<F> {
     trace: Vec<TuneStep>,
     /// Feasibility filter (the §4 hardware constraints).
     feasible: Box<dyn Fn(&MggConfig) -> bool>,
-    telemetry: Telemetry,
 }
 
 impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
@@ -97,21 +95,12 @@ impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
             table: HashMap::new(),
             trace: Vec::new(),
             feasible: Box::new(|_| true),
-            telemetry: Telemetry::disabled(),
         }
     }
 
     /// Installs a feasibility filter; infeasible configs are never probed.
     pub fn with_feasibility(mut self, f: impl Fn(&MggConfig) -> bool + 'static) -> Self {
         self.feasible = Box::new(f);
-        self
-    }
-
-    /// Reports probes into `telemetry` (`tuner.probes` counter plus a
-    /// `tuner.probe_latency_ns` histogram) and wraps [`Tuner::run`] in a
-    /// `tune` span.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -125,8 +114,6 @@ impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
         let lat = (self.eval)(&cfg);
         self.table.insert(cfg, lat);
         self.trace.push(TuneStep { config: cfg, latency_ns: lat });
-        self.telemetry.counter_add("tuner.probes", 1);
-        self.telemetry.histogram_record("tuner.probe_latency_ns", lat as f64);
         Some(lat)
     }
 
@@ -163,8 +150,6 @@ impl<F: FnMut(&MggConfig) -> u64> Tuner<F> {
 
     /// Runs the full §4 search.
     pub fn run(mut self) -> TuneResult {
-        let tel = self.telemetry.clone();
-        let _span = tel.span("tune");
         let initial = MggConfig::initial();
         let init_lat = self.probe(initial).expect("initial configuration must be feasible");
 
@@ -316,27 +301,6 @@ mod tests {
         assert_eq!(result.best.ps, 4);
         assert!(result.best.wpb > 1);
         assert_eq!(result.best_latency_ns, 500);
-    }
-
-    #[test]
-    fn telemetry_counts_probes_and_spans_the_search() {
-        let tel = Telemetry::enabled();
-        let opt = MggConfig { ps: 8, dist: 2, wpb: 4 };
-        let result = Tuner::new(surface(opt)).with_telemetry(tel.clone()).run();
-        assert_eq!(tel.counter_value("tuner.probes"), result.iterations as u64);
-        let snap = tel.snapshot();
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "tuner.probe_latency_ns")
-            .expect("probe latency histogram");
-        assert_eq!(hist.count, result.iterations as u64);
-        assert_eq!(hist.min, result.best_latency_ns as f64);
-        assert!(snap.spans.iter().any(|s| s.name == "tune" && s.end_ns >= s.start_ns));
-        // Instrumentation must not steer the search.
-        let plain = Tuner::new(surface(opt)).run();
-        assert_eq!(plain.best, result.best);
-        assert_eq!(plain.iterations, result.iterations);
     }
 
     #[test]

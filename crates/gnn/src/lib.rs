@@ -21,7 +21,6 @@
 
 pub mod features;
 pub mod gat;
-pub mod inference;
 pub mod models;
 pub mod reference;
 pub mod sampling;

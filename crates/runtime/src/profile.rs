@@ -24,11 +24,7 @@
 //! Per worker and per region, `spawn + exec + idle + merge_wait == wall`
 //! exactly (idle is defined as the remainder, and exec splits internally
 //! into on-CPU exec + contended-exec), so the attribution always covers
-//! 100% of the parallel-vs-ideal gap. Two host overheads that occur
-//! *inside* exec are refined separately rather than double-counted:
-//! telemetry shard fork/merge time and recorder-mutex contention
-//! (acquire counts plus a blocked-time histogram), both reported by the
-//! `mgg-telemetry` hooks below.
+//! 100% of the parallel-vs-ideal gap.
 //!
 //! # Determinism contract
 //!
@@ -36,7 +32,7 @@
 //! anything back into them, so results are bit-identical whether the
 //! profiler is on or off (pinned by `tests/host_profile.rs`). It is also
 //! zero-cost when disabled: the pool checks one thread-local per region
-//! (not per job), and every hook is behind the same check.
+//! (not per job).
 //!
 //! # Scoping
 //!
@@ -46,11 +42,10 @@
 //! other sessions) is never observed.
 
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Number of buckets in the blocked-time and unit-time histograms.
+/// Number of buckets in the unit-time histogram.
 pub const HIST_BUCKETS: usize = 8;
 
 /// Upper bounds (ns, inclusive) of the histogram buckets; the last bucket
@@ -169,21 +164,8 @@ pub struct RegionProfile {
     pub units: UnitHistogram,
 }
 
-/// Recorder-mutex contention observed by the `mgg-telemetry` hooks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct MutexStats {
-    /// Lock acquisitions on the telemetry recorder mutex.
-    pub acquires: u64,
-    /// Acquisitions that found the lock held and had to block.
-    pub contended: u64,
-    /// Total time spent blocked, ns.
-    pub blocked_ns: u64,
-    /// Blocked-time histogram; bounds are [`HIST_BOUNDS_NS`].
-    pub blocked_hist: Vec<u64>,
-}
-
-/// Sum of every worker-lane category across all regions, plus the
-/// in-exec host overheads — the "where did the speedup go" totals.
+/// Sum of every worker-lane category across all regions — the "where did
+/// the speedup go" totals.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct OverheadBreakdown {
     /// Worker-lane *on-CPU* time running jobs, ns (the useful part; thread
@@ -198,12 +180,6 @@ pub struct OverheadBreakdown {
     pub idle_ns: u64,
     /// Worker-lane time parked on the ordered merge, ns.
     pub merge_wait_ns: u64,
-    /// Inside exec: telemetry shard allocation (`Telemetry::fork`), ns.
-    pub telemetry_fork_ns: u64,
-    /// On the caller: shard replay (`Telemetry::merge_child`), ns.
-    pub telemetry_merge_ns: u64,
-    /// Inside exec: blocked on the telemetry recorder mutex, ns.
-    pub mutex_blocked_ns: u64,
     /// Fraction of non-exec worker-lane time covered by the named
     /// categories (spawn/idle/merge-wait). 1.0 by construction — idle is
     /// the remainder — so anything below signals an accounting bug.
@@ -222,12 +198,6 @@ impl OverheadBreakdown {
 pub struct RuntimeProfile {
     /// One entry per profiled parallel region, in entry order.
     pub regions: Vec<RegionProfile>,
-    /// Contention counters for the runtime's shared locks.
-    pub mutex: MutexStats,
-    /// Total `Telemetry::fork` time inside profiled regions, ns.
-    pub telemetry_fork_ns: u64,
-    /// Total `Telemetry::merge_child` time under the collector, ns.
-    pub telemetry_merge_ns: u64,
 }
 
 impl RuntimeProfile {
@@ -243,9 +213,6 @@ impl RuntimeProfile {
                 b.merge_wait_ns += l.merge_wait_ns;
             }
         }
-        b.telemetry_fork_ns = self.telemetry_fork_ns;
-        b.telemetry_merge_ns = self.telemetry_merge_ns;
-        b.mutex_blocked_ns = self.mutex.blocked_ns;
         // Total lane time minus exec is the gap to attribute; spawn, idle
         // and merge-wait tile it by construction.
         let lane_total: u64 = self
@@ -307,18 +274,6 @@ impl RuntimeProfile {
                 pct(ns)
             ));
         }
-        out.push_str("within exec / on caller:\n");
-        for (name, ns) in [
-            ("telemetry-fork", b.telemetry_fork_ns),
-            ("telemetry-merge", b.telemetry_merge_ns),
-            ("recorder-mutex-blocked", b.mutex_blocked_ns),
-        ] {
-            out.push_str(&format!("  {:26} {:>10.3} ms\n", name, ns as f64 / 1e6));
-        }
-        out.push_str(&format!(
-            "recorder mutex: {} acquires, {} contended\n",
-            self.mutex.acquires, self.mutex.contended
-        ));
         if !self.regions.is_empty() {
             out.push_str("regions:\n");
             for r in &self.regions {
@@ -336,18 +291,11 @@ impl RuntimeProfile {
     }
 }
 
-/// Shared collector state: region list behind a mutex (pushed once per
-/// region), hot counters as atomics so telemetry hooks never serialize
-/// the workers they are measuring.
+/// Shared collector state: the region list behind a mutex, pushed once
+/// per region.
 pub(crate) struct Collector {
     epoch: Instant,
     regions: Mutex<Vec<RegionProfile>>,
-    mutex_acquires: AtomicU64,
-    mutex_contended: AtomicU64,
-    mutex_blocked_ns: AtomicU64,
-    mutex_blocked_hist: [AtomicU64; HIST_BUCKETS],
-    telemetry_fork_ns: AtomicU64,
-    telemetry_merge_ns: AtomicU64,
 }
 
 impl Collector {
@@ -355,12 +303,6 @@ impl Collector {
         Collector {
             epoch: Instant::now(),
             regions: Mutex::new(Vec::new()),
-            mutex_acquires: AtomicU64::new(0),
-            mutex_contended: AtomicU64::new(0),
-            mutex_blocked_ns: AtomicU64::new(0),
-            mutex_blocked_hist: Default::default(),
-            telemetry_fork_ns: AtomicU64::new(0),
-            telemetry_merge_ns: AtomicU64::new(0),
         }
     }
 
@@ -374,21 +316,7 @@ impl Collector {
 
     fn drain(&self) -> RuntimeProfile {
         let regions = std::mem::take(&mut *self.regions.lock().unwrap_or_else(|p| p.into_inner()));
-        RuntimeProfile {
-            regions,
-            mutex: MutexStats {
-                acquires: self.mutex_acquires.load(Ordering::Relaxed),
-                contended: self.mutex_contended.load(Ordering::Relaxed),
-                blocked_ns: self.mutex_blocked_ns.load(Ordering::Relaxed),
-                blocked_hist: self
-                    .mutex_blocked_hist
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect(),
-            },
-            telemetry_fork_ns: self.telemetry_fork_ns.load(Ordering::Relaxed),
-            telemetry_merge_ns: self.telemetry_merge_ns.load(Ordering::Relaxed),
-        }
+        RuntimeProfile { regions }
     }
 }
 
@@ -416,7 +344,7 @@ pub(crate) fn current_label(default: &'static str) -> &'static str {
 
 /// Installs `collector` on this thread until the guard drops (panic-safe);
 /// used by the pool to propagate the caller's collector into workers so
-/// nested regions and telemetry hooks attribute correctly.
+/// nested regions attribute correctly.
 pub(crate) struct InstallGuard(Option<Arc<Collector>>);
 
 pub(crate) fn install(collector: Option<Arc<Collector>>) -> InstallGuard {
@@ -431,18 +359,11 @@ impl Drop for InstallGuard {
     }
 }
 
-/// Whether a profiler is collecting on this thread. Hooks bail on `false`
-/// — the zero-cost-when-disabled check.
-pub fn is_profiling() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
-}
-
 /// Runs `f` with host profiling active on this thread and returns its
 /// result together with everything the profiler observed. Parallel
 /// regions entered by `f` (directly or through nested calls) record
-/// per-worker attribution; `mgg-telemetry` contention and fork/merge
-/// hooks report into the same profile. Results of `f` are bit-identical
-/// to running it without `collect`.
+/// per-worker attribution. Results of `f` are bit-identical to running it
+/// without `collect`.
 pub fn collect<R>(f: impl FnOnce() -> R) -> (R, RuntimeProfile) {
     let collector = Arc::new(Collector::new());
     let result = {
@@ -478,34 +399,6 @@ pub struct LabelGuard(&'static str);
 impl Drop for LabelGuard {
     fn drop(&mut self) {
         LABEL.with(|l| l.set(self.0));
-    }
-}
-
-/// Telemetry hook: one recorder-mutex acquisition; `blocked_ns` > 0 when
-/// the lock was contended. No-op without an active collector.
-pub fn note_recorder_lock(blocked_ns: u64) {
-    let Some(c) = current_collector() else { return };
-    c.mutex_acquires.fetch_add(1, Ordering::Relaxed);
-    if blocked_ns > 0 {
-        c.mutex_contended.fetch_add(1, Ordering::Relaxed);
-        c.mutex_blocked_ns.fetch_add(blocked_ns, Ordering::Relaxed);
-        c.mutex_blocked_hist[bucket_of(blocked_ns)].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Telemetry hook: time spent allocating a telemetry shard
-/// (`Telemetry::fork`). No-op without an active collector.
-pub fn note_telemetry_fork(ns: u64) {
-    if let Some(c) = current_collector() {
-        c.telemetry_fork_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-}
-
-/// Telemetry hook: time spent replaying a shard into its parent
-/// (`Telemetry::merge_child`). No-op without an active collector.
-pub fn note_telemetry_merge(ns: u64) {
-    if let Some(c) = current_collector() {
-        c.telemetry_merge_ns.fetch_add(ns, Ordering::Relaxed);
     }
 }
 
@@ -648,33 +541,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_hooks_are_noops() {
-        assert!(!is_profiling());
-        note_recorder_lock(500);
-        note_telemetry_fork(10);
-        note_telemetry_merge(10);
-        // Nothing to observe: no collector exists to have recorded them.
-        let ((), profile) = collect(|| {});
-        assert!(profile.regions.is_empty());
-        assert_eq!(profile.mutex.acquires, 0);
-    }
-
-    #[test]
     fn collect_scopes_to_the_calling_thread() {
         let ((), profile) = collect(|| {
-            assert!(is_profiling());
-            note_recorder_lock(0);
-            note_recorder_lock(2_000);
-            note_telemetry_fork(7);
-            note_telemetry_merge(9);
+            assert!(current_collector().is_some());
         });
-        assert!(!is_profiling());
-        assert_eq!(profile.mutex.acquires, 2);
-        assert_eq!(profile.mutex.contended, 1);
-        assert_eq!(profile.mutex.blocked_ns, 2_000);
-        assert_eq!(profile.mutex.blocked_hist[bucket_of(2_000)], 1);
-        assert_eq!(profile.telemetry_fork_ns, 7);
-        assert_eq!(profile.telemetry_merge_ns, 9);
+        assert!(current_collector().is_none());
+        assert!(profile.regions.is_empty());
     }
 
     #[test]
@@ -750,9 +622,7 @@ mod tests {
             })
         });
         let text = profile.render_attribution(2_000_000, 1_500_000);
-        for needle in
-            ["task-exec", "spawn", "idle", "ordered-merge-wait", "recorder-mutex-blocked"]
-        {
+        for needle in ["task-exec", "spawn", "idle", "ordered-merge-wait"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
     }

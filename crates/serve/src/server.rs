@@ -519,11 +519,6 @@ impl Server {
         let mut batched_queries = 0u64;
         let mut hedges = 0u64;
         let mut churn_stats = ChurnStats::default();
-        // Per-query records go through a write batch: one recorder lock at
-        // the end of the run instead of one per query/batch/transition.
-        // Replay order inside the batch matches the direct-call order, so
-        // counters and histogram sums (f64 bits included) are unchanged.
-        let mut tbatch = telemetry.batch();
 
         let dispatch = |shards: &mut Vec<ShardState>,
                             records: &mut Vec<QueryRecord>,
@@ -532,7 +527,6 @@ impl Server {
                             batches: &mut u64,
                             batched_queries: &mut u64,
                             hedges: &mut u64,
-                            tbatch: &mut mgg_telemetry::TelemetryBatch,
                             s: usize,
                             now: u64| {
             let batch: Vec<(Query, f64, bool)> = std::mem::take(&mut shards[s].pending);
@@ -566,10 +560,10 @@ impl Server {
             }
             *batches += 1;
             *batched_queries += batch.len() as u64;
-            tbatch.histogram_record("serve.batch_size", batch.len() as f64);
+            telemetry.histogram_record("serve.batch_size", batch.len() as f64);
             for (q, _, rerouted) in &batch {
                 let met = completion <= q.deadline_ns;
-                tbatch
+                telemetry
                     .histogram_record("serve.latency_us", (completion - q.arrival_ns) as f64 / 1e3);
                 completions.push(std::cmp::Reverse(completion));
                 records.push(QueryRecord {
@@ -646,7 +640,6 @@ impl Server {
                     &mut batches,
                     &mut batched_queries,
                     &mut hedges,
-                    &mut tbatch,
                     s,
                     t,
                 );
@@ -681,13 +674,12 @@ impl Server {
                                             &mut batches,
                                             &mut batched_queries,
                                             &mut hedges,
-                                            &mut tbatch,
                                             s,
                                             now,
                                         );
                                         shards[s].phase = MemberPhase::Draining;
                                         churn_stats.drains += 1;
-                                        tbatch.counter_add("serve.churn.drains", 1);
+                                        telemetry.counter_add("serve.churn.drains", 1);
                                     }
                                 }
                                 MembershipChange::Leave => {
@@ -696,7 +688,7 @@ impl Server {
                                         shards[s].close_at = u64::MAX;
                                         shards[s].phase = MemberPhase::Left;
                                         churn_stats.leaves += 1;
-                                        tbatch.counter_add("serve.churn.leaves", 1);
+                                        telemetry.counter_add("serve.churn.leaves", 1);
                                         // Loss-free departure: pending work
                                         // migrates to the least-loaded
                                         // in-rotation peer at the relay
@@ -740,7 +732,6 @@ impl Server {
                                                         &mut batches,
                                                         &mut batched_queries,
                                                         &mut hedges,
-                                                        &mut tbatch,
                                                         p,
                                                         now,
                                                     );
@@ -766,13 +757,12 @@ impl Server {
                                                 &mut batches,
                                                 &mut batched_queries,
                                                 &mut hedges,
-                                                &mut tbatch,
                                                 s,
                                                 now,
                                             );
                                         }
                                         if churn_stats.migrated_queries > 0 {
-                                            tbatch.counter_add(
+                                            telemetry.counter_add(
                                                 "serve.churn.migrated",
                                                 churn_stats.migrated_queries,
                                             );
@@ -788,10 +778,10 @@ impl Server {
                                         shards[s].phase =
                                             MemberPhase::Warming { until: now + warmup_ns };
                                         churn_stats.joins += 1;
-                                        tbatch.counter_add("serve.churn.joins", 1);
+                                        telemetry.counter_add("serve.churn.joins", 1);
                                     } else {
                                         churn_stats.join_rejections += 1;
-                                        tbatch.counter_add("serve.churn.join_rejections", 1);
+                                        telemetry.counter_add("serve.churn.join_rejections", 1);
                                     }
                                 }
                             }
@@ -803,8 +793,8 @@ impl Server {
                     ChurnEventKind::Fence { deltas } => {
                         churn_stats.fences += 1;
                         churn_stats.deltas_applied += deltas.len() as u64;
-                        tbatch.counter_add("serve.churn.fences", 1);
-                        tbatch.counter_add("serve.churn.deltas", deltas.len() as u64);
+                        telemetry.counter_add("serve.churn.fences", 1);
+                        telemetry.counter_add("serve.churn.deltas", deltas.len() as u64);
                         // Epoch-fence apply transaction: every member that
                         // still holds rows stalls for the targeted cache
                         // invalidation and split re-extension.
@@ -846,7 +836,7 @@ impl Server {
             );
             match outcome {
                 Ok((shard, units, rerouted)) => {
-                    tbatch.counter_add("serve.admitted", 1);
+                    telemetry.counter_add("serve.admitted", 1);
                     let st = &mut shards[shard];
                     if st.pending.is_empty() {
                         st.open_at = now;
@@ -861,7 +851,6 @@ impl Server {
                             &mut batches,
                             &mut batched_queries,
                             &mut hedges,
-                            &mut tbatch,
                             shard,
                             now,
                         );
@@ -870,7 +859,7 @@ impl Server {
                     }
                 }
                 Err(err) => {
-                    tbatch.counter_add(&format!("serve.shed.{}", err.name()), 1);
+                    telemetry.counter_add(&format!("serve.shed.{}", err.name()), 1);
                     records.push(QueryRecord {
                         id: q.id,
                         arrival_ns: q.arrival_ns,
@@ -898,7 +887,6 @@ impl Server {
                     &mut batches,
                     &mut batched_queries,
                     &mut hedges,
-                    &mut tbatch,
                     s,
                     at,
                 );
@@ -907,9 +895,8 @@ impl Server {
 
         records.sort_by_key(|r| r.id);
         for t in &transitions {
-            tbatch.counter_add(&format!("serve.breaker.{}", t.to.name()), 1);
+            telemetry.counter_add(&format!("serve.breaker.{}", t.to.name()), 1);
         }
-        tbatch.flush();
         let summary = self.summarize(
             &records,
             &transitions,

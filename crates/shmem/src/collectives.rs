@@ -7,7 +7,6 @@
 //! duration is derived from the cluster's channels.
 
 use mgg_sim::{Cluster, SimTime};
-use mgg_telemetry::Telemetry;
 
 use crate::region::SymmetricRegion;
 
@@ -35,16 +34,6 @@ pub fn barrier_all(cluster: &mut Cluster) -> SimTime {
         t = round_end;
     }
     t + BARRIER_SW_NS
-}
-
-/// [`barrier_all`] with the round recorded as a telemetry span plus
-/// `shmem.barriers` / `shmem.barrier_ns` counters (sim-time cost).
-pub fn barrier_all_telemetry(cluster: &mut Cluster, telemetry: &Telemetry) -> SimTime {
-    let _span = telemetry.span("shmem.barrier");
-    let t = barrier_all(cluster);
-    telemetry.counter_add("shmem.barriers", 1);
-    telemetry.counter_add("shmem.barrier_ns", t);
-    t
 }
 
 /// All-reduce (sum) over every PE's copy of a replicated region:
@@ -90,20 +79,6 @@ pub fn sum_reduce_all(cluster: &mut Cluster, region: &mut SymmetricRegion) -> Si
     t + BARRIER_SW_NS
 }
 
-/// [`sum_reduce_all`] with the ring recorded as a telemetry span plus
-/// `shmem.reduces` / `shmem.reduce_ns` counters (sim-time cost).
-pub fn sum_reduce_all_telemetry(
-    cluster: &mut Cluster,
-    region: &mut SymmetricRegion,
-    telemetry: &Telemetry,
-) -> SimTime {
-    let _span = telemetry.span("shmem.sum_reduce");
-    let t = sum_reduce_all(cluster, region);
-    telemetry.counter_add("shmem.reduces", 1);
-    telemetry.counter_add("shmem.reduce_ns", t);
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,28 +112,6 @@ mod tests {
             assert_eq!(r.row(pe, 0)[0], 6.0);
             assert_eq!(r.row(pe, 1)[1], 0.0);
         }
-    }
-
-    #[test]
-    fn instrumented_collectives_cost_the_same_and_record() {
-        let tel = Telemetry::enabled();
-        let mut c1 = Cluster::new(ClusterSpec::dgx_a100(4));
-        let plain = barrier_all(&mut c1);
-        let mut c2 = Cluster::new(ClusterSpec::dgx_a100(4));
-        let instrumented = barrier_all_telemetry(&mut c2, &tel);
-        assert_eq!(plain, instrumented);
-        assert_eq!(tel.counter_value("shmem.barriers"), 1);
-        assert_eq!(tel.counter_value("shmem.barrier_ns"), plain);
-
-        let mut r = SymmetricRegion::zeros(&[2, 2, 2, 2], 2);
-        let t = sum_reduce_all_telemetry(&mut c2, &mut r, &tel);
-        assert!(t > 0);
-        assert_eq!(tel.counter_value("shmem.reduces"), 1);
-        assert_eq!(tel.counter_value("shmem.reduce_ns"), t);
-        let names: Vec<String> =
-            tel.snapshot().spans.iter().map(|s| s.name.clone()).collect();
-        assert!(names.contains(&"shmem.barrier".to_string()));
-        assert!(names.contains(&"shmem.sum_reduce".to_string()));
     }
 
     #[test]

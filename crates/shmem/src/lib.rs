@@ -24,7 +24,5 @@
 pub mod collectives;
 pub mod region;
 
-pub use collectives::{
-    barrier_all, barrier_all_telemetry, sum_reduce_all, sum_reduce_all_telemetry,
-};
+pub use collectives::{barrier_all, sum_reduce_all};
 pub use region::SymmetricRegion;

@@ -24,13 +24,9 @@ use std::collections::BTreeSet;
 const NS_PER_US: f64 = 1000.0;
 
 /// Renders host spans + warp events as a Chrome-trace JSON document.
-pub fn chrome_trace_json(spans: &[SpanSnapshot], events: &[TraceEvent]) -> String {
-    chrome_trace_json_with_runtime(spans, events, None)
-}
-
-/// [`chrome_trace_json`] plus per-worker host-pool tracks: when a
-/// [`RuntimeProfile`] is given, each profiled parallel region emits one
-/// row per worker on pid 0 (tid `1 + worker`) with the worker's
+///
+/// When a [`RuntimeProfile`] is given, each profiled parallel region also
+/// emits one row per worker on pid 0 (tid `1 + worker`) with the worker's
 /// spawn → exec → idle → merge-wait lifecycle laid out as contiguous
 /// segments inside the region window. The per-category *durations* are
 /// measured; their *placement* within the region is schematic (the pool
@@ -192,7 +188,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_still_produce_a_valid_document() {
-        let json = chrome_trace_json(&[], &[]);
+        let json = chrome_trace_json_with_runtime(&[], &[], None);
         let doc: Value = serde_json::from_str(&json).unwrap();
         assert!(events_of(&doc).is_empty());
     }
@@ -209,7 +205,7 @@ mod tests {
             ev(0, 2, 7, TraceKind::Compute, 0, 300),
             ev(1, 0, 0, TraceKind::RemoteWire, 100, 900),
         ];
-        let json = chrome_trace_json(&spans, &events);
+        let json = chrome_trace_json_with_runtime(&spans, &events, None);
         let doc: Value = serde_json::from_str(&json).unwrap();
         let items = events_of(&doc);
 
@@ -296,7 +292,7 @@ mod tests {
     fn every_gpu_present_in_events_gets_events_in_the_trace() {
         let events: Vec<TraceEvent> =
             (0..4).map(|g| ev(g, 0, 0, TraceKind::Compute, 0, 10)).collect();
-        let json = chrome_trace_json(&[], &events);
+        let json = chrome_trace_json_with_runtime(&[], &events, None);
         let doc: Value = serde_json::from_str(&json).unwrap();
         for g in 0..4u64 {
             let n = events_of(&doc)

@@ -13,7 +13,7 @@
 //! * **Warp trace adoption** — the simulator's [`TraceEvent`] stream
 //!   (sim-time, per-warp) is attached verbatim via
 //!   [`Telemetry::add_trace_events`] and merged with host spans by the
-//!   Chrome-trace exporter ([`chrome_trace_json`]).
+//!   Chrome-trace exporter ([`chrome_trace_json_with_runtime`]).
 //! * **Derived pipeline metrics** — [`PipelineMetrics::derive`] turns a
 //!   `KernelStats` + trace into overlap efficiency, per-GPU-pair traffic,
 //!   occupancy, and recovery overhead.
@@ -29,7 +29,7 @@ pub mod chrome;
 pub mod pipeline;
 pub mod snapshot;
 
-pub use chrome::{chrome_trace_json, chrome_trace_json_with_runtime};
+pub use chrome::chrome_trace_json_with_runtime;
 pub use pipeline::{overlap_efficiency, PairTraffic, PipelineMetrics};
 pub use snapshot::{
     percentile_sorted, percentile_sorted_u64, CounterSnapshot, GaugeSnapshot, HistogramSnapshot,
@@ -45,8 +45,8 @@ use std::time::Instant;
 ///
 /// [`Telemetry::disabled`] (also the `Default`) is a `None` that makes every
 /// recording call a no-op; [`Telemetry::enabled`] allocates one shared
-/// recorder. Clones alias the same recorder, so an engine, its tuner, and
-/// its shmem regions all report into one snapshot.
+/// recorder. Clones alias the same recorder, so an engine and the caller
+/// that attached the handle report into one snapshot.
 #[derive(Clone, Default)]
 pub struct Telemetry(Option<Arc<Mutex<Recorder>>>);
 
@@ -203,72 +203,6 @@ impl Telemetry {
         )
     }
 
-    /// A fresh shard for one parallel job: enabled iff `self` is, but
-    /// backed by its *own* recorder, so concurrent jobs never interleave
-    /// writes. Merge shards back with [`Telemetry::merge_child`] in the
-    /// jobs' input order; metrics then come out bit-identical to the jobs
-    /// having recorded sequentially, at any thread count.
-    pub fn fork(&self) -> Telemetry {
-        if !self.is_enabled() {
-            return Telemetry::disabled();
-        }
-        if !mgg_runtime::profile::is_profiling() {
-            return Telemetry::enabled();
-        }
-        let t0 = Instant::now();
-        let shard = Telemetry::enabled();
-        mgg_runtime::profile::note_telemetry_fork(t0.elapsed().as_nanos() as u64);
-        shard
-    }
-
-    /// Folds a shard's recordings into this handle, preserving sequential
-    /// semantics when children are merged in input order: counters add,
-    /// gauges take the child's value (last write wins), histograms replay
-    /// the child's samples one by one (keeping f64 sums bit-identical),
-    /// and trace events append. Child spans append as recorded; their
-    /// timestamps stay in the child's wall-clock epoch, so spans are
-    /// timing-diagnostic only — never part of determinism comparisons.
-    pub fn merge_child(&self, child: &Telemetry) {
-        if !mgg_runtime::profile::is_profiling() {
-            return self.merge_child_inner(child);
-        }
-        let t0 = Instant::now();
-        self.merge_child_inner(child);
-        mgg_runtime::profile::note_telemetry_merge(t0.elapsed().as_nanos() as u64);
-    }
-
-    fn merge_child_inner(&self, child: &Telemetry) {
-        let Some(child_rec) = child.lock() else { return };
-        let Some(mut r) = self.lock() else { return };
-        for (name, &value) in &child_rec.counters {
-            *r.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, &value) in &child_rec.gauges {
-            r.gauges.insert(name.clone(), value);
-        }
-        for (name, h) in &child_rec.histograms {
-            let dst = r.histograms.entry(name.clone()).or_default();
-            for &sample in &h.samples {
-                dst.record(sample);
-            }
-        }
-        r.trace_events.extend_from_slice(&child_rec.trace_events);
-        for s in &child_rec.spans {
-            r.spans.push(SpanRecord {
-                name: s.name.clone(),
-                start_ns: s.start_ns,
-                end_ns: s.end_ns,
-                depth: s.depth,
-            });
-        }
-        if child_rec.pipeline.is_some() {
-            r.pipeline = child_rec.pipeline.clone();
-        }
-        if child_rec.runtime.is_some() {
-            r.runtime = child_rec.runtime.clone();
-        }
-    }
-
     /// Attaches a host-pool attribution profile (from
     /// `mgg_runtime::profile::collect`) so it travels with the snapshot
     /// (JSON `--metrics-out`, text report, Chrome trace worker tracks).
@@ -277,119 +211,12 @@ impl Telemetry {
             r.runtime = Some(profile);
         }
     }
-
-    /// Starts a write batch against this handle: counter/gauge/histogram
-    /// records accumulate in the batch without touching the recorder mutex
-    /// and flush under **one** lock acquisition when [`TelemetryBatch::flush`]
-    /// is called or the batch drops. Use in per-item hot loops (per-query,
-    /// per-remote-edge) where a lock per record is measurable contention.
-    ///
-    /// Replay order is preserved within the batch, so flushed histograms
-    /// are bit-identical (f64 sums included) to unbatched recording from
-    /// the same thread; counters add and gauges keep last-write-wins.
-    pub fn batch(&self) -> TelemetryBatch {
-        TelemetryBatch {
-            target: self.clone(),
-            counters: BTreeMap::new(),
-            ordered: Vec::new(),
-        }
-    }
 }
 
-/// Locks a recorder, reporting the acquisition (and any blocked time) to
-/// the host profiler when one is collecting on this thread. Without a
-/// profiler this is exactly the old poison-tolerant `lock()`.
+/// Locks a recorder, tolerating poison: a panicked recording thread
+/// leaves the recorder usable, never the process wedged.
 fn lock_recorder(m: &Mutex<Recorder>) -> MutexGuard<'_, Recorder> {
-    if !mgg_runtime::profile::is_profiling() {
-        return m.lock().unwrap_or_else(|p| p.into_inner());
-    }
-    match m.try_lock() {
-        Ok(guard) => {
-            mgg_runtime::profile::note_recorder_lock(0);
-            guard
-        }
-        Err(std::sync::TryLockError::Poisoned(p)) => {
-            mgg_runtime::profile::note_recorder_lock(0);
-            p.into_inner()
-        }
-        Err(std::sync::TryLockError::WouldBlock) => {
-            let t0 = Instant::now();
-            let guard = m.lock().unwrap_or_else(|p| p.into_inner());
-            // Count contended acquisitions even when the wait rounds to 0ns.
-            mgg_runtime::profile::note_recorder_lock(t0.elapsed().as_nanos().max(1) as u64);
-            guard
-        }
-    }
-}
-
-/// An ordered record buffered by a [`TelemetryBatch`]; replayed at flush.
-enum BatchRecord {
-    Gauge(String, f64),
-    HistSample(String, f64),
-}
-
-/// A thread-local write buffer created by [`Telemetry::batch`]; flushes
-/// everything under a single recorder lock on [`TelemetryBatch::flush`]
-/// or drop.
-pub struct TelemetryBatch {
-    target: Telemetry,
-    counters: BTreeMap<String, u64>,
-    /// Gauge writes and histogram samples in record order (both are
-    /// order-sensitive: last-write-wins and f64 replay respectively).
-    ordered: Vec<BatchRecord>,
-}
-
-impl TelemetryBatch {
-    /// Buffered [`Telemetry::counter_add`].
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if self.target.is_enabled() {
-            *self.counters.entry(name.to_string()).or_insert(0) += delta;
-        }
-    }
-
-    /// Buffered [`Telemetry::gauge_set`].
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if self.target.is_enabled() {
-            self.ordered.push(BatchRecord::Gauge(name.to_string(), value));
-        }
-    }
-
-    /// Buffered [`Telemetry::histogram_record`].
-    pub fn histogram_record(&mut self, name: &str, value: f64) {
-        if self.target.is_enabled() {
-            self.ordered.push(BatchRecord::HistSample(name.to_string(), value));
-        }
-    }
-
-    /// Pushes everything buffered so far into the recorder under one lock;
-    /// the batch is empty (and reusable) afterwards.
-    pub fn flush(&mut self) {
-        if self.counters.is_empty() && self.ordered.is_empty() {
-            return;
-        }
-        let counters = std::mem::take(&mut self.counters);
-        let ordered = std::mem::take(&mut self.ordered);
-        let Some(mut r) = self.target.lock() else { return };
-        for (name, delta) in counters {
-            *r.counters.entry(name).or_insert(0) += delta;
-        }
-        for rec in ordered {
-            match rec {
-                BatchRecord::Gauge(name, value) => {
-                    r.gauges.insert(name, value);
-                }
-                BatchRecord::HistSample(name, value) => {
-                    r.histograms.entry(name).or_default().record(value);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for TelemetryBatch {
-    fn drop(&mut self) {
-        self.flush();
-    }
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// RAII span handle; dropping it closes the span.
@@ -398,7 +225,7 @@ pub struct SpanGuard(Option<(Arc<Mutex<Recorder>>, usize)>);
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((rec, idx)) = self.0.take() {
-            let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
+            let mut r = lock_recorder(&rec);
             let now = r.now_ns();
             if let Some(span) = r.spans.get_mut(idx) {
                 span.end_ns = Some(now);
@@ -415,12 +242,8 @@ struct SpanRecord {
     depth: u32,
 }
 
-/// Min/max/sum/count summary of a stream of observations.
-///
-/// Raw samples are retained so a shard merge can *replay* them through
-/// [`Histogram::record`] in shard order: f64 summation is order-dependent,
-/// and replay is what keeps a merged `sum` bit-identical to the sequential
-/// recording order (adding pre-summed shard totals would not be).
+/// Min/max/sum/count summary of a stream of observations. Raw samples
+/// are retained for the snapshot's percentiles.
 #[derive(Default)]
 struct Histogram {
     count: u64,
@@ -572,101 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_of_disabled_is_disabled_and_merge_is_noop() {
-        let t = Telemetry::disabled();
-        let shard = t.fork();
-        assert!(!shard.is_enabled());
-        shard.counter_add("x", 1);
-        t.merge_child(&shard);
-        assert_eq!(t.counter_value("x"), 0);
-    }
-
-    #[test]
-    fn ordered_shard_merge_matches_sequential_bitwise() {
-        // Per-job observations whose f64 sum is order-sensitive.
-        let obs = |job: usize| -> Vec<f64> {
-            (0..8).map(|k| 1.0 / (1.0 + (job * 8 + k) as f64)).collect()
-        };
-        // Sequential baseline: jobs record in input order on one handle.
-        let seq = Telemetry::enabled();
-        for job in 0..16 {
-            for v in obs(job) {
-                seq.histogram_record("lat", v);
-            }
-            seq.counter_add("jobs", 1);
-            seq.gauge_set("last_job", job as f64);
-        }
-        // Parallel: concurrent shards recorded in arbitrary completion
-        // order, merged back in input order.
-        for threads in [1usize, 2, 4, 7] {
-            let par = Telemetry::enabled();
-            let shards: Vec<Telemetry> = mgg_runtime::with_threads(threads, || {
-                mgg_runtime::par_map_indexed(16, |job| {
-                    let shard = par.fork();
-                    for v in obs(job) {
-                        shard.histogram_record("lat", v);
-                    }
-                    shard.counter_add("jobs", 1);
-                    shard.gauge_set("last_job", job as f64);
-                    shard
-                })
-            });
-            for shard in &shards {
-                par.merge_child(shard);
-            }
-            let (s, p) = (seq.snapshot(), par.snapshot());
-            assert_eq!(p.counters, s.counters, "{threads} threads");
-            assert_eq!(p.gauges.len(), s.gauges.len());
-            assert_eq!(p.gauges[0].value.to_bits(), s.gauges[0].value.to_bits());
-            assert_eq!(p.histograms.len(), s.histograms.len());
-            let (hs, hp) = (&s.histograms[0], &p.histograms[0]);
-            assert_eq!(hp.count, hs.count);
-            // Bit-identical, not approximately equal: the merge replays
-            // samples in order instead of adding shard subtotals.
-            assert_eq!(hp.sum.to_bits(), hs.sum.to_bits(), "{threads} threads");
-            assert_eq!(hp.min.to_bits(), hs.min.to_bits());
-            assert_eq!(hp.max.to_bits(), hs.max.to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_flush_matches_direct_recording_bitwise() {
-        let direct = Telemetry::enabled();
-        let batched = Telemetry::enabled();
-        let mut batch = batched.batch();
-        for i in 0..40 {
-            let v = 1.0 / (1.0 + i as f64);
-            direct.counter_add("ops", 2);
-            direct.histogram_record("lat", v);
-            direct.gauge_set("last", v);
-            batch.counter_add("ops", 2);
-            batch.histogram_record("lat", v);
-            batch.gauge_set("last", v);
-        }
-        batch.flush();
-        let (d, b) = (direct.snapshot(), batched.snapshot());
-        assert_eq!(d.counters, b.counters);
-        assert_eq!(d.gauges[0].value.to_bits(), b.gauges[0].value.to_bits());
-        assert_eq!(d.histograms[0].sum.to_bits(), b.histograms[0].sum.to_bits());
-        assert_eq!(d.histograms[0].p50.to_bits(), b.histograms[0].p50.to_bits());
-    }
-
-    #[test]
-    fn batch_flushes_on_drop_and_is_noop_when_disabled() {
-        let t = Telemetry::enabled();
-        {
-            let mut batch = t.batch();
-            batch.counter_add("dropped", 3);
-        }
-        assert_eq!(t.counter_value("dropped"), 3);
-        let off = Telemetry::disabled();
-        let mut batch = off.batch();
-        batch.counter_add("x", 1);
-        batch.flush();
-        assert_eq!(off.counter_value("x"), 0);
-    }
-
-    #[test]
     fn snapshot_histograms_carry_percentiles() {
         let t = Telemetry::enabled();
         for i in 1..=100 {
@@ -689,22 +417,6 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.runtime, Some(profile));
         assert!(snap.render_text().contains("host worker pool"));
-        // Lock accounting reaches the profiler: recording under a
-        // collector bumps the acquire counter.
-        let ((), p2) = mgg_runtime::profile::collect(|| t.counter_add("c", 1));
-        assert!(p2.mutex.acquires >= 1);
-    }
-
-    #[test]
-    fn fork_merge_report_into_active_profiler() {
-        let t = Telemetry::enabled();
-        let ((), profile) = mgg_runtime::profile::collect(|| {
-            let shard = t.fork();
-            shard.histogram_record("h", 1.0);
-            t.merge_child(&shard);
-        });
-        assert!(profile.telemetry_fork_ns > 0);
-        assert!(profile.telemetry_merge_ns > 0);
     }
 
     #[test]

@@ -243,17 +243,6 @@ impl MetricsSnapshot {
                     pct(ns)
                 ));
             }
-            out.push_str(&format!(
-                "telemetry fork/merge             {:>10.3} ms (in exec) / {:.3} ms (caller)\n",
-                b.telemetry_fork_ns as f64 / 1e6,
-                b.telemetry_merge_ns as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "recorder mutex                   {} acquires, {} contended, {:.3} ms blocked\n",
-                rt.mutex.acquires,
-                rt.mutex.contended,
-                rt.mutex.blocked_ns as f64 / 1e6
-            ));
             for r in &rt.regions {
                 out.push_str(&format!(
                     "  region {:24} {:>5} jobs x {:<2} workers  wall {:>9.3} ms\n",
