@@ -321,8 +321,7 @@ impl EmbedCache {
         }
     }
 
-    /// Counters accumulated since construction (or the last
-    /// [`EmbedCache::reset_stats`]).
+    /// Counters accumulated since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -335,11 +334,6 @@ impl EmbedCache {
     /// counter, and `CacheStats` is serialized into committed baselines).
     pub fn stale_hits(&self) -> u64 {
         self.stale
-    }
-
-    /// Zeroes the counters without touching resident keys.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Refreshes `slot`'s eviction priority after a hit.

@@ -239,6 +239,9 @@ pub enum Platform {
     Pcie,
 }
 
+/// Largest GPU count of every platform preset (each is one 8-GPU box).
+const PLATFORM_MAX_GPUS: usize = 8;
+
 impl Platform {
     fn spec(self, gpus: usize) -> ClusterSpec {
         match self {
@@ -360,6 +363,21 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             .map(|v| v.parse::<usize>().map_err(|_| format!("--{k} expects an integer")))
             .unwrap_or(Ok(default))
     };
+    // `max` bounds commands that simulate a platform box; `partition` only
+    // splits the graph, so any positive count works there.
+    let get_gpus = |max: usize| -> Result<usize, String> {
+        match get_usize("gpus", 8)? {
+            0 => Err("--gpus must be >= 1".into()),
+            n if n > max => Err(format!("--gpus must be <= {max} (one simulated {max}-GPU box)")),
+            n => Ok(n),
+        }
+    };
+    let get_dim = || -> Result<usize, String> {
+        match get_usize("dim", 64)? {
+            0 => Err("--dim must be >= 1".into()),
+            d => Ok(d),
+        }
+    };
     let get_f64 = |k: &str, default: f64| -> Result<f64, String> {
         flags
             .get(k)
@@ -436,7 +454,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .split_once(',')
                     .ok_or("--rmat expects <scale,edges>, e.g. 12,40000")?;
                 GraphSource::Rmat {
-                    scale: s.trim().parse().map_err(|_| "bad rmat scale")?,
+                    scale: s
+                        .trim()
+                        .parse()
+                        .ok()
+                        .filter(|s| (1..=30).contains(s))
+                        .ok_or("--rmat scale must be an integer in 1..=30")?,
                     edges: e.trim().parse().map_err(|_| "bad rmat edge count")?,
                     seed: get_usize("seed", 42)? as u64,
                 }
@@ -448,7 +471,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "stats" => Ok(Command::Stats { graph: graph_path(&positional)? }),
         "partition" => Ok(Command::Partition {
             graph: graph_path(&positional)?,
-            gpus: get_usize("gpus", 8)?,
+            gpus: get_gpus(usize::MAX)?,
             multilevel: switches.contains("multilevel"),
         }),
         "reorder" => Ok(Command::Reorder {
@@ -459,13 +482,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             communities: get_usize("communities", 8)?,
             size: get_usize("size", 150)?,
             epochs: get_usize("epochs", 80)?,
-            gpus: get_usize("gpus", 8)?,
+            gpus: get_gpus(PLATFORM_MAX_GPUS)?,
         }),
         "simulate" => {
             let engine = get_engine(&flags)?;
             let platform = get_platform(&flags)?;
             let fault = get_fault(&get_usize, &get_f64)?;
-            let gpus = get_usize("gpus", 8)?;
+            let gpus = get_gpus(PLATFORM_MAX_GPUS)?;
             let mut permanent = Vec::new();
             if let Some(spec) = flags.get("fault-gpu-fail") {
                 permanent.extend(parse_gpu_fail(spec, gpus)?);
@@ -494,7 +517,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Simulate {
                 graph: graph_path(&positional)?,
                 gpus,
-                dim: get_usize("dim", 64)?,
+                dim: get_dim()?,
                 engine,
                 tune: switches.contains("tune"),
                 platform,
@@ -507,7 +530,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "serve" => {
-            let gpus = get_usize("gpus", 8)?;
+            let gpus = get_gpus(PLATFORM_MAX_GPUS)?;
             let fault = get_fault(&get_usize, &get_f64)?;
             let mut permanent = Vec::new();
             if let Some(spec) = flags.get("fault-gpu-fail") {
@@ -637,7 +660,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Serve {
                 graph: graph_path(&positional)?,
                 gpus,
-                dim: get_usize("dim", 64)?,
+                dim: get_dim()?,
                 platform: get_platform(&flags)?,
                 arrival,
                 qps,
@@ -658,8 +681,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "profile" => Ok(Command::Profile {
             graph: graph_path(&positional)?,
-            gpus: get_usize("gpus", 8)?,
-            dim: get_usize("dim", 64)?,
+            gpus: get_gpus(PLATFORM_MAX_GPUS)?,
+            dim: get_dim()?,
             engine: get_engine(&flags)?,
             platform: get_platform(&flags)?,
             trace_out: flags.get("trace-out").map(PathBuf::from),
@@ -1533,6 +1556,22 @@ mod tests {
         assert!(parse(&args("simulate g.csr --engine nope")).unwrap_err().contains("nope"));
         assert!(parse(&args("frobnicate")).unwrap_err().contains("unknown command"));
         assert!(parse(&[]).unwrap_err().contains("no command"));
+        for cmd in ["simulate g.csr", "profile g.csr", "serve g.csr", "train"] {
+            for gpus in [0, 9] {
+                let err = parse(&args(&format!("{cmd} --gpus {gpus}"))).unwrap_err();
+                assert!(err.contains("--gpus"), "{cmd} --gpus {gpus}: {err}");
+            }
+        }
+        assert!(parse(&args("partition g.csr --gpus 0")).unwrap_err().contains("--gpus"));
+        assert!(parse(&args("partition g.csr --gpus 70000")).is_ok());
+        for cmd in ["simulate g.csr", "profile g.csr", "serve g.csr"] {
+            let err = parse(&args(&format!("{cmd} --dim 0"))).unwrap_err();
+            assert!(err.contains("--dim"), "{cmd} --dim 0: {err}");
+        }
+        for spec in ["0,100", "40,100"] {
+            let err = parse(&args(&format!("generate --rmat {spec} -o g.csr"))).unwrap_err();
+            assert!(err.contains("--rmat"), "--rmat {spec}: {err}");
+        }
     }
 
     #[test]

@@ -25,9 +25,6 @@ pub enum MggError {
     /// A live-graph delta batch references nodes outside the graph (the
     /// whole batch is rejected; nothing was applied).
     InvalidDelta(String),
-    /// An elastic-membership change was refused by its health gate (e.g.
-    /// re-joining a dead shard, or draining the last live one).
-    MembershipRejected(String),
 }
 
 impl fmt::Display for MggError {
@@ -38,7 +35,6 @@ impl fmt::Display for MggError {
             MggError::Launch(e) => write!(f, "kernel launch rejected: {e}"),
             MggError::Unrecoverable(msg) => write!(f, "unrecoverable failure: {msg}"),
             MggError::InvalidDelta(msg) => write!(f, "invalid graph delta: {msg}"),
-            MggError::MembershipRejected(msg) => write!(f, "membership change rejected: {msg}"),
         }
     }
 }
@@ -72,8 +68,6 @@ mod tests {
         assert!(e.to_string().contains("unrecoverable"));
         let e = MggError::InvalidDelta("node 99 out of range".into());
         assert!(e.to_string().contains("invalid graph delta"));
-        let e = MggError::MembershipRejected("shard 2 is dead".into());
-        assert!(e.to_string().contains("rejected"));
     }
 
     #[test]

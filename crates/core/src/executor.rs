@@ -91,23 +91,6 @@ pub struct DeltaReport {
     pub edges_removed: u64,
 }
 
-/// What one elastic-membership change ([`MggEngine::drain_shard`] /
-/// [`MggEngine::rejoin_shard`]) migrated. Unlike a failure evacuation the
-/// migration is *planned*: it is cost-charged to the next simulation but
-/// loses nothing (no detection pass, no halted warps).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MembershipReport {
-    /// Embedding rows whose owner changed in the rebalance.
-    pub rows_moved: usize,
-    /// Bytes those rows represent at the migration dimension.
-    pub bytes_moved: u64,
-    /// Host-link cost of the migration, charged to the next simulation's
-    /// `recovery.recovery_latency_ns`.
-    pub migration_ns: u64,
-    /// Shards currently administratively down after the change.
-    pub admin_down: usize,
-}
-
 /// One neighbor of a destination row: where its embedding lives and which
 /// input-graph edge reached it.
 #[derive(Clone, Copy)]
@@ -191,10 +174,6 @@ pub struct MggEngine {
     /// serving a stale embedding. Empty until the first delta batch —
     /// version 0 everywhere, the static-graph fast path.
     row_versions: Vec<u64>,
-    /// Shards administratively out of rotation (drained or left). Unlike
-    /// dead GPUs these are healthy and can re-join; the rebalance weights
-    /// treat both as zero-capacity.
-    admin_down: Vec<bool>,
     /// Checkpoint restores executed since the last simulation, merged into
     /// the next run's recovery stats (one-shot).
     checkpoint_restores: u64,
@@ -298,7 +277,6 @@ impl MggEngine {
             caches: Vec::new(),
             cache_dim: 0,
             row_versions: Vec::new(),
-            admin_down: Vec::new(),
             checkpoint_restores: 0,
             pending_restore_ns: 0,
             last_stats: None,
@@ -336,11 +314,6 @@ impl MggEngine {
         self.cache_cfg = cfg;
         self.caches = Vec::new();
         self.cache_dim = 0;
-    }
-
-    /// The active cache configuration, if caching is enabled.
-    pub fn cache_config(&self) -> Option<CacheConfig> {
-        self.cache_cfg
     }
 
     /// Drops all cached rows (counters survive). This is the invalidation
@@ -457,8 +430,7 @@ impl MggEngine {
         self.flush_cache();
         let num_gpus = self.cluster.num_gpus();
         let Some(sched) = self.cluster.faults().cloned() else {
-            let view = HealthMonitor::with_defaults(num_gpus)
-                .observe(&FaultSchedule::quiet(num_gpus), 0);
+            let view = HealthMonitor::new(num_gpus).observe(&FaultSchedule::quiet(num_gpus), 0);
             return Ok(RecoveryReport {
                 action: RecoveryAction::None,
                 view,
@@ -467,7 +439,7 @@ impl MggEngine {
                 detection_ns: 0,
             });
         };
-        let monitor = HealthMonitor::with_defaults(num_gpus);
+        let monitor = HealthMonitor::new(num_gpus);
         if !sched.has_permanent() {
             // Transient-only impairment: the health-weighted rebalance is
             // the whole recovery.
@@ -550,6 +522,11 @@ impl MggEngine {
     /// interrupted mid-epoch resumes from the last epoch boundary. The
     /// restore's host-link transfer cost is charged to the next
     /// simulation's `recovery.recovery_latency_ns`.
+    ///
+    /// A checkpoint that fails its checksum, or does not fit this engine
+    /// (a split over another GPU count or graph, or features for another
+    /// node count), is [`MggError::Unrecoverable`] and leaves the engine
+    /// unchanged.
     pub fn resume(&mut self, ckpt: &Checkpoint) -> Result<Matrix, MggError> {
         if !ckpt.is_valid() {
             return Err(MggError::Unrecoverable(format!(
@@ -557,10 +534,25 @@ impl MggEngine {
                 ckpt.epoch
             )));
         }
-        if ckpt.dim == 0 || !ckpt.features.len().is_multiple_of(ckpt.dim) {
+        let (gpus, nodes) = (self.cluster.num_gpus(), self.graph.num_nodes());
+        let b = &ckpt.bounds;
+        if b.len() != gpus + 1
+            || b[0] != 0
+            || b.windows(2).any(|w| w[0] > w[1])
+            || b[gpus] as usize != nodes
+        {
             return Err(MggError::Unrecoverable(format!(
-                "checkpoint for epoch {} has inconsistent shape",
+                "checkpoint for epoch {} has split {b:?}, not a monotone split of \
+                 {nodes} nodes over {gpus} GPUs",
                 ckpt.epoch
+            )));
+        }
+        if ckpt.dim == 0 || ckpt.features.len() != nodes * ckpt.dim {
+            return Err(MggError::Unrecoverable(format!(
+                "checkpoint for epoch {} holds {} features at dim {}, not {nodes} rows",
+                ckpt.epoch,
+                ckpt.features.len(),
+                ckpt.dim
             )));
         }
         let split = NodeSplit::from_bounds(ckpt.bounds.clone());
@@ -645,149 +637,6 @@ impl MggEngine {
         })
     }
 
-    /// Takes `shard` out of rotation as a *planned* migration: its rows
-    /// move to the remaining in-rotation shards via the same
-    /// health-weighted re-split the failover ladder uses for evacuation,
-    /// but nothing is lost and the cost is charged analytically (one
-    /// host-link transfer of the moved rows at dimension `dim`) to the
-    /// next simulation. Refused when it would leave no shard in rotation.
-    pub fn drain_shard(&mut self, shard: usize, dim: usize) -> Result<MembershipReport, MggError> {
-        self.set_admin_down(shard, true, dim)
-    }
-
-    /// Returns a drained shard to rotation, health-gated: a shard the
-    /// fault plane reports dead (or critically degraded) may not re-join.
-    /// The rebalance moves rows back onto it, cost-charged like
-    /// [`MggEngine::drain_shard`]; the caches keep serving (the moved
-    /// rows' keys are invalidated, resident survivors stay warm).
-    pub fn rejoin_shard(&mut self, shard: usize, dim: usize) -> Result<MembershipReport, MggError> {
-        if shard >= self.cluster.num_gpus() {
-            return Err(MggError::MembershipRejected(format!(
-                "shard {shard} does not exist (cluster has {})",
-                self.cluster.num_gpus()
-            )));
-        }
-        if let Some(sched) = self.cluster.faults() {
-            if sched.dead_gpus().contains(&shard) {
-                return Err(MggError::MembershipRejected(format!(
-                    "shard {shard} is dead; it cannot re-join"
-                )));
-            }
-            if sched.health(shard) < UVM_FALLBACK_HEALTH_THRESHOLD {
-                return Err(MggError::MembershipRejected(format!(
-                    "shard {shard} health {:.2} is below the re-join gate {:.2}",
-                    sched.health(shard),
-                    UVM_FALLBACK_HEALTH_THRESHOLD
-                )));
-            }
-        }
-        self.set_admin_down(shard, false, dim)
-    }
-
-    /// Shards currently administratively out of rotation.
-    pub fn admin_down(&self) -> Vec<usize> {
-        self.admin_down
-            .iter()
-            .enumerate()
-            .filter_map(|(g, &down)| down.then_some(g))
-            .collect()
-    }
-
-    fn set_admin_down(
-        &mut self,
-        shard: usize,
-        down: bool,
-        dim: usize,
-    ) -> Result<MembershipReport, MggError> {
-        let num_gpus = self.cluster.num_gpus();
-        if shard >= num_gpus {
-            return Err(MggError::MembershipRejected(format!(
-                "shard {shard} does not exist (cluster has {num_gpus})"
-            )));
-        }
-        if self.admin_down.len() < num_gpus {
-            self.admin_down.resize(num_gpus, false);
-        }
-        if self.admin_down[shard] == down {
-            // Idempotent: draining a drained shard (or re-joining an
-            // in-rotation one) moves nothing.
-            return Ok(MembershipReport {
-                admin_down: self.admin_down.iter().filter(|&&d| d).count(),
-                ..MembershipReport::default()
-            });
-        }
-        // Capacity weights fold administrative state into the same plane
-        // the failover ladder uses: dead or drained shards get zero,
-        // survivors their health. Refuse to drain the last live shard.
-        let sched = self.cluster.faults().cloned();
-        let weight = |g: usize| -> f64 {
-            let drained = if g == shard { down } else { self.admin_down[g] };
-            if drained {
-                return 0.0;
-            }
-            match &sched {
-                Some(s) if s.dead_gpus().contains(&g) => 0.0,
-                Some(s) => s.health(g).max(0.05),
-                None => 1.0,
-            }
-        };
-        let weights: Vec<f64> = (0..num_gpus).map(weight).collect();
-        if weights.iter().all(|&w| w <= 0.0) {
-            return Err(MggError::MembershipRejected(format!(
-                "draining shard {shard} would leave no shard in rotation"
-            )));
-        }
-        // Permanent failures not yet recovered need their relay routes
-        // before the rebalance claims the placement is fault-accurate.
-        if self.cluster.faults().is_some_and(FaultSchedule::has_permanent) && !self.replanned {
-            self.recover(dim)?;
-        }
-        self.admin_down[shard] = down;
-        let old_bounds = self.placement.split.bounds().to_vec();
-        self.replan_weighted(&weights);
-        // Planned-migration cost: rows whose owner changed cross the host
-        // link once (same analytic formula as a checkpoint restore).
-        let rows_moved = Self::rows_moved(&old_bounds, self.placement.split.bounds());
-        let bytes_moved = (rows_moved * dim * 4) as u64;
-        let host = &self.cluster.spec.host_link;
-        let migration_ns = if rows_moved > 0 {
-            host.latency_ns
-                + host.request_overhead_ns
-                + (bytes_moved as f64 / host.bw_gbps).ceil() as u64
-        } else {
-            0
-        };
-        self.pending_restore_ns += migration_ns;
-        self.telemetry.counter_add("churn.membership_changes", 1);
-        self.telemetry.counter_add("churn.rows_migrated", rows_moved as u64);
-        Ok(MembershipReport {
-            rows_moved,
-            bytes_moved,
-            migration_ns,
-            admin_down: self.admin_down.iter().filter(|&&d| d).count(),
-        })
-    }
-
-    /// Rows whose owning part changed between two bounds vectors over the
-    /// same node count: total nodes minus the per-part overlap of old and
-    /// new ranges.
-    fn rows_moved(old_bounds: &[u32], new_bounds: &[u32]) -> usize {
-        let n = *old_bounds.last().unwrap_or(&0) as usize;
-        let mut same = 0usize;
-        let mut old_start = 0u32;
-        let mut new_start = 0u32;
-        for (&oe, &ne) in old_bounds.iter().zip(new_bounds) {
-            let lo = old_start.max(new_start);
-            let hi = oe.min(ne);
-            if hi > lo {
-                same += (hi - lo) as usize;
-            }
-            old_start = oe;
-            new_start = ne;
-        }
-        n.saturating_sub(same)
-    }
-
     /// Stale-read detections summed over the per-GPU caches: accesses
     /// that found a resident row at the wrong version. Any non-zero value
     /// means a delta bypassed invalidation — the churn drills assert 0.
@@ -869,9 +718,9 @@ impl MggEngine {
             stats = recovered;
             trace = recovered_trace;
         }
-        if self.checkpoint_restores > 0 || self.pending_restore_ns > 0 {
-            // One-shot: resumed-from-checkpoint and planned-migration work
-            // is attributed to the first simulation after it.
+        if self.checkpoint_restores > 0 {
+            // One-shot: checkpoint restores and their host-link transfer
+            // are attributed to the first simulation after them.
             stats.recovery.checkpoint_restores += self.checkpoint_restores;
             stats.recovery.recovery_latency_ns += self.pending_restore_ns;
             tel.counter_add("engine.checkpoint_restores", self.checkpoint_restores);
@@ -1612,6 +1461,50 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_checkpoints_that_do_not_fit() {
+        let g = graph();
+        let n = g.num_nodes();
+        let mk = |gpus| {
+            MggEngine::new(
+                &g,
+                ClusterSpec::dgx_a100(gpus),
+                MggConfig::default_fixed(),
+                AggregateMode::Sum,
+            )
+        };
+        let mut e = mk(4);
+        let bounds = e.placement.split.bounds().to_vec();
+        let other = rmat(&RmatConfig::graph500(8, 2_000, 5));
+        let other_engine = MggEngine::new(
+            &other,
+            ClusterSpec::dgx_a100(4),
+            MggConfig::default_fixed(),
+            AggregateMode::Sum,
+        );
+        let bad = [
+            // A valid checkpoint of a 2-GPU engine.
+            mk(2).checkpoint(1, &features(n, 8)),
+            // A valid checkpoint of a different graph.
+            other_engine.checkpoint(1, &features(other.num_nodes(), 8)),
+            // Non-monotone bounds under a valid checksum.
+            Checkpoint::new(1, 8, vec![0, 300, 200, 400, n as u32], vec![0.0; n * 8]),
+            // Features for 10 rows of a graph with more nodes.
+            Checkpoint::new(1, 8, bounds.clone(), vec![0.0; 10 * 8]),
+        ];
+        for (i, ckpt) in bad.iter().enumerate() {
+            assert!(ckpt.is_valid(), "case {i} must pass its checksum");
+            match e.resume(ckpt) {
+                Err(MggError::Unrecoverable(_)) => {}
+                Err(err) => panic!("case {i}: expected Unrecoverable, got {err:?}"),
+                Ok(m) => panic!("case {i}: resumed a {}x{} matrix", m.rows(), m.cols()),
+            }
+            assert_eq!(e.placement.split.bounds(), &bounds[..], "case {i} moved the split");
+        }
+        // Nothing was restored: the next run matches an untouched engine's.
+        assert_eq!(e.simulate_aggregation(8).unwrap(), mk(4).simulate_aggregation(8).unwrap());
+    }
+
+    #[test]
     fn aggregator_trait_roundtrip() {
         let g = graph();
         let x = features(g.num_nodes(), 16);
@@ -1857,71 +1750,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_leave_join_cycle_is_loss_free_and_cost_charged() {
-        let g = graph();
-        let x = features(g.num_nodes(), 16);
-        let mut e = MggEngine::new(
-            &g,
-            ClusterSpec::dgx_a100(4),
-            MggConfig::default_fixed(),
-            AggregateMode::Sum,
-        );
-        let healthy = e.aggregate_values(&x);
-        let report = e.drain_shard(2, 16).unwrap();
-        assert!(report.rows_moved > 0);
-        assert!(report.migration_ns > 0);
-        assert_eq!(report.admin_down, 1);
-        assert_eq!(e.placement.split.part_nodes(2), 0, "drained shard owns nothing");
-        assert_eq!(e.admin_down(), vec![2]);
-        // Planned migration: values survive bit-exact, and the migration
-        // cost lands on the next simulation's recovery ledger.
-        assert_eq!(e.aggregate_values(&x).data(), healthy.data());
-        let stats = e.simulate_aggregation(16).unwrap();
-        assert!(stats.recovery.recovery_latency_ns >= report.migration_ns);
-        // Drain is idempotent.
-        assert_eq!(e.drain_shard(2, 16).unwrap().rows_moved, 0);
-        // Re-join moves rows back; values still exact.
-        let back = e.rejoin_shard(2, 16).unwrap();
-        assert!(back.rows_moved > 0);
-        assert_eq!(back.admin_down, 0);
-        assert!(e.placement.split.part_nodes(2) > 0, "re-joined shard owns rows again");
-        assert_eq!(e.aggregate_values(&x).data(), healthy.data());
-    }
-
-    #[test]
-    fn membership_gates_refuse_unsafe_changes() {
-        let g = graph();
-        let mut e = MggEngine::new(
-            &g,
-            ClusterSpec::dgx_a100(2),
-            MggConfig::default_fixed(),
-            AggregateMode::Sum,
-        );
-        // Dead shards may not re-join.
-        e.install_fault_schedule(FaultSchedule::gpu_failure(2, 1, 1_000));
-        e.drain_shard(1, 16).unwrap_or_else(|_| MembershipReport::default());
-        match e.rejoin_shard(1, 16) {
-            Err(MggError::MembershipRejected(msg)) => assert!(msg.contains("dead"), "{msg}"),
-            other => panic!("expected MembershipRejected, got {other:?}"),
-        }
-        // Draining the last live shard is refused.
-        match e.drain_shard(0, 16) {
-            Err(MggError::MembershipRejected(msg)) => {
-                assert!(msg.contains("no shard"), "{msg}")
-            }
-            other => panic!("expected MembershipRejected, got {other:?}"),
-        }
-        // Nonexistent shards are typed errors, not panics.
-        assert!(matches!(
-            e.rejoin_shard(7, 16),
-            Err(MggError::MembershipRejected(_))
-        ));
-    }
-
-    #[test]
     fn invalidation_audit_every_replan_path_starts_cold() {
         // The invalidation audit: every path that re-maps (PE, row)
-        // addresses — set_config(ps), resume, recover, drain — must leave
+        // addresses — set_config(ps), resume, recover — must leave
         // the cache cold (first-touch misses reappear), while a fence
         // that touches nothing keeps it warm.
         let g = graph();
@@ -1969,10 +1800,6 @@ mod tests {
             e.recover(32).unwrap();
         });
         assert!(after_recover >= cold_misses, "recover must flush even reroute-only");
-        let after_drain = run_after(&|e| {
-            e.drain_shard(3, 32).unwrap();
-        });
-        assert!(after_drain >= warm, "drain re-maps addresses and must not serve stale rows");
     }
 }
 

@@ -223,11 +223,6 @@ impl<'a> MggKernel<'a> {
         kernel
     }
 
-    /// Total warps across all GPUs.
-    pub fn total_warps(&self) -> usize {
-        self.assignments.iter().map(|a| a.len()).sum()
-    }
-
     /// Cache counters accumulated while planning this kernel: zero for
     /// uncached builds, otherwise the per-run delta summed over all PEs.
     pub fn cache_stats(&self) -> CacheStats {

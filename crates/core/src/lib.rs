@@ -86,7 +86,7 @@ pub mod workload;
 pub use config::MggConfig;
 pub use error::MggError;
 pub use mgg_cache::{CacheConfig, CachePolicy, CacheStats};
-pub use executor::{DeltaReport, MembershipReport, MggEngine, RecoveryAction, RecoveryReport};
+pub use executor::{DeltaReport, MggEngine, RecoveryAction, RecoveryReport};
 pub use kernel::{KernelVariant, MggKernel};
 pub use model::AnalyticalModel;
 pub use replicated::ReplicatedEngine;

@@ -14,9 +14,8 @@
 //! (`ps·wpb·IntS + 2·ps·wpb·D·FloatS`, i.e. a full `ps x D` staging area
 //! per warp); Equation 1 keeps one `D`-vector per warp for the partial
 //! result and one for the remote staging buffer. The two disagree in the
-//! paper itself; we follow Equation 1 for modeling (and expose the
-//! Listing-2 formula separately), since Equation 1 is what the constraint
-//! `SMEM ≤ c2` is stated over.
+//! paper itself; we follow Equation 1 for modeling, since Equation 1 is
+//! what the constraint `SMEM ≤ c2` is stated over.
 
 use mgg_sim::{GpuSpec, KernelLaunch};
 use serde::Serialize;
@@ -67,12 +66,6 @@ impl AnalyticalModel {
     pub fn smem_bytes(&self, cfg: &MggConfig) -> u64 {
         cfg.ps as u64 * cfg.wpb as u64 * INT_S
             + 2 * cfg.wpb as u64 * self.dim as u64 * FLOAT_S
-    }
-
-    /// Listing 2's (larger) shared-memory size, kept for reference.
-    pub fn smem_bytes_listing2(&self, cfg: &MggConfig) -> u64 {
-        cfg.ps as u64 * cfg.wpb as u64 * INT_S
-            + 2 * cfg.ps as u64 * cfg.wpb as u64 * self.dim as u64 * FLOAT_S
     }
 
     /// Equations 2–3 for a given per-GPU partition census.
@@ -126,13 +119,6 @@ mod tests {
         let m = model();
         let cfg = MggConfig { ps: 16, dist: 1, wpb: 2 };
         assert_eq!(m.smem_bytes(&cfg), 16 * 2 * 4 + 2 * 2 * 602 * 4);
-    }
-
-    #[test]
-    fn listing2_is_larger() {
-        let m = model();
-        let cfg = MggConfig { ps: 16, dist: 1, wpb: 2 };
-        assert!(m.smem_bytes_listing2(&cfg) > m.smem_bytes(&cfg));
     }
 
     #[test]

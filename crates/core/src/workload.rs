@@ -25,17 +25,6 @@ impl WorkPlan {
     pub fn total_neighbors(&self) -> u64 {
         self.lnps.iter().chain(&self.rnps).map(|p| p.len as u64).sum()
     }
-
-    /// Ratio of the largest to the smallest nonzero partition length — 1.0
-    /// means perfectly uniform warp workloads.
-    pub fn partition_skew(&self) -> f64 {
-        let lens: Vec<u32> =
-            self.lnps.iter().chain(&self.rnps).map(|p| p.len).filter(|&l| l > 0).collect();
-        match (lens.iter().max(), lens.iter().min()) {
-            (Some(&max), Some(&min)) if min > 0 => max as f64 / min as f64,
-            _ => 1.0,
-        }
-    }
 }
 
 /// Builds every GPU's [`WorkPlan`] with neighbor-partition size `ps`

@@ -6,8 +6,9 @@
 //!
 //! 1. **Detection** — a [`HealthMonitor`] replays the deterministic heartbeat
 //!    history implied by a fault schedule and scores each GPU with a
-//!    phi-accrual-style suspicion value, yielding a [`ClusterView`] of alive,
-//!    suspected, and dead GPUs plus the set of still-usable links.
+//!    phi-accrual-style suspicion value against fixed suspect and dead
+//!    thresholds, yielding a [`ClusterView`] of alive, suspected, and dead
+//!    GPUs plus the set of still-usable links.
 //! 2. **Routing** — [`plan_route`] finds a surviving path around a dead
 //!    NVLink (shortest hop-count over `usable_links`), falling back to
 //!    host/PCIe staging when the fabric is partitioned.
@@ -30,59 +31,22 @@
 pub mod checkpoint;
 
 use mgg_fault::{FaultSchedule, HEARTBEAT_PERIOD_NS};
-use serde::{Deserialize, Serialize};
 
-/// Thresholds of the phi-accrual-style failure detector.
-///
-/// Classic phi-accrual estimates `phi = -log10 P(heartbeat still pending)`
-/// from an inter-arrival distribution. The simulator's heartbeats are
-/// perfectly periodic, so the distribution degenerates and phi reduces to a
-/// linear ramp: each missed period adds [`MonitorPolicy::phi_per_miss`] to
-/// the score. The suspect/dead thresholds keep the classic two-stage shape
-/// (suspicion before declaration) with deterministic crossing times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MonitorPolicy {
-    /// Heartbeat probe period, in simulated nanoseconds.
-    pub heartbeat_ns: u64,
-    /// Suspicion added per fully missed heartbeat period.
-    pub phi_per_miss: f64,
-    /// Phi at which a GPU becomes suspected (excluded from new work, still
-    /// counted as reachable).
-    pub suspect_phi: f64,
-    /// Phi at which a GPU is declared dead (triggers evacuation).
-    pub dead_phi: f64,
-}
+// Thresholds of the phi-accrual-style failure detector. Classic
+// phi-accrual estimates `phi = -log10 P(heartbeat still pending)` from an
+// inter-arrival distribution. The simulator's heartbeats are perfectly
+// periodic (one every `HEARTBEAT_PERIOD_NS`), so the distribution
+// degenerates and phi reduces to a linear ramp: each missed period adds
+// `PHI_PER_MISS`. The suspect/dead thresholds keep the classic two-stage
+// shape (suspicion before declaration) with deterministic crossing times.
 
-impl Default for MonitorPolicy {
-    fn default() -> Self {
-        MonitorPolicy {
-            heartbeat_ns: HEARTBEAT_PERIOD_NS,
-            phi_per_miss: 0.8,
-            suspect_phi: 1.0,
-            dead_phi: 3.0,
-        }
-    }
-}
-
-impl MonitorPolicy {
-    /// Time from a GPU's death to its phi crossing [`Self::dead_phi`]:
-    /// the detection latency charged by the failover path.
-    pub fn detection_delay_ns(&self) -> u64 {
-        let misses = (self.dead_phi / self.phi_per_miss).ceil().max(1.0) as u64;
-        misses * self.heartbeat_ns
-    }
-}
-
-/// Liveness classification of one GPU at the observation horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GpuStatus {
-    /// Heartbeats current; full participant.
-    Alive,
-    /// Missed enough heartbeats to cross `suspect_phi` but not `dead_phi`.
-    Suspected,
-    /// Crossed `dead_phi`; shard must be evacuated.
-    Dead,
-}
+/// Suspicion added per fully missed heartbeat period.
+const PHI_PER_MISS: f64 = 0.8;
+/// Phi at which a GPU becomes suspected (excluded from new work, still
+/// counted as reachable).
+const SUSPECT_PHI: f64 = 1.0;
+/// Phi at which a GPU is declared dead (triggers evacuation).
+const DEAD_PHI: f64 = 3.0;
 
 /// Deterministic snapshot of cluster health at a given horizon.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,14 +68,6 @@ impl ClusterView {
         self.alive.len() + self.suspected.len() + self.dead.len()
     }
 
-    /// True when every GPU is alive and every link usable for its size.
-    pub fn all_healthy(&self) -> bool {
-        let n = self.num_gpus();
-        self.dead.is_empty()
-            && self.suspected.is_empty()
-            && self.usable_links.len() == n * n.saturating_sub(1) / 2
-    }
-
     /// Whether `gpu` is declared dead.
     pub fn is_dead(&self, gpu: usize) -> bool {
         self.dead.binary_search(&gpu).is_ok()
@@ -131,15 +87,6 @@ impl ClusterView {
         s.sort_unstable();
         s
     }
-
-    /// Survivors minus administratively-down shards, ascending — the set
-    /// actually taking traffic under elastic membership. A drained shard
-    /// is healthy (its links still relay traffic, unlike a dead GPU's);
-    /// it just holds no rows, so rebalance and admission planes must plan
-    /// around this set, not [`ClusterView::survivors`].
-    pub fn rotation(&self, admin_down: &[usize]) -> Vec<usize> {
-        self.survivors().into_iter().filter(|g| !admin_down.contains(g)).collect()
-    }
 }
 
 /// Heartbeat-driven failure detector.
@@ -152,50 +99,36 @@ impl ClusterView {
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     num_gpus: usize,
-    policy: MonitorPolicy,
 }
 
 impl HealthMonitor {
-    /// A monitor for `num_gpus` peers under `policy` (panics on a
-    /// degenerate policy: zero heartbeat or non-positive phi thresholds).
-    pub fn new(num_gpus: usize, policy: MonitorPolicy) -> Self {
+    /// A monitor for `num_gpus` peers (panics on zero).
+    pub fn new(num_gpus: usize) -> Self {
         assert!(num_gpus >= 1, "need at least one GPU");
-        assert!(policy.heartbeat_ns > 0, "heartbeat period must be positive");
-        assert!(
-            policy.phi_per_miss > 0.0 && policy.suspect_phi > 0.0,
-            "phi thresholds must be positive"
-        );
-        assert!(
-            policy.dead_phi >= policy.suspect_phi,
-            "dead_phi must not undercut suspect_phi"
-        );
-        HealthMonitor { num_gpus, policy }
+        HealthMonitor { num_gpus }
     }
 
-    /// A monitor with the default [`MonitorPolicy`].
-    pub fn with_defaults(num_gpus: usize) -> Self {
-        Self::new(num_gpus, MonitorPolicy::default())
-    }
-
-    /// The policy this monitor scores against.
-    pub fn policy(&self) -> &MonitorPolicy {
-        &self.policy
+    /// Time from a GPU's death to its phi crossing the dead threshold:
+    /// the detection latency charged by the failover path.
+    pub fn detection_delay_ns(&self) -> u64 {
+        let misses = (DEAD_PHI / PHI_PER_MISS).ceil().max(1.0) as u64;
+        misses * HEARTBEAT_PERIOD_NS
     }
 
     /// Suspicion score of `gpu` at `horizon_ns` under `sched`.
     ///
     /// The last heartbeat received from a GPU that dies at `d` is the last
-    /// probe at or before `d`; phi then ramps by `phi_per_miss` per elapsed
+    /// probe at or before `d`; phi then ramps by `PHI_PER_MISS` per elapsed
     /// period. A live GPU's last heartbeat is the most recent probe, so its
     /// phi never reaches one full miss.
     pub fn phi(&self, sched: &FaultSchedule, gpu: usize, horizon_ns: u64) -> f64 {
-        let hb = self.policy.heartbeat_ns;
+        let hb = HEARTBEAT_PERIOD_NS;
         let last_beat = match sched.gpu_dead_at(gpu) {
             Some(d) if d <= horizon_ns => (d / hb) * hb,
             _ => (horizon_ns / hb) * hb,
         };
         let missed = (horizon_ns - last_beat) / hb;
-        missed as f64 * self.policy.phi_per_miss
+        missed as f64 * PHI_PER_MISS
     }
 
     /// Classifies every GPU and link at `horizon_ns`.
@@ -203,9 +136,9 @@ impl HealthMonitor {
         let (mut alive, mut suspected, mut dead) = (Vec::new(), Vec::new(), Vec::new());
         for g in 0..self.num_gpus {
             let phi = self.phi(sched, g, horizon_ns);
-            if phi >= self.policy.dead_phi {
+            if phi >= DEAD_PHI {
                 dead.push(g);
-            } else if phi >= self.policy.suspect_phi {
+            } else if phi >= SUSPECT_PHI {
                 suspected.push(g);
             } else {
                 alive.push(g);
@@ -235,20 +168,16 @@ impl HealthMonitor {
     /// about to evict — joins are the one transition that can afford to
     /// wait for a clean bill of health.
     pub fn join_admissible(&self, sched: &FaultSchedule, gpu: usize, horizon_ns: u64) -> bool {
-        self.phi(sched, gpu, horizon_ns) < self.policy.suspect_phi
+        self.phi(sched, gpu, horizon_ns) < SUSPECT_PHI
     }
 
     /// The earliest horizon at which every permanent fault in `sched` has
-    /// been *detected* (each dead GPU's phi has crossed `dead_phi`). Link
+    /// been *detected* (each dead GPU's phi has crossed `DEAD_PHI`). Link
     /// failures are observed immediately by the endpoint's transfer error,
     /// so only GPU deaths contribute detection delay.
     pub fn detection_horizon_ns(&self, sched: &FaultSchedule) -> Option<u64> {
         let last_fault = sched.permanent().iter().map(|f| f.at_ns()).max()?;
-        let gpu_delay = if sched.dead_gpus().is_empty() {
-            0
-        } else {
-            self.policy.detection_delay_ns()
-        };
+        let gpu_delay = if sched.dead_gpus().is_empty() { 0 } else { self.detection_delay_ns() };
         Some(last_fault + gpu_delay)
     }
 }
@@ -321,19 +250,18 @@ mod tests {
 
     #[test]
     fn healthy_cluster_is_all_alive() {
-        let m = HealthMonitor::with_defaults(4);
+        let m = HealthMonitor::new(4);
         let sched = FaultSchedule::quiet(4);
         let view = m.observe(&sched, 100_000);
         assert_eq!(view.alive, vec![0, 1, 2, 3]);
         assert!(view.dead.is_empty() && view.suspected.is_empty());
         assert_eq!(view.usable_links.len(), 6);
-        assert!(view.all_healthy());
         assert_eq!(m.detection_horizon_ns(&sched), None);
     }
 
     #[test]
     fn dead_gpu_crosses_thresholds_in_order() {
-        let m = HealthMonitor::with_defaults(4);
+        let m = HealthMonitor::new(4);
         let sched = FaultSchedule::gpu_failure(4, 2, 2_000);
         // Right at death: still alive (no misses yet).
         let v = m.observe(&sched, 2_000);
@@ -342,7 +270,7 @@ mod tests {
         let v = m.observe(&sched, 4_000);
         assert_eq!(v.suspected, vec![2]);
         // After the detection delay: dead.
-        let at = 2_000 + m.policy().detection_delay_ns();
+        let at = 2_000 + m.detection_delay_ns();
         let v = m.observe(&sched, at);
         assert_eq!(v.dead, vec![2]);
         assert_eq!(v.survivors(), vec![0, 1, 3]);
@@ -356,7 +284,7 @@ mod tests {
 
     #[test]
     fn phi_is_deterministic_and_monotone() {
-        let m = HealthMonitor::with_defaults(2);
+        let m = HealthMonitor::new(2);
         let sched = FaultSchedule::gpu_failure(2, 1, 1_500);
         let mut last = 0.0;
         for t in (2_000..10_000).step_by(500) {
@@ -370,7 +298,7 @@ mod tests {
 
     #[test]
     fn link_down_excluded_but_endpoints_alive() {
-        let m = HealthMonitor::with_defaults(4);
+        let m = HealthMonitor::new(4);
         let sched = FaultSchedule::link_down(4, 0, 2, 1_000);
         let v = m.observe(&sched, 5_000);
         assert_eq!(v.alive, vec![0, 1, 2, 3]);
@@ -383,7 +311,7 @@ mod tests {
 
     #[test]
     fn routes_direct_relay_and_host_staged() {
-        let m = HealthMonitor::with_defaults(4);
+        let m = HealthMonitor::new(4);
         // One link down: relay around it.
         let sched = FaultSchedule::link_down(4, 0, 2, 0);
         let v = m.observe(&sched, 1_000);
@@ -405,7 +333,7 @@ mod tests {
 
     #[test]
     fn observe_is_pure() {
-        let m = HealthMonitor::with_defaults(8);
+        let m = HealthMonitor::new(8);
         let spec = FaultSpec { seed: 77, gpu_failures: 2, link_failures: 3, ..FaultSpec::quiet() };
         let sched = FaultSchedule::derive(&spec, 8);
         let a = m.observe(&sched, 50_000);
@@ -415,28 +343,13 @@ mod tests {
 
     #[test]
     fn detection_delay_matches_policy_math() {
-        let p = MonitorPolicy::default();
         // ceil(3.0 / 0.8) = 4 missed periods.
-        assert_eq!(p.detection_delay_ns(), 4 * p.heartbeat_ns);
-    }
-
-    #[test]
-    fn rotation_excludes_admin_down_but_keeps_them_as_survivors() {
-        let m = HealthMonitor::with_defaults(4);
-        let sched = FaultSchedule::gpu_failure(4, 2, 0);
-        let v = m.observe(&sched, 100_000);
-        assert_eq!(v.survivors(), vec![0, 1, 3]);
-        // Draining shard 1 removes it from rotation without declaring it dead.
-        assert_eq!(v.rotation(&[1]), vec![0, 3]);
-        assert_eq!(v.survivors(), vec![0, 1, 3], "drain must not change survivorship");
-        // Admin-down on an already-dead shard is a no-op.
-        assert_eq!(v.rotation(&[2]), vec![0, 1, 3]);
-        assert_eq!(v.rotation(&[]), v.survivors());
+        assert_eq!(HealthMonitor::new(1).detection_delay_ns(), 4 * HEARTBEAT_PERIOD_NS);
     }
 
     #[test]
     fn join_gate_tracks_the_suspect_threshold() {
-        let m = HealthMonitor::with_defaults(4);
+        let m = HealthMonitor::new(4);
         let quiet = FaultSchedule::quiet(4);
         for g in 0..4 {
             assert!(m.join_admissible(&quiet, g, 1_000_000));

@@ -173,93 +173,6 @@ impl Gat {
     }
 }
 
-/// A multi-head GAT layer: `heads` independent single-head layers whose
-/// outputs concatenate (the standard GAT construction for hidden layers).
-#[derive(Debug, Clone)]
-pub struct MultiHeadGatLayer {
-    /// The independent heads; outputs concatenate in head order.
-    pub heads: Vec<GatLayer>,
-}
-
-impl MultiHeadGatLayer {
-    /// `heads` heads of `in_dim -> head_dim`, concatenating to
-    /// `heads * head_dim`.
-    pub fn new(in_dim: usize, head_dim: usize, heads: usize, seed: u64) -> Self {
-        assert!(heads >= 1, "need at least one head");
-        MultiHeadGatLayer {
-            heads: (0..heads)
-                .map(|h| GatLayer::new(in_dim, head_dim, seed.wrapping_add(31 * h as u64)))
-                .collect(),
-        }
-    }
-
-    /// Forward through `backend`; returns the concatenated output and the
-    /// summed per-head timing.
-    pub fn forward(
-        &self,
-        backend: &mut dyn GatBackend,
-        h: &Matrix,
-        slope: f32,
-    ) -> (Matrix, GatLayerTiming) {
-        let head_dim = self.heads[0].w.cols();
-        let n = h.rows();
-        let mut out = Matrix::zeros(n, head_dim * self.heads.len());
-        let mut timing = GatLayerTiming::default();
-        for (hi, layer) in self.heads.iter().enumerate() {
-            let z = h.matmul(&layer.w);
-            let dot = |a: &[f32], row: &[f32]| -> f32 {
-                a.iter().zip(row).map(|(&p, &q)| p * q).sum()
-            };
-            let s_src: Vec<f32> = (0..n).map(|r| dot(&layer.a_src, z.row(r))).collect();
-            let s_dst: Vec<f32> = (0..n).map(|r| dot(&layer.a_dst, z.row(r))).collect();
-            let (alpha, t_attn) = backend.attention(&s_dst, &s_src, slope);
-            let (agg, t_agg) = backend.aggregate_weighted(&z, &alpha);
-            timing.attention_ns += t_attn;
-            timing.aggregate_ns += t_agg;
-            for r in 0..n {
-                out.row_mut(r)[hi * head_dim..(hi + 1) * head_dim]
-                    .copy_from_slice(agg.row(r));
-            }
-        }
-        (out, timing)
-    }
-}
-
-#[cfg(test)]
-mod multi_head_tests {
-    use super::*;
-    use mgg_graph::generators::rmat::{rmat, RmatConfig};
-
-    #[test]
-    fn concatenation_shape_and_head_independence() {
-        let g = rmat(&RmatConfig::graph500(8, 1_500, 19));
-        let x = Matrix::glorot(g.num_nodes(), 10, 23);
-        let layer = MultiHeadGatLayer::new(10, 4, 3, 29);
-        let mut backend = ReferenceGatBackend { graph: g.clone() };
-        let (out, _) = layer.forward(&mut backend, &x, 0.2);
-        assert_eq!(out.cols(), 12);
-
-        // Head 1's slice equals running that head as a single-head model.
-        let single = Gat { layers: vec![layer.heads[1].clone()], slope: 0.2 };
-        let mut backend2 = ReferenceGatBackend { graph: g };
-        let (want, _) = single.forward(&mut backend2, &x);
-        for r in 0..out.rows() {
-            for c in 0..4 {
-                assert!(
-                    (out.row(r)[4 + c] - want.row(r)[c]).abs() < 1e-6,
-                    "head slice mismatch at ({r},{c})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one head")]
-    fn rejects_zero_heads() {
-        let _ = MultiHeadGatLayer::new(4, 4, 0, 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,342 +232,5 @@ mod tests {
         assert_eq!(logits.cols(), 3);
         assert_eq!(timings.len(), 2);
         assert!(logits.data().iter().all(|v| v.is_finite()));
-    }
-}
-
-/// Full GAT training (single head, 2 layers) with hand-derived attention
-/// backpropagation.
-///
-/// The chain through each layer `out_v = sum_u alpha(v,u) z_u` with
-/// `alpha = softmax_row(leaky(s_dst[v] + s_src[u]))`, `z = h W`,
-/// `s_src = z a_src`, `s_dst = z a_dst`:
-///
-/// ```text
-/// dalpha(v,u) = dout_v · z_u
-/// dz_u       += alpha(v,u) dout_v                     (weighted adjoint)
-/// de          = alpha ⊙ (dalpha - Σ_u alpha dalpha)   (softmax backward)
-/// ds_dst[v]   = Σ_u de(v,u) leaky'(e_raw)
-/// ds_src[u]  += de(v,u) leaky'(e_raw)                 (scatter)
-/// dz         += ds_src ⊗ a_src + ds_dst ⊗ a_dst
-/// da_src      = z^T ds_src,  da_dst = z^T ds_dst
-/// dW          = h^T dz,  dh = dz W^T
-/// ```
-pub mod train {
-    use super::*;
-    use super::reference_attention;
-    use crate::reference::{aggregate_edge_weighted, aggregate_edge_weighted_adjoint};
-    use crate::tensor::{accuracy, cross_entropy, Adam, Matrix};
-
-    /// Per-layer forward cache for backprop.
-    struct LayerCache {
-        h: Matrix,
-        z: Matrix,
-        alpha: Vec<f32>,
-        e_raw: Vec<f32>,
-        pre_relu: Option<Matrix>,
-    }
-
-    fn raw_scores(graph: &CsrGraph, s_dst: &[f32], s_src: &[f32]) -> Vec<f32> {
-        let mut e = vec![0.0f32; graph.num_edges()];
-        for v in 0..graph.num_nodes() as NodeId {
-            let base = graph.row_ptr()[v as usize] as usize;
-            for (k, &u) in graph.neighbors(v).iter().enumerate() {
-                e[base + k] = s_dst[v as usize] + s_src[u as usize];
-            }
-        }
-        e
-    }
-
-    /// Gradients of the attention weights with respect to the raw scores
-    /// (softmax backward per destination row), then through LeakyReLU.
-    fn attention_backward(
-        graph: &CsrGraph,
-        alpha: &[f32],
-        e_raw: &[f32],
-        dalpha: &[f32],
-        slope: f32,
-    ) -> (Vec<f32>, Vec<f32>) {
-        let n = graph.num_nodes();
-        let mut ds_dst = vec![0.0f32; n];
-        let mut ds_src = vec![0.0f32; n];
-        for v in 0..n as NodeId {
-            let base = graph.row_ptr()[v as usize] as usize;
-            let nbrs = graph.neighbors(v);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let dot: f32 = (0..nbrs.len()).map(|k| alpha[base + k] * dalpha[base + k]).sum();
-            for (k, &u) in nbrs.iter().enumerate() {
-                let de = alpha[base + k] * (dalpha[base + k] - dot);
-                let lp = if e_raw[base + k] >= 0.0 { 1.0 } else { slope };
-                let d = de * lp;
-                ds_dst[v as usize] += d;
-                ds_src[u as usize] += d;
-            }
-        }
-        (ds_dst, ds_src)
-    }
-
-    /// Result of a GAT training run.
-    pub struct GatTrainResult {
-        /// Loss after each epoch.
-        pub train_losses: Vec<f32>,
-        /// Accuracy on the held-out test split after training.
-        pub test_accuracy: f64,
-    }
-
-    /// Trains a 2-layer single-head GAT on `graph` with full-batch Adam.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_gat(
-        graph: &CsrGraph,
-        x: &Matrix,
-        labels: &[u32],
-        classes: usize,
-        hidden: usize,
-        train_mask: &[bool],
-        test_mask: &[bool],
-        epochs: usize,
-        lr: f32,
-        seed: u64,
-    ) -> GatTrainResult {
-        let n = graph.num_nodes();
-        let slope = 0.2f32;
-        let mut model = Gat::new(x.cols(), hidden, classes, seed);
-        let mut opt_w: Vec<Adam> =
-            model.layers.iter().map(|l| Adam::new(l.w.data().len(), lr)).collect();
-        let mut opt_a: Vec<(Adam, Adam)> = model
-            .layers
-            .iter()
-            .map(|l| (Adam::new(l.a_src.len(), lr), Adam::new(l.a_dst.len(), lr)))
-            .collect();
-        let batch = train_mask.iter().filter(|&&b| b).count().max(1);
-        let mut losses = Vec::with_capacity(epochs);
-
-        for _ in 0..epochs {
-            // Forward with caches.
-            let mut caches: Vec<LayerCache> = Vec::new();
-            let mut h = x.clone();
-            for (i, layer) in model.layers.iter().enumerate() {
-                let z = h.matmul(&layer.w);
-                let dot = |a: &[f32], row: &[f32]| -> f32 {
-                    a.iter().zip(row).map(|(&p, &q)| p * q).sum()
-                };
-                let s_src: Vec<f32> = (0..n).map(|r| dot(&layer.a_src, z.row(r))).collect();
-                let s_dst: Vec<f32> = (0..n).map(|r| dot(&layer.a_dst, z.row(r))).collect();
-                let e_raw = raw_scores(graph, &s_dst, &s_src);
-                let alpha = reference_attention(graph, &s_dst, &s_src, slope);
-                let mut out = aggregate_edge_weighted(graph, &z, &alpha);
-                let pre = if i + 1 != model.layers.len() {
-                    let pre = out.clone();
-                    out.relu_inplace();
-                    Some(pre)
-                } else {
-                    None
-                };
-                caches.push(LayerCache { h: h.clone(), z, alpha, e_raw, pre_relu: pre });
-                h = out;
-            }
-            let mut p = h.clone();
-            p.softmax_rows_inplace();
-            losses.push(cross_entropy(&p, labels, Some(train_mask)));
-
-            // Loss gradient.
-            let mut dout = p;
-            for (row, (&y, &m)) in labels.iter().zip(train_mask).enumerate() {
-                let o = dout.row_mut(row);
-                if m {
-                    o[y as usize] -= 1.0;
-                    o.iter_mut().for_each(|v| *v /= batch as f32);
-                } else {
-                    o.iter_mut().for_each(|v| *v = 0.0);
-                }
-            }
-
-            // Backward through the layers.
-            for (i, layer) in model.layers.iter_mut().enumerate().rev() {
-                let cache = &caches[i];
-                if let Some(pre) = &cache.pre_relu {
-                    Matrix::relu_backward_inplace(&mut dout, pre);
-                }
-                // dalpha(v,u) = dout_v · z_u.
-                let mut dalpha = vec![0.0f32; graph.num_edges()];
-                for v in 0..n as NodeId {
-                    let base = graph.row_ptr()[v as usize] as usize;
-                    let dv = dout.row(v as usize);
-                    for (k, &u) in graph.neighbors(v).iter().enumerate() {
-                        dalpha[base + k] = dv
-                            .iter()
-                            .zip(cache.z.row(u as usize))
-                            .map(|(&a, &b)| a * b)
-                            .sum();
-                    }
-                }
-                // dz from the aggregation (weighted adjoint)...
-                let mut dz = aggregate_edge_weighted_adjoint(graph, &dout, &cache.alpha);
-                // ...plus through the scores.
-                let (ds_dst, ds_src) =
-                    attention_backward(graph, &cache.alpha, &cache.e_raw, &dalpha, slope);
-                let dim_out = cache.z.cols();
-                let mut da_src = vec![0.0f32; dim_out];
-                let mut da_dst = vec![0.0f32; dim_out];
-                for r in 0..n {
-                    let zr = cache.z.row(r);
-                    let dzr = dz.row_mut(r);
-                    for c in 0..dim_out {
-                        dzr[c] += ds_src[r] * layer.a_src[c] + ds_dst[r] * layer.a_dst[c];
-                        da_src[c] += ds_src[r] * zr[c];
-                        da_dst[c] += ds_dst[r] * zr[c];
-                    }
-                }
-                let dw = cache.h.t_matmul(&dz);
-                dout = dz.matmul_t(&layer.w);
-                opt_w[i].step(&mut layer.w, &dw);
-                let (oa, ob) = &mut opt_a[i];
-                let mut a_src_m = Matrix::from_vec(1, dim_out, layer.a_src.clone());
-                oa.step(&mut a_src_m, &Matrix::from_vec(1, dim_out, da_src));
-                layer.a_src = a_src_m.data().to_vec();
-                let mut a_dst_m = Matrix::from_vec(1, dim_out, layer.a_dst.clone());
-                ob.step(&mut a_dst_m, &Matrix::from_vec(1, dim_out, da_dst));
-                layer.a_dst = a_dst_m.data().to_vec();
-            }
-        }
-
-        // Evaluation.
-        let mut backend = ReferenceGatBackend { graph: graph.clone() };
-        let (logits, _) = model.forward(&mut backend, x);
-        GatTrainResult {
-            train_losses: losses,
-            test_accuracy: accuracy(&logits, labels, Some(test_mask)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod train_tests {
-    use super::train::train_gat;
-    use super::*;
-    use crate::features::{label_features, split_masks};
-    use mgg_graph::generators::random::{sbm, SbmConfig};
-
-    #[test]
-    fn gat_training_learns_on_communities() {
-        let out = sbm(&SbmConfig {
-            block_sizes: vec![90, 90],
-            avg_degree_in: 10.0,
-            avg_degree_out: 1.5,
-            seed: 71,
-        });
-        let x = label_features(&out.labels, 2, 10, 0.5, 72);
-        let (tr, _, te) = split_masks(out.graph.num_nodes(), 0.4, 0.2, 73);
-        let r = train_gat(&out.graph, &x, &out.labels, 2, 8, &tr, &te, 60, 0.01, 74);
-        let first = r.train_losses[0];
-        let last = *r.train_losses.last().unwrap();
-        assert!(last < 0.7 * first, "loss {first} -> {last}");
-        assert!(r.test_accuracy > 0.75, "acc {}", r.test_accuracy);
-    }
-
-    #[test]
-    fn gat_gradient_check_attention_path() {
-        // Numerically verify d(loss)/d(a_src) on a tiny graph — the
-        // trickiest path (through softmax attention).
-        use crate::reference::aggregate_edge_weighted;
-        use crate::tensor::{cross_entropy, Matrix};
-        let out = sbm(&SbmConfig {
-            block_sizes: vec![12, 12],
-            avg_degree_in: 5.0,
-            avg_degree_out: 1.0,
-            seed: 81,
-        });
-        let g = out.graph;
-        let n = g.num_nodes();
-        let x = label_features(&out.labels, 2, 5, 0.8, 82);
-        let y = out.labels.clone();
-        let mask = vec![true; n];
-        let w = Matrix::glorot(5, 2, 1);
-        let a_src0: Vec<f32> = Matrix::glorot(1, 2, 2).data().to_vec();
-        let a_dst: Vec<f32> = Matrix::glorot(1, 2, 3).data().to_vec();
-        let slope = 0.2;
-
-        let loss = |a_src: &[f32]| -> f64 {
-            let z = x.matmul(&w);
-            let dot = |a: &[f32], row: &[f32]| -> f32 {
-                a.iter().zip(row).map(|(&p, &q)| p * q).sum()
-            };
-            let s_src: Vec<f32> = (0..n).map(|r| dot(a_src, z.row(r))).collect();
-            let s_dst: Vec<f32> = (0..n).map(|r| dot(&a_dst, z.row(r))).collect();
-            let alpha = reference_attention(&g, &s_dst, &s_src, slope);
-            let logits = aggregate_edge_weighted(&g, &z, &alpha);
-            let mut p = logits;
-            p.softmax_rows_inplace();
-            cross_entropy(&p, &y, Some(&mask)) as f64
-        };
-
-        // Analytic via the training internals: replicate one backward.
-        let z = x.matmul(&w);
-        let dotf = |a: &[f32], row: &[f32]| -> f32 {
-            a.iter().zip(row).map(|(&p, &q)| p * q).sum()
-        };
-        let s_src: Vec<f32> = (0..n).map(|r| dotf(&a_src0, z.row(r))).collect();
-        let s_dst: Vec<f32> = (0..n).map(|r| dotf(&a_dst, z.row(r))).collect();
-        let alpha = reference_attention(&g, &s_dst, &s_src, slope);
-        let logits = aggregate_edge_weighted(&g, &z, &alpha);
-        let mut p = logits;
-        p.softmax_rows_inplace();
-        let mut dout = p;
-        for (row, &yy) in y.iter().enumerate() {
-            let o = dout.row_mut(row);
-            o[yy as usize] -= 1.0;
-            o.iter_mut().for_each(|v| *v /= n as f32);
-        }
-        // dalpha and backward through softmax+leaky to ds_src.
-        let mut dalpha = vec![0.0f32; g.num_edges()];
-        let mut e_raw = vec![0.0f32; g.num_edges()];
-        for v in 0..n as u32 {
-            let base = g.row_ptr()[v as usize] as usize;
-            for (k, &u) in g.neighbors(v).iter().enumerate() {
-                e_raw[base + k] = s_dst[v as usize] + s_src[u as usize];
-                dalpha[base + k] = dout
-                    .row(v as usize)
-                    .iter()
-                    .zip(z.row(u as usize))
-                    .map(|(&a, &b)| a * b)
-                    .sum();
-            }
-        }
-        let mut ds_src = vec![0.0f32; n];
-        for v in 0..n as u32 {
-            let base = g.row_ptr()[v as usize] as usize;
-            let nbrs = g.neighbors(v);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let dsum: f32 =
-                (0..nbrs.len()).map(|k| alpha[base + k] * dalpha[base + k]).sum();
-            for (k, &u) in nbrs.iter().enumerate() {
-                let de = alpha[base + k] * (dalpha[base + k] - dsum);
-                let lp = if e_raw[base + k] >= 0.0 { 1.0 } else { slope };
-                ds_src[u as usize] += de * lp;
-            }
-        }
-        let mut da_src = [0.0f32; 2];
-        for (r, &ds) in ds_src.iter().enumerate() {
-            for (c, d) in da_src.iter_mut().enumerate() {
-                *d += ds * z.row(r)[c];
-            }
-        }
-
-        let eps = 1e-3f32;
-        for c in 0..2 {
-            let mut ap = a_src0.clone();
-            ap[c] += eps;
-            let mut am = a_src0.clone();
-            am[c] -= eps;
-            let num = (loss(&ap) - loss(&am)) / (2.0 * eps as f64);
-            let ana = da_src[c] as f64;
-            assert!(
-                (num - ana).abs() < 2e-2 * (1.0 + ana.abs()),
-                "attention grad mismatch at {c}: numeric {num} analytic {ana}"
-            );
-        }
     }
 }

@@ -13,7 +13,11 @@
 //! * [`sampling`] — uniform neighbor sampling (the "GNN w/ sampling"
 //!   column of Table 5);
 //! * [`train`] — full-batch GCN training with hand-derived gradients and
-//!   Adam, used to measure the accuracy-latency tradeoff of Table 5;
+//!   Adam, used to measure the accuracy-latency tradeoff of Table 5, and
+//!   [`train::train_gcn_on_engine`], which runs every aggregation of the
+//!   same loop on a distributed engine;
+//! * [`gat`] — a 2-layer single-head GAT forward pass whose attention and
+//!   weighted aggregation run on any [`gat::GatBackend`];
 //! * [`features`] — label-correlated synthetic node features so the
 //!   classification task is learnable on the synthetic graphs.
 

@@ -338,108 +338,3 @@ mod tests {
         assert_eq!(ModelKind::Gin.aggregate_mode(), AggregateMode::Sum);
     }
 }
-
-/// One GraphSAGE layer (mean aggregator): `h' = relu(W_self·h + W_neigh·mean(h_N))`.
-///
-/// The paper lists GraphSAGE among the GNNs whose backbone is GCN (§5);
-/// it runs on the same engines with [`AggregateMode::Mean`].
-#[derive(Debug, Clone)]
-pub struct SageLayer {
-    /// Weights applied to the node's own features.
-    pub w_self: Matrix,
-    /// Weights applied to the mean-aggregated neighborhood.
-    pub w_neigh: Matrix,
-}
-
-/// A 2-layer GraphSAGE model with a linear head folded into layer 2.
-#[derive(Debug, Clone)]
-pub struct Sage {
-    /// The two layers, hidden then output.
-    pub layers: Vec<SageLayer>,
-}
-
-impl Sage {
-    /// Glorot-initialized GraphSAGE: `in_dim -> hidden -> classes`.
-    pub fn new(in_dim: usize, hidden: usize, classes: usize, seed: u64) -> Self {
-        Sage {
-            layers: vec![
-                SageLayer {
-                    w_self: Matrix::glorot(in_dim, hidden, seed),
-                    w_neigh: Matrix::glorot(in_dim, hidden, seed.wrapping_add(1)),
-                },
-                SageLayer {
-                    w_self: Matrix::glorot(hidden, classes, seed.wrapping_add(2)),
-                    w_neigh: Matrix::glorot(hidden, classes, seed.wrapping_add(3)),
-                },
-            ],
-        }
-    }
-
-    /// Full forward pass; returns logits and per-layer timings.
-    pub fn forward(
-        &self,
-        agg: &mut dyn Aggregator,
-        x: &Matrix,
-        cost: &DenseCostModel,
-    ) -> (Matrix, Vec<LayerTiming>) {
-        debug_assert_eq!(agg.mode(), AggregateMode::Mean, "GraphSAGE needs Mean aggregation");
-        let n = x.rows();
-        let mut h = x.clone();
-        let mut timings = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (m, agg_ns) = agg.aggregate(&h);
-            let mut out = h.matmul(&layer.w_self);
-            let neigh = m.matmul(&layer.w_neigh);
-            out.axpy(1.0, &neigh);
-            let is_last = i + 1 == self.layers.len();
-            if !is_last {
-                out.relu_inplace();
-            }
-            let dense_ns = 2 * cost.gemm_ns(n, h.cols(), layer.w_self.cols())
-                + cost.elementwise_ns(n, layer.w_self.cols());
-            timings.push(LayerTiming { aggregate_ns: agg_ns, dense_ns });
-            h = out;
-        }
-        (h, timings)
-    }
-}
-
-#[cfg(test)]
-mod sage_tests {
-    use super::*;
-    use crate::reference::{aggregate, AggregateMode, ReferenceAggregator};
-    use mgg_graph::generators::regular::{ring, star};
-
-    #[test]
-    fn sage_forward_shapes() {
-        let g = ring(8);
-        let x = Matrix::glorot(8, 6, 3);
-        let model = Sage::new(6, 5, 3, 7);
-        let mut agg = ReferenceAggregator { graph: g, mode: AggregateMode::Mean };
-        let (logits, timings) = model.forward(&mut agg, &x, &DenseCostModel::a100(2));
-        assert_eq!(logits.rows(), 8);
-        assert_eq!(logits.cols(), 3);
-        assert_eq!(timings.len(), 2);
-    }
-
-    #[test]
-    fn sage_layer_matches_manual_composition() {
-        let g = star(5);
-        let x = Matrix::glorot(5, 4, 11);
-        let model = Sage::new(4, 3, 2, 13);
-        let mut agg = ReferenceAggregator { graph: g.clone(), mode: AggregateMode::Mean };
-        let (got, _) = model.forward(&mut agg, &x, &DenseCostModel::a100(1));
-
-        // Manual composition of the same two layers.
-        let l = &model.layers[0];
-        let m = aggregate(&g, &x, AggregateMode::Mean);
-        let mut h = x.matmul(&l.w_self);
-        h.axpy(1.0, &m.matmul(&l.w_neigh));
-        h.relu_inplace();
-        let l = &model.layers[1];
-        let m = aggregate(&g, &h, AggregateMode::Mean);
-        let mut want = h.matmul(&l.w_self);
-        want.axpy(1.0, &m.matmul(&l.w_neigh));
-        assert!(got.max_abs_diff(&want) < 1e-5);
-    }
-}

@@ -328,142 +328,3 @@ mod edge_weighted_tests {
         let _ = aggregate_edge_weighted(&g, &x, &[1.0]);
     }
 }
-
-/// Multi-threaded [`aggregate`] for large graphs: output rows are
-/// partitioned into disjoint slices processed on the [`mgg_runtime`]
-/// worker pool, so the result is bit-identical to the serial version at
-/// any thread count.
-pub fn aggregate_parallel(
-    graph: &CsrGraph,
-    x: &Matrix,
-    mode: AggregateMode,
-    threads: usize,
-) -> Matrix {
-    assert_eq!(graph.num_nodes(), x.rows(), "one feature row per node");
-    let threads = threads.max(1);
-    let n = graph.num_nodes();
-    let dim = x.cols();
-    if threads == 1 || n < 1024 {
-        return aggregate(graph, x, mode);
-    }
-    let norm = match mode {
-        AggregateMode::GcnNorm => graph.gcn_norm(),
-        _ => Vec::new(),
-    };
-    let mut out = Matrix::zeros(n, dim);
-    mgg_runtime::with_threads(threads, || {
-        // Pool-granularity chunks with a minimum-work floor: tiny chunks
-        // pay more in dispatch than they earn in overlap, so the floor
-        // collapses small inputs into fewer jobs. Chunk edges never enter
-        // the per-row math, so output bits are chunk-size independent.
-        let rows_per = mgg_runtime::chunk_len(n, 256);
-        let _lbl = mgg_runtime::profile::region_label("gnn.reference");
-        mgg_runtime::par_chunks_mut(out.data_mut(), rows_per * dim, |t, chunk| {
-            let start = t * rows_per;
-            for (r, dst) in chunk.chunks_mut(dim).enumerate() {
-                let v = (start + r) as NodeId;
-                let nbrs = graph.neighbors(v);
-                match mode {
-                    AggregateMode::Sum => {
-                        for &u in nbrs {
-                            for (d, &s) in dst.iter_mut().zip(x.row(u as usize)) {
-                                *d += s;
-                            }
-                        }
-                    }
-                    AggregateMode::Mean => {
-                        let inv = if nbrs.is_empty() { 0.0 } else { 1.0 / nbrs.len() as f32 };
-                        for &u in nbrs {
-                            for (d, &s) in dst.iter_mut().zip(x.row(u as usize)) {
-                                *d += s * inv;
-                            }
-                        }
-                    }
-                    AggregateMode::GcnNorm => {
-                        let nv = norm[v as usize];
-                        for &u in nbrs {
-                            let w = nv * norm[u as usize];
-                            for (d, &s) in dst.iter_mut().zip(x.row(u as usize)) {
-                                *d += s * w;
-                            }
-                        }
-                        let w = nv * nv;
-                        for (d, &s) in dst.iter_mut().zip(x.row(v as usize)) {
-                            *d += s * w;
-                        }
-                    }
-                }
-            }
-        })
-    });
-    out
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use mgg_graph::generators::rmat::{rmat, RmatConfig};
-
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        let g = rmat(&RmatConfig::graph500(11, 20_000, 91));
-        let x = Matrix::glorot(g.num_nodes(), 17, 3);
-        for mode in [AggregateMode::Sum, AggregateMode::Mean, AggregateMode::GcnNorm] {
-            let serial = aggregate(&g, &x, mode);
-            for threads in [2, 3, 8] {
-                let par = aggregate_parallel(&g, &x, mode, threads);
-                assert_eq!(par, serial, "mode {mode:?}, {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn small_graphs_fall_back_to_serial() {
-        let g = mgg_graph::generators::regular::ring(16);
-        let x = Matrix::glorot(16, 4, 1);
-        let out = aggregate_parallel(&g, &x, AggregateMode::Sum, 8);
-        assert_eq!(out, aggregate(&g, &x, AggregateMode::Sum));
-    }
-}
-
-/// Adjoint of [`aggregate_edge_weighted`]: scatters `g[v]` to each
-/// neighbor `u` with the same per-edge weights
-/// (`out[u] += w[e] * g[v]` for every edge `e = (v, u)`).
-pub fn aggregate_edge_weighted_adjoint(graph: &CsrGraph, g: &Matrix, w: &[f32]) -> Matrix {
-    assert_eq!(graph.num_nodes(), g.rows(), "one gradient row per node");
-    assert_eq!(graph.num_edges(), w.len(), "one weight per directed edge");
-    let dim = g.cols();
-    let mut out = Matrix::zeros(g.rows(), dim);
-    for v in 0..graph.num_nodes() as NodeId {
-        let base = graph.row_ptr()[v as usize] as usize;
-        let src: Vec<f32> = g.row(v as usize).to_vec();
-        for (k, &u) in graph.neighbors(v).iter().enumerate() {
-            let weight = w[base + k];
-            let dst = out.row_mut(u as usize);
-            for (d, &s) in dst.iter_mut().zip(&src) {
-                *d += weight * s;
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod weighted_adjoint_tests {
-    use super::*;
-    use mgg_graph::generators::rmat::{rmat, RmatConfig};
-
-    #[test]
-    fn weighted_adjoint_inner_product_identity() {
-        let g = rmat(&RmatConfig::graph500(7, 600, 3));
-        let x = Matrix::glorot(g.num_nodes(), 3, 1);
-        let y = Matrix::glorot(g.num_nodes(), 3, 2);
-        let w: Vec<f32> = (0..g.num_edges()).map(|i| ((i % 9) as f32) / 4.0 - 1.0).collect();
-        let ax = aggregate_edge_weighted(&g, &x, &w);
-        let aty = aggregate_edge_weighted_adjoint(&g, &y, &w);
-        let dot = |a: &Matrix, b: &Matrix| -> f64 {
-            a.data().iter().zip(b.data()).map(|(&p, &q)| (p * q) as f64).sum()
-        };
-        assert!((dot(&ax, &y) - dot(&x, &aty)).abs() < 1e-2);
-    }
-}

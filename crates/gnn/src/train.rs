@@ -482,252 +482,3 @@ mod engine_training_tests {
         }
     }
 }
-
-/// Trains a GIN (Equation 5) with every aggregation executed by a
-/// distributed engine; `eps` is kept fixed at 0 as in the common GIN-0
-/// variant. Returns accuracy plus the simulated per-epoch time.
-///
-/// Per epoch each of the `num_layers` layers costs one forward aggregation
-/// and one backward (adjoint) aggregation at its input width, all served
-/// by the engine (self-adjoint on symmetric graphs), plus the MLP GEMMs.
-#[allow(clippy::too_many_arguments)]
-pub fn train_gin_on_engine(
-    engine: &mut dyn crate::models::Aggregator,
-    x: &Matrix,
-    labels: &[u32],
-    classes: usize,
-    num_layers: usize,
-    hidden: usize,
-    train_mask: &[bool],
-    val_mask: &[bool],
-    test_mask: &[bool],
-    cfg: &TrainConfig,
-    cost: &crate::models::DenseCostModel,
-) -> DistTrainReport {
-    assert!(cfg.sampling.is_none(), "engine training is full-graph");
-    assert_eq!(engine.mode(), AggregateMode::Sum, "GIN uses Sum aggregation");
-    assert!(num_layers >= 1, "need at least one layer");
-    let n = x.rows();
-    assert_eq!(labels.len(), n, "one label per node");
-
-    // Parameters: per layer an MLP (w1: d_in x hidden, w2: hidden x hidden),
-    // plus a classifier head.
-    let mut w1s: Vec<Matrix> = Vec::new();
-    let mut w2s: Vec<Matrix> = Vec::new();
-    let mut d = x.cols();
-    for l in 0..num_layers {
-        w1s.push(Matrix::glorot(d, hidden, cfg.seed.wrapping_add(2 * l as u64)));
-        w2s.push(Matrix::glorot(hidden, hidden, cfg.seed.wrapping_add(2 * l as u64 + 1)));
-        d = hidden;
-    }
-    let mut head = Matrix::glorot(hidden, classes, cfg.seed.wrapping_add(999));
-    let mut opts1: Vec<Adam> = w1s.iter().map(|w| Adam::new(w.data().len(), cfg.lr)).collect();
-    let mut opts2: Vec<Adam> = w2s.iter().map(|w| Adam::new(w.data().len(), cfg.lr)).collect();
-    let mut opt_head = Adam::new(head.data().len(), cfg.lr);
-    let batch = train_mask.iter().filter(|&&b| b).count().max(1);
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut agg_ns_epoch = 0u64;
-
-    for epoch in 0..cfg.epochs {
-        let mut agg = |m: &Matrix, eng: &mut dyn crate::models::Aggregator| -> Matrix {
-            if epoch == 0 {
-                let (out, ns) = eng.aggregate(m);
-                agg_ns_epoch += ns;
-                out
-            } else {
-                eng.aggregate_only(m)
-            }
-        };
-
-        // Forward, caching per-layer intermediates for backprop.
-        let mut hs: Vec<Matrix> = vec![x.clone()]; // layer inputs
-        let mut aggs: Vec<Matrix> = Vec::new(); // a_l = agg(h_l) + h_l
-        let mut z1s: Vec<Matrix> = Vec::new(); // pre-ReLU
-        for l in 0..num_layers {
-            let h = hs.last().expect("non-empty").clone();
-            let mut a = agg(&h, engine);
-            a.axpy(1.0, &h); // (1 + eps) h with eps = 0
-            let z1 = a.matmul(&w1s[l]);
-            let mut r = z1.clone();
-            r.relu_inplace();
-            let out = r.matmul(&w2s[l]);
-            aggs.push(a);
-            z1s.push(z1);
-            hs.push(out);
-        }
-        let h_last = hs.last().expect("non-empty");
-        let z = h_last.matmul(&head);
-        let mut p = z.clone();
-        p.softmax_rows_inplace();
-        losses.push(cross_entropy(&p, labels, Some(train_mask)));
-
-        // Backward.
-        let mut dz = p;
-        for (row, (&y, &m)) in labels.iter().zip(train_mask).enumerate() {
-            let out = dz.row_mut(row);
-            if m {
-                out[y as usize] -= 1.0;
-                out.iter_mut().for_each(|v| *v /= batch as f32);
-            } else {
-                out.iter_mut().for_each(|v| *v = 0.0);
-            }
-        }
-        let dhead = h_last.t_matmul(&dz);
-        let mut dh = dz.matmul_t(&head);
-        for l in (0..num_layers).rev() {
-            // out = relu(a W1) W2.
-            let mut r = z1s[l].clone();
-            r.relu_inplace();
-            let dw2 = r.t_matmul(&dh);
-            let mut dr = dh.matmul_t(&w2s[l]);
-            Matrix::relu_backward_inplace(&mut dr, &z1s[l]);
-            let dw1 = aggs[l].t_matmul(&dr);
-            let da = dr.matmul_t(&w1s[l]);
-            // a = agg(h) + h  =>  dh = agg^T(da) + da.
-            let mut dh_next = agg(&da, engine);
-            dh_next.axpy(1.0, &da);
-            opts2[l].step(&mut w2s[l], &dw2);
-            opts1[l].step(&mut w1s[l], &dw1);
-            dh = dh_next;
-        }
-        opt_head.step(&mut head, &dhead);
-    }
-
-    // Dense timing: two GEMMs + ReLU per layer forward, three GEMMs per
-    // layer backward, plus the head.
-    let mut dense_ns = 0u64;
-    let mut d = x.cols();
-    for _ in 0..num_layers {
-        dense_ns += cost.gemm_ns(n, d, hidden)
-            + cost.elementwise_ns(n, hidden)
-            + cost.gemm_ns(n, hidden, hidden) // forward
-            + cost.gemm_ns(n, hidden, hidden) // dW2
-            + cost.gemm_ns(n, hidden, hidden) // dr
-            + cost.gemm_ns(n, d, hidden); // dW1 / da
-        d = hidden;
-    }
-    dense_ns += 2 * cost.gemm_ns(n, hidden, classes);
-    let epoch_ns = agg_ns_epoch + dense_ns;
-
-    // Evaluation.
-    let mut h = x.clone();
-    for l in 0..num_layers {
-        let mut a = engine.aggregate_only(&h);
-        a.axpy(1.0, &h);
-        let mut r = a.matmul(&w1s[l]);
-        r.relu_inplace();
-        h = r.matmul(&w2s[l]);
-    }
-    let logits = h.matmul(&head);
-    DistTrainReport {
-        result: TrainResult {
-            train_losses: losses,
-            val_accuracy: accuracy(&logits, labels, Some(val_mask)),
-            test_accuracy: accuracy(&logits, labels, Some(test_mask)),
-            edges_per_epoch: 0,
-        },
-        epoch_ns,
-        total_ns: epoch_ns * cfg.epochs as u64,
-    }
-}
-
-#[cfg(test)]
-mod gin_training_tests {
-    use super::*;
-    use crate::features::{label_features, split_masks};
-    use crate::models::DenseCostModel;
-    use crate::reference::ReferenceAggregator;
-    use mgg_graph::generators::random::{sbm, SbmConfig};
-
-    #[test]
-    fn gin_training_learns_on_communities() {
-        let out = sbm(&SbmConfig {
-            block_sizes: vec![110, 110],
-            avg_degree_in: 10.0,
-            avg_degree_out: 1.5,
-            seed: 51,
-        });
-        let x = label_features(&out.labels, 2, 12, 0.5, 52);
-        let (tr, va, te) = split_masks(out.graph.num_nodes(), 0.4, 0.2, 53);
-        let mut engine =
-            ReferenceAggregator { graph: out.graph.clone(), mode: AggregateMode::Sum };
-        let report = train_gin_on_engine(
-            &mut engine,
-            &x,
-            &out.labels,
-            2,
-            3,  // layers
-            16, // hidden
-            &tr,
-            &va,
-            &te,
-            &TrainConfig { epochs: 80, hidden: 16, lr: 0.005, seed: 54, sampling: None },
-            &DenseCostModel::a100(4),
-        );
-        let first = report.result.train_losses[0];
-        let last = *report.result.train_losses.last().unwrap();
-        assert!(last < 0.6 * first, "loss {first} -> {last}");
-        assert!(report.result.test_accuracy > 0.75, "acc {}", report.result.test_accuracy);
-        assert!(report.epoch_ns > 0);
-    }
-
-    #[test]
-    fn gin_gradient_check_one_layer() {
-        // Numerical check of dW1 for a single GIN layer + head.
-        let out = sbm(&SbmConfig {
-            block_sizes: vec![30, 30],
-            avg_degree_in: 6.0,
-            avg_degree_out: 1.0,
-            seed: 61,
-        });
-        let g = out.graph;
-        let x = label_features(&out.labels, 2, 6, 0.8, 62);
-        let y = out.labels.clone();
-        let mask = vec![true; g.num_nodes()];
-        let w1 = Matrix::glorot(6, 4, 1);
-        let w2 = Matrix::glorot(4, 4, 2);
-        let head = Matrix::glorot(4, 2, 3);
-        let batch = g.num_nodes();
-
-        let forward = |w1: &Matrix| -> (f64, Matrix, Matrix, Matrix) {
-            let mut a = crate::reference::aggregate(&g, &x, AggregateMode::Sum);
-            a.axpy(1.0, &x);
-            let z1 = a.matmul(w1);
-            let mut r = z1.clone();
-            r.relu_inplace();
-            let h = r.matmul(&w2);
-            let z = h.matmul(&head);
-            let mut p = z;
-            p.softmax_rows_inplace();
-            (cross_entropy(&p, &y, Some(&mask)) as f64, a, z1, p)
-        };
-
-        // Analytic dW1.
-        let (_, a, z1, p) = forward(&w1);
-        let mut dz = p;
-        for (row, &yy) in y.iter().enumerate() {
-            let out = dz.row_mut(row);
-            out[yy as usize] -= 1.0;
-            out.iter_mut().for_each(|v| *v /= batch as f32);
-        }
-        let dh = dz.matmul_t(&head);
-        let mut dr = dh.matmul_t(&w2);
-        Matrix::relu_backward_inplace(&mut dr, &z1);
-        let dw1 = a.t_matmul(&dr);
-
-        let eps = 1e-3f32;
-        for &(i, j) in &[(0usize, 0usize), (3, 2), (5, 1)] {
-            let idx = i * 4 + j;
-            let mut wp = w1.clone();
-            wp.data_mut()[idx] += eps;
-            let mut wm = w1.clone();
-            wm.data_mut()[idx] -= eps;
-            let num = (forward(&wp).0 - forward(&wm).0) / (2.0 * eps as f64);
-            let ana = dw1.data()[idx] as f64;
-            assert!(
-                (num - ana).abs() < 1e-2 * (1.0 + ana.abs()),
-                "grad mismatch at ({i},{j}): numeric {num} analytic {ana}"
-            );
-        }
-    }
-}

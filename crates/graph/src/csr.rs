@@ -103,47 +103,6 @@ impl CsrGraph {
         (0..self.num_nodes() as NodeId).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Returns a copy with a self-loop appended to every node that lacks
-    /// one (GCN's \hat{A} = A + I).
-    pub fn with_self_loops(&self) -> CsrGraph {
-        let n = self.num_nodes();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(self.num_edges() + n);
-        row_ptr.push(0u64);
-        for v in 0..n as NodeId {
-            let nbrs = self.neighbors(v);
-            col_idx.extend_from_slice(nbrs);
-            if !nbrs.contains(&v) {
-                col_idx.push(v);
-            }
-            row_ptr.push(col_idx.len() as u64);
-        }
-        CsrGraph { row_ptr, col_idx }
-    }
-
-    /// Transposes the graph (in-neighbors become out-neighbors).
-    pub fn transpose(&self) -> CsrGraph {
-        let n = self.num_nodes();
-        let mut counts = vec![0u64; n + 1];
-        for &c in &self.col_idx {
-            counts[c as usize + 1] += 1;
-        }
-        for i in 1..=n {
-            counts[i] += counts[i - 1];
-        }
-        let row_ptr = counts.clone();
-        let mut cursor = counts;
-        let mut col_idx = vec![0 as NodeId; self.num_edges()];
-        for v in 0..n as NodeId {
-            for &u in self.neighbors(v) {
-                let slot = cursor[u as usize];
-                col_idx[slot as usize] = v;
-                cursor[u as usize] += 1;
-            }
-        }
-        CsrGraph { row_ptr, col_idx }
-    }
-
     /// GCN symmetric-normalization coefficient per node, `1/sqrt(1+deg)`,
     /// for the self-loop-augmented graph.
     pub fn gcn_norm(&self) -> Vec<f32> {
@@ -186,16 +145,6 @@ impl CsrGraph {
         }
         CsrGraph { row_ptr, col_idx }
     }
-
-    /// Sum over nodes of `degree^2`, a proxy for workload skew.
-    pub fn degree_second_moment(&self) -> f64 {
-        (0..self.num_nodes() as NodeId)
-            .map(|v| {
-                let d = self.degree(v) as f64;
-                d * d
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -237,28 +186,6 @@ mod tests {
     #[should_panic(expected = "column index out of range")]
     fn rejects_bad_column() {
         let _ = CsrGraph::from_raw(vec![0, 1], vec![5]);
-    }
-
-    #[test]
-    fn self_loops_added_once() {
-        let g = CsrGraph::from_raw(vec![0, 2, 2], vec![0, 1]); // 0 already has a loop
-        let h = g.with_self_loops();
-        assert_eq!(h.neighbors(0), &[0, 1]);
-        assert_eq!(h.neighbors(1), &[1]);
-        assert_eq!(h.num_edges(), 3);
-    }
-
-    #[test]
-    fn transpose_roundtrip_edge_count() {
-        let g = tri();
-        let t = g.transpose();
-        assert_eq!(t.num_edges(), g.num_edges());
-        // Edge (0 <- 1) becomes (1 <- 0) in the transpose.
-        assert_eq!(t.neighbors(1), &[0]);
-        assert_eq!(t.neighbors(2), &[0, 1]);
-        // Double transpose restores the original (orders are canonical
-        // because transpose emits in sorted destination order here).
-        assert_eq!(t.transpose().num_edges(), g.num_edges());
     }
 
     #[test]

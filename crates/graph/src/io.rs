@@ -1,7 +1,6 @@
 //! Plain-text edge-list I/O, for users who want to bring real graphs.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, NodeId};
@@ -78,11 +77,6 @@ pub fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> Result<(), IoEr
     }
     bw.flush()?;
     Ok(())
-}
-
-/// Convenience wrapper reading from a file path.
-pub fn load_edge_list(path: &Path) -> Result<CsrGraph, IoError> {
-    read_edge_list(std::fs::File::open(path)?, 0)
 }
 
 #[cfg(test)]

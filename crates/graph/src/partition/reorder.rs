@@ -47,18 +47,6 @@ pub fn reorder(graph: &CsrGraph) -> (CsrGraph, Vec<NodeId>) {
     (graph.relabel(&perm), perm)
 }
 
-/// Degree-descending relabeling (a simpler alternative that clusters hubs).
-pub fn degree_order(graph: &CsrGraph) -> Vec<NodeId> {
-    let n = graph.num_nodes();
-    let mut by_degree: Vec<NodeId> = (0..n as NodeId).collect();
-    by_degree.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
-    let mut perm = vec![0 as NodeId; n];
-    for (new, &old) in by_degree.iter().enumerate() {
-        perm[old as usize] = new as NodeId;
-    }
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,12 +112,5 @@ mod tests {
         let (reordered, _) = reorder(&scrambled);
         let after = remote_frac(&reordered);
         assert!(after < before, "after={after} before={before}");
-    }
-
-    #[test]
-    fn degree_order_puts_hubs_first() {
-        let g = crate::generators::regular::star(8);
-        let perm = degree_order(&g);
-        assert_eq!(perm[0], 0, "hub must receive the smallest id");
     }
 }

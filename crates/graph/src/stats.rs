@@ -146,71 +146,3 @@ mod tests {
         assert_eq!(s.isolated, 9);
     }
 }
-
-/// Number of weakly connected components (treating edges as undirected).
-pub fn connected_components(graph: &CsrGraph) -> usize {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return 0;
-    }
-    // Union-find over both edge directions.
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    for v in 0..n as NodeId {
-        for &u in graph.neighbors(v) {
-            let a = find(&mut parent, v);
-            let b = find(&mut parent, u);
-            if a != b {
-                parent[a as usize] = b;
-            }
-        }
-    }
-    let mut roots = std::collections::HashSet::new();
-    for v in 0..n as u32 {
-        let r = find(&mut parent, v);
-        roots.insert(r);
-    }
-    roots.len()
-}
-
-#[cfg(test)]
-mod component_tests {
-    use super::*;
-    use crate::builder::GraphBuilder;
-    use crate::generators::regular::{ring, star};
-
-    #[test]
-    fn connected_graphs_have_one_component() {
-        assert_eq!(connected_components(&ring(10)), 1);
-        assert_eq!(connected_components(&star(50)), 1);
-    }
-
-    #[test]
-    fn isolated_nodes_are_their_own_components() {
-        let mut b = GraphBuilder::new(6).symmetric(true);
-        b.add_edge(0, 1);
-        b.add_edge(2, 3);
-        let g = b.build();
-        // {0,1}, {2,3}, {4}, {5}.
-        assert_eq!(connected_components(&g), 4);
-    }
-
-    #[test]
-    fn directed_edges_still_connect_weakly() {
-        // One directed edge 0 <- 1 joins them weakly.
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1);
-        assert_eq!(connected_components(&b.build()), 1);
-    }
-
-    #[test]
-    fn empty_graph_has_zero_components() {
-        assert_eq!(connected_components(&CsrGraph::empty(0)), 0);
-    }
-}

@@ -11,9 +11,9 @@
 //!   to a sequential `map` at *any* thread count (including odd counts and
 //!   oversubscription) and workers never share a hot cache line while
 //!   writing results.
-//! * **Disjoint writes** — [`par_chunks_mut`]/[`par_slices_mut`] hand each
-//!   worker exclusive `&mut` windows of one buffer; the windows tile the
-//!   buffer, so there is no accumulation-order freedom to lose.
+//! * **Disjoint writes** — [`par_slices_mut`] hands each worker exclusive
+//!   `&mut` windows of one buffer; the windows tile the buffer, so there is
+//!   no accumulation-order freedom to lose.
 //! * **No wall-clock, no RNG in jobs** — jobs must be pure functions of
 //!   their input index/item. The runtime provides no ambient randomness and
 //!   no timing information to jobs; anything time- or schedule-dependent
@@ -298,21 +298,6 @@ where
     }
 }
 
-/// Runs `f(chunk_index, chunk)` over `chunk_len`-sized windows of `data`
-/// in parallel (last window may be shorter). Equivalent to a sequential
-/// `chunks_mut` loop for any thread count.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    let chunk_len = chunk_len.max(1);
-    par_slices_mut(data.chunks_mut(chunk_len).collect(), f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,7 +354,7 @@ mod tests {
         for t in [1, 2, 4, 7] {
             let mut par = vec![0u32; 103];
             with_threads(t, || {
-                par_chunks_mut(&mut par, 10, |i, c| {
+                par_slices_mut(par.chunks_mut(10).collect(), |i, c| {
                     for (j, v) in c.iter_mut().enumerate() {
                         *v = (i * 1000 + j) as u32;
                     }

@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn healthy_shard_stays_closed() {
         let sched = FaultSchedule::quiet(4);
-        let monitor = HealthMonitor::with_defaults(4);
+        let monitor = HealthMonitor::new(4);
         let mut log = Vec::new();
         let mut b = Breaker::new(2, 100_000, 1.5);
         for t in [0u64, 50_000, 1_000_000] {
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn straggler_trips_and_recovers_through_half_open() {
         let sched = straggler_sched(4, 4.0);
-        let monitor = HealthMonitor::with_defaults(4);
+        let monitor = HealthMonitor::new(4);
         let shard = *sched.impaired_gpus().first().expect("straggler derived");
         let mut log = Vec::new();
         let mut b = Breaker::new(shard, 100_000, 1.5);
@@ -220,8 +220,8 @@ mod tests {
         );
         let dead = *sched.dead_gpus().first().expect("one permanent failure");
         let fail_at = sched.first_failure_ns().expect("failure instant");
-        let monitor = HealthMonitor::with_defaults(4);
-        let horizon = fail_at + monitor.policy().detection_delay_ns() + 1;
+        let monitor = HealthMonitor::new(4);
+        let horizon = fail_at + monitor.detection_delay_ns() + 1;
         let mut log = Vec::new();
         let mut b = Breaker::new(dead, 100_000, 1.5);
         assert!(b.poll(&monitor, &sched, fail_at.saturating_sub(1), &mut log));
@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn transitions_replay_identically() {
         let sched = straggler_sched(6, 3.0);
-        let monitor = HealthMonitor::with_defaults(6);
+        let monitor = HealthMonitor::new(6);
         let run = || {
             let mut log = Vec::new();
             let mut breakers: Vec<Breaker> =

@@ -412,7 +412,7 @@ impl Server {
             cal: Calibration { launch_ns, per_query_ns, num_shards, saturation_qps },
             cfg,
             bounds,
-            monitor: HealthMonitor::with_defaults(num_shards),
+            monitor: HealthMonitor::new(num_shards),
         })
     }
 

@@ -142,11 +142,6 @@ impl BandwidthChannel {
         self.degraded_requests
     }
 
-    /// Earliest time at which a new transfer could start.
-    pub fn available_at(&self, now: SimTime) -> SimTime {
-        self.busy_until.max(now)
-    }
-
     /// Total bytes accepted so far.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total

@@ -339,11 +339,6 @@ impl Interconnect {
         self.route_overrides[idx] = Some(hops);
     }
 
-    /// Removes all engine-installed relay routes.
-    pub fn clear_routes(&mut self) {
-        self.route_overrides.iter_mut().for_each(|r| *r = None);
-    }
-
     /// Forces (or lifts) UVM degradation: when on, every fabric transfer is
     /// staged through host memory.
     pub fn set_uvm_degraded(&mut self, degraded: bool) {

@@ -24,15 +24,6 @@ impl ChannelStats {
             busy_ns: ch.busy_ns_total(),
         }
     }
-
-    /// Counter difference `self - earlier` (for per-phase accounting).
-    pub fn since(&self, earlier: &ChannelStats) -> ChannelStats {
-        ChannelStats {
-            bytes: self.bytes - earlier.bytes,
-            requests: self.requests - earlier.requests,
-            busy_ns: self.busy_ns - earlier.busy_ns,
-        }
-    }
 }
 
 /// Fabric traffic between one ordered `(source, destination)` GPU pair.
@@ -85,11 +76,10 @@ mod tests {
     fn snapshot_and_diff() {
         let mut ch = BandwidthChannel::new(1.0, 0);
         let _ = ch.transfer(0, 100);
-        let a = ChannelStats::snapshot(&ch);
         let _ = ch.transfer(0, 50);
-        let b = ChannelStats::snapshot(&ch);
-        let d = b.since(&a);
-        assert_eq!(d.bytes, 50);
-        assert_eq!(d.requests, 1);
+        let s = ChannelStats::snapshot(&ch);
+        assert_eq!(s.bytes, 150);
+        assert_eq!(s.requests, 2);
+        assert_eq!(s.busy_ns, ch.busy_ns_total());
     }
 }

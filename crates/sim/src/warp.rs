@@ -100,24 +100,4 @@ impl WarpOp {
     pub fn compute(cycles: u32) -> Self {
         WarpOp::Compute { cycles }
     }
-
-    /// True for operations that move data off-SM.
-    pub fn is_memory(&self) -> bool {
-        !matches!(self, WarpOp::Compute { .. })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn memory_classification() {
-        assert!(!WarpOp::compute(5).is_memory());
-        assert!(WarpOp::GlobalRead { bytes: 4 }.is_memory());
-        assert!(WarpOp::RemoteGet { peer: 1, bytes: 4, nbi: true }.is_memory());
-        assert!(WarpOp::WaitRemote.is_memory());
-        assert!(WarpOp::CacheHit { bytes: 4, nbi: true }.is_memory());
-        assert!(WarpOp::CacheFill { bytes: 4 }.is_memory());
-    }
 }

@@ -203,11 +203,6 @@ impl UvmSpace {
         }
     }
 
-    /// Page number containing byte `addr`.
-    pub fn page_of(&self, addr: u64) -> u64 {
-        addr / self.cfg.page_bytes
-    }
-
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
         self.cfg.page_bytes
