@@ -7,8 +7,9 @@
 //! 1. **Detection** — a [`HealthMonitor`] replays the deterministic heartbeat
 //!    history implied by a fault schedule and scores each GPU with a
 //!    phi-accrual-style suspicion value against fixed suspect and dead
-//!    thresholds, yielding a [`ClusterView`] of alive, suspected, and dead
-//!    GPUs plus the set of still-usable links.
+//!    thresholds. [`HealthMonitor::status`] classifies one GPU;
+//!    [`HealthMonitor::observe`] yields a [`ClusterView`] of alive,
+//!    suspected, and dead GPUs plus the set of still-usable links.
 //! 2. **Routing** — [`plan_route`] finds a surviving path around a dead
 //!    NVLink (shortest hop-count over `usable_links`), falling back to
 //!    host/PCIe staging when the fabric is partitioned.
@@ -47,6 +48,19 @@ const PHI_PER_MISS: f64 = 0.8;
 const SUSPECT_PHI: f64 = 1.0;
 /// Phi at which a GPU is declared dead (triggers evacuation).
 const DEAD_PHI: f64 = 3.0;
+
+/// Liveness class of one GPU at a horizon: where its phi sits against the
+/// suspect and dead thresholds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GpuStatus {
+    /// Below the suspect threshold: heartbeats current.
+    Alive,
+    /// Between the suspect and dead thresholds: excluded from new work,
+    /// still counted as reachable.
+    Suspected,
+    /// Past the dead threshold: the shard must be evacuated.
+    Dead,
+}
 
 /// Deterministic snapshot of cluster health at a given horizon.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,17 +145,29 @@ impl HealthMonitor {
         missed as f64 * PHI_PER_MISS
     }
 
+    /// Classifies one GPU at `horizon_ns`: the only place its phi is
+    /// compared with the suspect and dead thresholds. Costs one phi, so a
+    /// caller that needs one GPU's class need not [`observe`](Self::observe)
+    /// the whole cluster.
+    pub fn status(&self, sched: &FaultSchedule, gpu: usize, horizon_ns: u64) -> GpuStatus {
+        let phi = self.phi(sched, gpu, horizon_ns);
+        if phi >= DEAD_PHI {
+            GpuStatus::Dead
+        } else if phi >= SUSPECT_PHI {
+            GpuStatus::Suspected
+        } else {
+            GpuStatus::Alive
+        }
+    }
+
     /// Classifies every GPU and link at `horizon_ns`.
     pub fn observe(&self, sched: &FaultSchedule, horizon_ns: u64) -> ClusterView {
         let (mut alive, mut suspected, mut dead) = (Vec::new(), Vec::new(), Vec::new());
         for g in 0..self.num_gpus {
-            let phi = self.phi(sched, g, horizon_ns);
-            if phi >= DEAD_PHI {
-                dead.push(g);
-            } else if phi >= SUSPECT_PHI {
-                suspected.push(g);
-            } else {
-                alive.push(g);
+            match self.status(sched, g, horizon_ns) {
+                GpuStatus::Alive => alive.push(g),
+                GpuStatus::Suspected => suspected.push(g),
+                GpuStatus::Dead => dead.push(g),
             }
         }
         let mut usable_links = Vec::new();
@@ -168,7 +194,7 @@ impl HealthMonitor {
     /// about to evict — joins are the one transition that can afford to
     /// wait for a clean bill of health.
     pub fn join_admissible(&self, sched: &FaultSchedule, gpu: usize, horizon_ns: u64) -> bool {
-        self.phi(sched, gpu, horizon_ns) < SUSPECT_PHI
+        self.status(sched, gpu, horizon_ns) == GpuStatus::Alive
     }
 
     /// The earliest horizon at which every permanent fault in `sched` has
@@ -339,6 +365,65 @@ mod tests {
         let a = m.observe(&sched, 50_000);
         let b = m.observe(&sched, 50_000);
         assert_eq!(a, b);
+    }
+
+    /// `status` and `observe` classify every GPU alike, and a dying GPU's
+    /// class changes exactly at the policy's crossing instants. Schedules
+    /// with GPU deaths, link failures and stragglers are sampled on a
+    /// half-heartbeat grid that covers each suspect and dead crossing.
+    #[test]
+    fn status_agrees_with_observe_and_crosses_on_time() {
+        let hb = HEARTBEAT_PERIOD_NS;
+        let m = HealthMonitor::new(8);
+        let suspect_misses = (SUSPECT_PHI / PHI_PER_MISS).ceil() as u64;
+        for seed in [3u64, 77, 1009, 31415] {
+            let spec = FaultSpec {
+                seed,
+                gpu_failures: 2,
+                link_failures: 3,
+                straggler: 3.0,
+                ..FaultSpec::quiet()
+            };
+            let sched = FaultSchedule::derive(&spec, 8);
+            let dying = sched.dead_gpus();
+            assert_eq!(dying.len(), 2, "seed {seed}");
+            assert!(!sched.impaired_gpus().is_empty(), "seed {seed}: no straggler");
+            let end = m.detection_horizon_ns(&sched).expect("permanent faults") + 2 * hb;
+            let mut suspected_samples = 0;
+            for h in (0..=end).step_by((hb / 2) as usize) {
+                let view = m.observe(&sched, h);
+                for g in 0..8 {
+                    let got = m.status(&sched, g, h);
+                    let in_view = if view.dead.contains(&g) {
+                        GpuStatus::Dead
+                    } else if view.suspected.contains(&g) {
+                        GpuStatus::Suspected
+                    } else {
+                        assert!(view.alive.contains(&g), "seed {seed}: gpu {g} unclassified");
+                        GpuStatus::Alive
+                    };
+                    assert_eq!(got, in_view, "seed {seed}: gpu {g} at {h} ns");
+                    let want = match sched.gpu_dead_at(g) {
+                        Some(d) => {
+                            let last_beat = d / hb * hb;
+                            if h >= last_beat + m.detection_delay_ns() {
+                                GpuStatus::Dead
+                            } else if h >= last_beat + suspect_misses * hb {
+                                GpuStatus::Suspected
+                            } else {
+                                GpuStatus::Alive
+                            }
+                        }
+                        None => GpuStatus::Alive,
+                    };
+                    assert_eq!(got, want, "seed {seed}: gpu {g} at {h} ns");
+                    assert_eq!(m.join_admissible(&sched, g, h), got == GpuStatus::Alive);
+                    suspected_samples += usize::from(want == GpuStatus::Suspected);
+                }
+            }
+            // Two dying GPUs, each suspected for two heartbeat periods.
+            assert!(suspected_samples >= 8, "seed {seed}: grid missed a crossing");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! no randomness: the breaker is a pure function of (schedule, probe
 //! times).
 
-use mgg_failover::HealthMonitor;
+use mgg_failover::{GpuStatus, HealthMonitor};
 use mgg_fault::FaultSchedule;
 use serde::Serialize;
 
@@ -91,12 +91,10 @@ impl Breaker {
 
     fn verdict(&self, monitor: &HealthMonitor, sched: &FaultSchedule, now_ns: u64) -> Verdict {
         // Phi-accrual liveness first: a dead shard is not probeable at all.
-        let view = monitor.observe(sched, now_ns);
-        if view.is_dead(self.shard) {
-            return Verdict::Dead;
-        }
-        if view.suspected.binary_search(&self.shard).is_ok() {
-            return Verdict::Impaired;
+        match monitor.status(sched, self.shard, now_ns) {
+            GpuStatus::Dead => return Verdict::Dead,
+            GpuStatus::Suspected => return Verdict::Impaired,
+            GpuStatus::Alive => {}
         }
         if sched.compute_scale(self.shard) >= self.trip_scale || sched.health(self.shard) < 1.0 / self.trip_scale {
             Verdict::Impaired
@@ -121,6 +119,10 @@ impl Breaker {
         log: &mut Vec<BreakerTransition>,
     ) -> bool {
         let verdict = self.verdict(monitor, sched, now_ns);
+        self.step(verdict, now_ns, log)
+    }
+
+    fn step(&mut self, verdict: Verdict, now_ns: u64, log: &mut Vec<BreakerTransition>) -> bool {
         match self.state {
             BreakerState::Closed => {
                 if verdict == Verdict::Healthy {
@@ -227,6 +229,66 @@ mod tests {
         assert!(b.poll(&monitor, &sched, fail_at.saturating_sub(1), &mut log));
         assert!(!b.poll(&monitor, &sched, horizon, &mut log));
         assert_eq!(b.state(), BreakerState::Open);
+    }
+
+    /// The verdict as it was built before `HealthMonitor::status`: from the
+    /// whole cluster's view. Kept as an oracle for the one-shard verdict.
+    fn observe_verdict(
+        b: &Breaker,
+        monitor: &HealthMonitor,
+        sched: &FaultSchedule,
+        now_ns: u64,
+    ) -> Verdict {
+        let view = monitor.observe(sched, now_ns);
+        if view.is_dead(b.shard) {
+            return Verdict::Dead;
+        }
+        if view.suspected.binary_search(&b.shard).is_ok() {
+            return Verdict::Impaired;
+        }
+        if sched.compute_scale(b.shard) >= b.trip_scale
+            || sched.health(b.shard) < 1.0 / b.trip_scale
+        {
+            Verdict::Impaired
+        } else {
+            Verdict::Healthy
+        }
+    }
+
+    /// Breakers on every shard, polled on a half-heartbeat grid across GPU
+    /// deaths, link failures and stragglers, give the same verdicts and
+    /// the same transition log as breakers driven by the oracle.
+    #[test]
+    fn one_shard_verdict_replays_the_cluster_view_verdict() {
+        let monitor = HealthMonitor::new(8);
+        let half_beat = (mgg_fault::HEARTBEAT_PERIOD_NS / 2) as usize;
+        for seed in [3u64, 77, 1009, 31415] {
+            let spec = FaultSpec {
+                seed,
+                gpu_failures: 2,
+                link_failures: 3,
+                straggler: 3.0,
+                ..FaultSpec::quiet()
+            };
+            let sched = FaultSchedule::derive(&spec, 8);
+            let end = monitor.detection_horizon_ns(&sched).expect("permanent faults") + 20_000;
+            let mut fast: Vec<Breaker> = (0..8).map(|s| Breaker::new(s, 2_000, 1.5)).collect();
+            let mut slow = fast.clone();
+            let (mut fast_log, mut slow_log) = (Vec::new(), Vec::new());
+            for t in (0..=end).step_by(half_beat) {
+                for (f, o) in fast.iter_mut().zip(&mut slow) {
+                    let want = observe_verdict(o, &monitor, &sched, t);
+                    assert_eq!(f.verdict(&monitor, &sched, t), want, "seed {seed} t {t}");
+                    let dispatch = f.poll(&monitor, &sched, t, &mut fast_log);
+                    assert_eq!(dispatch, o.step(want, t, &mut slow_log), "seed {seed} t {t}");
+                }
+            }
+            assert_eq!(fast_log, slow_log, "seed {seed}");
+            for g in sched.dead_gpus() {
+                let opened = fast_log.iter().any(|tr| tr.shard == g && tr.to == BreakerState::Open);
+                assert!(opened, "seed {seed}: dead shard {g}'s breaker never opened");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic event queue for the simulation main loop.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -14,10 +14,19 @@ use crate::time::SimTime;
 /// spread, which matters because a simulated kernel puts thousands of
 /// events on the same nanosecond (every SM issues at t=0, and every `_nbi`
 /// GET frees its scheduler slot one request overhead later).
+///
+/// Beside the heap sits a FIFO lane for events a caller pushes in
+/// non-decreasing time order ([`push_sorted`](Self::push_sorted)): those
+/// cost O(1) each way. `pop` takes the smaller `(time, seq)` of the lane
+/// head and the heap top, so events pop in the order they would if every
+/// one were on the heap.
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
-    /// Sequence number of the next push: the tie-breaker among equal times.
+    /// Events from `push_sorted`, ascending on `(time, seq)`.
+    lane: VecDeque<Entry<T>>,
+    /// Sequence number of the next push (either kind): the tie-breaker
+    /// among equal times.
     seq: u64,
 }
 
@@ -61,15 +70,16 @@ impl<T> Ord for Entry<T> {
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0 }
+        EventQueue { heap: BinaryHeap::new(), lane: VecDeque::new(), seq: 0 }
     }
 
-    /// Empties the queue but keeps its allocation, so a simulator run can
+    /// Empties the queue but keeps its allocations, so a simulator run can
     /// reuse the queue of the previous run without re-growing it. `seq`
     /// restarts at 0, so a cleared queue orders events exactly like a
     /// fresh one.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lane.clear();
         self.seq = 0;
     }
 
@@ -79,19 +89,39 @@ impl<T> EventQueue<T> {
         self.seq += 1;
     }
 
+    /// Schedules `payload` at `time`, for a caller whose successive
+    /// `push_sorted` times never decrease. Such an event is appended to the
+    /// FIFO lane in O(1); one that would break the lane's order goes to
+    /// the heap instead, so the pop order never depends on the caller
+    /// keeping that promise.
+    pub fn push_sorted(&mut self, time: SimTime, payload: T) {
+        let entry = Entry { time, seq: self.seq, payload };
+        self.seq += 1;
+        if self.lane.back().is_none_or(|last| time >= last.time) {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
     /// Removes and returns the earliest event (smallest `(time, seq)`).
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|e| (e.time, e.payload))
+        let from_lane = match (self.lane.front(), self.heap.peek()) {
+            (Some(head), Some(top)) => (head.time, head.seq) < (top.time, top.seq),
+            (lane_head, _) => lane_head.is_some(),
+        };
+        let entry = if from_lane { self.lane.pop_front() } else { self.heap.pop() };
+        entry.map(|e| (e.time, e.payload))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 }
 
@@ -223,6 +253,38 @@ mod tests {
         }
     }
 
+    /// Pending `(time, seq)` keys, sorted descending so the minimum pops
+    /// off the end: the reference order every `EventQueue` pop must match.
+    struct Oracle {
+        keys: Vec<(SimTime, u64)>,
+        seq: u64,
+    }
+
+    impl Oracle {
+        fn new() -> Self {
+            Oracle { keys: Vec::new(), seq: 0 }
+        }
+        fn push(&mut self, time: SimTime) {
+            let key = (time, self.seq);
+            let at = self.keys.partition_point(|&k| k > key);
+            self.keys.insert(at, key);
+            self.seq += 1;
+        }
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            self.keys.pop()
+        }
+    }
+
+    /// Deterministic pseudo-random stream (splitmix-ish).
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state >> 30;
+            state = state.wrapping_mul(0xbf58476d1ce4e5b9);
+            state ^= state >> 27;
+            state
+        }
+    }
+
     /// Randomized push/pop/clear stream checked pop for pop against a
     /// sorted-`Vec` oracle on `(time, seq)`. The stream has the shapes a
     /// simulated kernel produces: same-time cohorts of thousands of events
@@ -230,40 +292,16 @@ mod tests {
     /// stragglers, and a clear partway through that restarts `seq`.
     #[test]
     fn matches_sorted_vec_oracle_on_time_then_seq() {
-        /// Pending `(time, seq)` keys, sorted descending so the minimum
-        /// pops off the end.
-        struct Oracle {
-            keys: Vec<(SimTime, u64)>,
-            seq: u64,
-        }
-        impl Oracle {
-            fn push(&mut self, time: SimTime) {
-                let key = (time, self.seq);
-                let at = self.keys.partition_point(|&k| k > key);
-                self.keys.insert(at, key);
-                self.seq += 1;
-            }
-            fn pop(&mut self) -> Option<(SimTime, u64)> {
-                self.keys.pop()
-            }
-        }
         let mut q = EventQueue::new();
-        let mut oracle = Oracle { keys: Vec::new(), seq: 0 };
-        // Deterministic pseudo-random stream (splitmix-ish).
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut rand = move || {
-            state ^= state >> 30;
-            state = state.wrapping_mul(0xbf58476d1ce4e5b9);
-            state ^= state >> 27;
-            state
-        };
+        let mut oracle = Oracle::new();
+        let mut rand = splitmix(0x9e3779b97f4a7c15);
         let (mut now, mut pops, mut cleared) = (0u64, 0usize, false);
         for round in 0..400u64 {
             if round == 200 {
                 // Clear with thousands pending: both restart from seq 0.
                 assert!(q.len() > 1_000, "clear must drop a full queue");
                 q.clear();
-                oracle = Oracle { keys: Vec::new(), seq: 0 };
+                oracle = Oracle::new();
                 cleared = true;
             }
             let burst = match rand() % 8 {
@@ -302,20 +340,109 @@ mod tests {
         assert!(cleared && pops > 100_000, "stream too small: {pops} pops");
     }
 
+    /// The sorted lane beside the heap keeps the heap's pop order. The
+    /// stream mixes what a kernel pushes: `push_sorted` at a fixed delay
+    /// after a non-decreasing `now` (the `_nbi` GET frees), plain pushes
+    /// at that same instant, same-time cohorts and far-future wakes, and
+    /// deliberately out-of-order `push_sorted` calls that must fall back
+    /// to the heap, with a clear partway through.
+    #[test]
+    fn sorted_lane_matches_sorted_vec_oracle() {
+        const DELAY: u64 = 150;
+        let mut q = EventQueue::new();
+        let mut oracle = Oracle::new();
+        let mut rand = splitmix(0x2545f4914f6cdd1d);
+        let (mut now, mut pops, mut cleared) = (0u64, 0usize, false);
+        let (mut sorted_pushes, mut fell_back) = (0usize, 0usize);
+        // Pops where the lane head and the heap top share a time, split by
+        // which of the two was pushed first.
+        let (mut tie_lane_first, mut tie_heap_first) = (0usize, 0usize);
+        for round in 0..400u64 {
+            if round == 200 {
+                assert!(q.lane.len() > 100 && q.heap.len() > 100, "clear must drop both parts");
+                q.clear();
+                oracle = Oracle::new();
+                cleared = true;
+            }
+            let burst = match rand() % 8 {
+                0 => 1_000 + rand() % 2_000,
+                _ => 1 + rand() % 64,
+            };
+            let cohort_time = now + rand() % 200;
+            for _ in 0..burst {
+                let payload = oracle.seq;
+                match rand() % 16 {
+                    kind @ 0..=7 => {
+                        // One in eight is earlier than the stream, out of order.
+                        let t = if kind == 7 { now + rand() % DELAY } else { now + DELAY };
+                        let heap_len = q.heap.len();
+                        q.push_sorted(t, payload);
+                        oracle.push(t);
+                        sorted_pushes += 1;
+                        fell_back += usize::from(q.heap.len() > heap_len);
+                    }
+                    8 | 9 => {
+                        q.push(now + DELAY, payload);
+                        oracle.push(now + DELAY);
+                    }
+                    10 => {
+                        let t = now + 1_000_000 + rand() % 1_000_000_000;
+                        q.push(t, payload);
+                        oracle.push(t);
+                    }
+                    _ => {
+                        q.push(cohort_time, payload);
+                        oracle.push(cohort_time);
+                    }
+                }
+            }
+            for _ in 0..rand() % (2 * burst + 1) {
+                if let (Some(head), Some(top)) = (q.lane.front(), q.heap.peek()) {
+                    if head.time == top.time {
+                        tie_lane_first += usize::from(head.seq < top.seq);
+                        tie_heap_first += usize::from(head.seq > top.seq);
+                    }
+                }
+                let want = oracle.pop();
+                assert_eq!(q.pop(), want, "round {round}");
+                assert_eq!(q.len(), oracle.keys.len());
+                if let Some((t, _)) = want {
+                    now = t;
+                    pops += 1;
+                }
+            }
+        }
+        while let Some(want) = oracle.pop() {
+            assert_eq!(q.pop(), Some(want));
+            pops += 1;
+        }
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+        assert!(cleared && pops > 50_000, "stream too small: {pops} pops");
+        let laned = sorted_pushes - fell_back;
+        assert!(laned > 10_000 && fell_back > 1_000, "lane {laned}, fallback {fell_back}");
+        assert!(
+            tie_lane_first > 100 && tie_heap_first > 100,
+            "ties: lane first {tie_lane_first}, heap first {tie_heap_first}"
+        );
+    }
+
     #[test]
     fn cleared_queue_behaves_like_a_fresh_one() {
         let mut q = EventQueue::new();
         for i in 0..500u64 {
             q.push(i * 13, i);
+            q.push_sorted(i * 7, i);
         }
         q.pop();
-        let capacity = q.heap.capacity();
+        let (heap_capacity, lane_capacity) = (q.heap.capacity(), q.lane.capacity());
         q.clear();
-        assert_eq!(q.heap.capacity(), capacity, "clear keeps the allocation");
+        assert_eq!(q.heap.capacity(), heap_capacity, "clear keeps the heap's allocation");
+        assert_eq!(q.lane.capacity(), lane_capacity, "clear keeps the lane's allocation");
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         q.push(30, 3);
-        q.push(10, 1);
+        q.push_sorted(10, 1);
         q.push(10, 2);
         assert_eq!(q.pop(), Some((10, 1)));
         assert_eq!(q.pop(), Some((10, 2)));

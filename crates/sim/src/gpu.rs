@@ -571,7 +571,7 @@ fn issue(
                             gpu.sms[sm].free_scheds -= 1;
                             gpu.sched_busy_ns += overhead.max(1);
                             record!(w, TraceKind::RemoteIssue, now, now + overhead.max(1));
-                            q.push(
+                            q.push_sorted(
                                 now + overhead.max(1),
                                 Ev { gpu: pe as u16, sm: sm as u16, warp: w, kind: EvKind::SchedFree },
                             );
@@ -613,7 +613,9 @@ fn issue(
                         gpu.sched_busy_ns += overhead.max(1);
                         record!(w, TraceKind::RemoteIssue, now, now + overhead.max(1));
                         record!(w, TraceKind::RemoteWire, now + overhead, first);
-                        q.push(
+                        // `now` never decreases and `overhead` is fixed per
+                        // cluster, so these frees arrive in time order.
+                        q.push_sorted(
                             now + overhead.max(1),
                             Ev { gpu: pe as u16, sm: sm as u16, warp: w, kind: EvKind::SchedFree },
                         );
