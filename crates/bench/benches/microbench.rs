@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the reproduction's own hot paths: the
 //! partitioning pipeline (Table 4's preprocessing story), kernel trace
-//! simulation throughput, and the reference aggregation.
+//! simulation throughput, the reference aggregation, and the dense GEMM of
+//! a GIN layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -62,5 +63,36 @@ fn bench_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_partitioning, bench_simulation, bench_aggregation);
+/// `Matrix::matmul` at the three shapes of a perfbench GIN pass on the
+/// 2^15-node ENWIKI stand-in: the first layer's `W1` (input dim 96), the
+/// hidden `W1`/`W2` (64 × 64) and the classifier head (128 classes). The
+/// `64x64_relu` case feeds the 64 × 64 GEMM a ReLU output, about half
+/// zeros, as `W2` sees in every layer.
+fn bench_dense(c: &mut Criterion) {
+    const ROWS: usize = 1 << 15;
+    let mut relu = Matrix::glorot(ROWS, 64, 23);
+    relu.relu_inplace();
+    let cases = [
+        ("96x64", Matrix::glorot(ROWS, 96, 21), Matrix::glorot(96, 64, 31)),
+        ("64x64", Matrix::glorot(ROWS, 64, 22), Matrix::glorot(64, 64, 32)),
+        ("64x64_relu", relu, Matrix::glorot(64, 64, 33)),
+        ("64x128", Matrix::glorot(ROWS, 64, 24), Matrix::glorot(64, 128, 34)),
+    ];
+    let mut group = c.benchmark_group("dense");
+    group.sample_size(10);
+    for (name, a, b) in &cases {
+        group.bench_function(*name, |bench| {
+            bench.iter(|| std::hint::black_box(a).matmul(std::hint::black_box(b)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_partitioning,
+    bench_simulation,
+    bench_aggregation,
+    bench_dense
+);
 criterion_main!(benches);

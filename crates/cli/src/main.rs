@@ -8,13 +8,39 @@ fn main() {
         print_or_exit(mgg_cli::usage());
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-    match mgg_cli::parse(&args).and_then(|cmd| mgg_cli::execute(&cmd)) {
+    match run(&args) {
         Ok(output) => print_or_exit(&output),
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{}", mgg_cli::usage());
-            std::process::exit(2);
+        Err(failure) => {
+            let (text, code) = failure_report(&failure);
+            eprint!("{text}");
+            std::process::exit(code);
         }
+    }
+}
+
+/// Parses and runs one command line.
+fn run(args: &[String]) -> Result<String, Failure> {
+    let cmd = mgg_cli::parse(args).map_err(Failure::Usage)?;
+    mgg_cli::execute(&cmd).map_err(Failure::Command)
+}
+
+/// Why a run failed.
+#[derive(Debug)]
+enum Failure {
+    /// `parse` rejected the command line.
+    Usage(String),
+    /// A valid command failed when run, e.g. a `perfdiff --strict` that
+    /// found a regression.
+    Command(String),
+}
+
+/// What a failure prints to stderr, and the exit code. A usage error shows
+/// the usage text and exits 2; a failed command prints only its error and
+/// exits 1.
+fn failure_report(failure: &Failure) -> (String, i32) {
+    match failure {
+        Failure::Usage(e) => (format!("error: {e}\n\n{}", mgg_cli::usage()), 2),
+        Failure::Command(e) => (format!("error: {e}\n"), 1),
     }
 }
 
@@ -86,5 +112,23 @@ mod tests {
             ClosingWriter { room: 0, kind: io::ErrorKind::Other, written: Vec::new() };
         let e = write_text(&mut failing, text).expect_err("the write failed");
         assert_eq!(write_failure_code(&e), 1);
+    }
+
+    #[test]
+    fn usage_errors_exit_two_and_failed_commands_exit_one() {
+        let args = |line: &str| line.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let usage = run(&args("simulate g.csr --gpus 0")).expect_err("--gpus 0 is rejected");
+        assert!(matches!(usage, Failure::Usage(_)), "{usage:?}");
+        let (text, code) = failure_report(&usage);
+        assert_eq!(code, 2);
+        assert!(text.starts_with("error: --gpus must be >= 1\n\n"), "{text}");
+        assert!(text.ends_with(mgg_cli::usage()), "{text}");
+
+        let failed = run(&args("stats /nonexistent/graph.csr")).expect_err("no such graph file");
+        let Failure::Command(e) = &failed else { panic!("not a command failure: {failed:?}") };
+        let (text, code) = failure_report(&failed);
+        assert_eq!(code, 1);
+        assert_eq!(text, format!("error: {e}\n"));
+        assert!(!text.contains("usage:"), "{text}");
     }
 }

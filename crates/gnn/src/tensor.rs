@@ -79,23 +79,39 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self @ other` with a cache-friendly i-k-j loop.
+    /// `self @ other`, split by rows across the `mgg-runtime` pool.
+    ///
+    /// Each output is summed as `((0 + a₀b₀) + a₁b₁) + …` with `k`
+    /// ascending, starting from +0.0, so the result is the same bits as the
+    /// textbook triple loop at any pool width and on any CPU. Registers hold
+    /// a 4 × 16 block of outputs; on x86-64 CPUs with AVX2 the same kernel
+    /// runs from a copy compiled for AVX2 (see `DESIGN.md` §9.5).
+    ///
+    /// Every term is added, zeros included: where `other` holds ±∞ or NaN
+    /// in a row whose factor in `self` is zero, the output is NaN, as IEEE
+    /// `0 × ∞` gives. On finite inputs skipping zero factors would change
+    /// no bit.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_on(other, Body::widest())
+    }
+
+    /// [`Matrix::matmul`] on the given compiled copy of the kernel.
+    fn matmul_on(&self, other: &Matrix, body: Body) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
+        let (k, n) = (self.cols, other.cols);
+        let mut out = Matrix::zeros(self.rows, n);
+        if self.rows == 0 || n == 0 || k == 0 {
+            return out;
         }
+        let chunk_rows =
+            mgg_runtime::chunk_len(self.rows, MIN_MATMUL_ROWS_PER_JOB).next_multiple_of(MR);
+        let slices: Vec<&mut [f32]> = out.data.chunks_mut(chunk_rows * n).collect();
+        let _lbl = mgg_runtime::profile::region_label("gnn.matmul");
+        mgg_runtime::par_slices_mut(slices, |ci, out_chunk| {
+            let r0 = ci * chunk_rows;
+            let a = &self.data[r0 * k..(r0 + out_chunk.len() / n) * k];
+            body.run(a, &other.data, out_chunk, k, n);
+        });
         out
     }
 
@@ -196,6 +212,123 @@ impl Matrix {
             .map(|(&a, &b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
+}
+
+/// Rows of `out` in one register block of [`Matrix::matmul`].
+const MR: usize = 4;
+
+/// Columns of `out` in one register block: two 8-lane AVX2 vectors.
+const NR: usize = 16;
+
+/// Fewest rows one pool job of [`Matrix::matmul`] computes. A product with
+/// no more rows than this stays on the calling thread.
+const MIN_MATMUL_ROWS_PER_JOB: usize = 256;
+
+/// Which compiled copy of the GEMM kernel runs. Both copies come from the
+/// one body [`gemm_rows`], so they give the same bits.
+#[derive(Debug, Clone, Copy)]
+enum Body {
+    /// Built for the baseline target (SSE2 on x86-64).
+    Portable,
+    /// Built with AVX2 enabled. Only [`Body::widest`] makes it, after
+    /// checking that the CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Body {
+    /// The widest copy this CPU can run.
+    fn widest() -> Body {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Body::Avx2;
+        }
+        Body::Portable
+    }
+
+    /// `out = a @ b` for the rows of one job, as in [`gemm_rows`].
+    fn run(self, a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+        match self {
+            Body::Portable => gemm_rows(a, b, out, k, n),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Body::Avx2` is only made by `Body::widest`, which
+            // found AVX2 on this CPU.
+            Body::Avx2 => unsafe { gemm_rows_avx2(a, b, out, k, n) },
+        }
+    }
+}
+
+/// [`gemm_rows`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_rows_avx2(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    gemm_rows(a, b, out, k, n)
+}
+
+/// `out = a @ b` for `a` of `rows × k`, `b` of `k × n` and `out` of
+/// `rows × n`, with `k` and `n` nonzero: [`MR`]-row blocks, then one row
+/// at a time for the rest.
+#[inline(always)]
+fn gemm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let mut a_blocks = a.chunks_exact(MR * k);
+    let mut out_blocks = out.chunks_exact_mut(MR * n);
+    for (a_blk, out_blk) in (&mut a_blocks).zip(&mut out_blocks) {
+        row_block::<MR>(a_blk, b, out_blk, k, n);
+    }
+    let rest = a_blocks.remainder().chunks_exact(k);
+    for (a_row, out_row) in rest.zip(out_blocks.into_remainder().chunks_exact_mut(n)) {
+        row_block::<1>(a_row, b, out_row, k, n);
+    }
+}
+
+/// `out = a @ b` for one block of `R` rows: [`NR`]-column tiles, then one
+/// narrower tile for the columns left over.
+#[inline(always)]
+fn row_block<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut c0 = 0;
+    while c0 < n {
+        let w = NR.min(n - c0);
+        // A constant width lets the compiler keep a full tile in registers.
+        let acc = if w == NR {
+            tile(&a_rows, &b[c0..], k, n, NR)
+        } else {
+            tile(&a_rows, &b[c0..], k, n, w)
+        };
+        for (out_row, acc_r) in out.chunks_exact_mut(n).zip(&acc) {
+            out_row[c0..c0 + w].copy_from_slice(&acc_r[..w]);
+        }
+        c0 += w;
+    }
+}
+
+/// The kernel: the `R × w` block of outputs (`w <= NR`) over the first `w`
+/// columns of `b`. Every accumulator starts at +0.0 and adds
+/// `a[r][p] * b[p][c]` for `p` ascending; there is no fused multiply-add
+/// and no zero skip.
+#[inline(always)]
+fn tile<const R: usize>(
+    a_rows: &[&[f32]; R],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    w: usize,
+) -> [[f32; NR]; R] {
+    let mut acc = [[0.0f32; NR]; R];
+    for p in 0..k {
+        let b_row = &b[p * n..p * n + w];
+        for (acc_r, a_row) in acc.iter_mut().zip(a_rows) {
+            let x = a_row[p];
+            for (o, &y) in acc_r[..w].iter_mut().zip(b_row) {
+                *o += x * y;
+            }
+        }
+    }
+    acc
 }
 
 /// Mean cross-entropy of softmax `probs` against integer `labels`,
@@ -313,13 +446,92 @@ mod tests {
         out
     }
 
+    /// The `matmul` loop before register blocking, kept as an oracle: i-k-j
+    /// order, skipping zero factors of `a`.
+    fn ikj_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for (k, &x) in a.row(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// A seeded matrix whose entries mix ordinary values with +0, −0,
+    /// subnormals of either sign and values whose products overflow.
+    fn awkward(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..rows * cols)
+            .map(|_| match rng.random_range(0u32..10) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => {
+                    let sub = f32::from_bits(rng.random_range(1u32..0x80_0000));
+                    if rng.random_bool(0.5) { -sub } else { sub }
+                }
+                3 => rng.random_range(-3.0e19f32..3.0e19),
+                _ => rng.random_range(-2.0f32..2.0),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every row and column remainder of the 4 × 16 block, row counts that
+    /// split into several pool jobs, and the GIN widths: both compiled
+    /// copies of the kernel give the triple loop's bits at every pool
+    /// width, and so does the old zero-skipping loop on these finite inputs.
     #[test]
     fn matmul_matches_naive() {
-        let a = Matrix::glorot(7, 5, 1);
-        let b = Matrix::glorot(5, 3, 2);
-        let fast = a.matmul(&b);
-        let slow = naive_matmul(&a, &b);
-        assert!(fast.max_abs_diff(&slow) < 1e-5);
+        let bodies = [Body::Portable, Body::widest()];
+        let mut seed = 0;
+        for rows in [0, 1, 3, 4, 5, 257, 1031] {
+            for cols in [1, 7, 8, 15, 16, 17, 64, 128] {
+                for inner in [0, 1, 64, 96] {
+                    seed += 2;
+                    let a = awkward(rows, inner, seed);
+                    let b = awkward(inner, cols, seed + 1);
+                    let want = bits(&naive_matmul(&a, &b));
+                    assert_eq!(bits(&ikj_matmul(&a, &b)), want, "{rows}x{inner}x{cols} i-k-j");
+                    for threads in [1, 2, 4, 7] {
+                        for body in bodies {
+                            let got =
+                                mgg_runtime::with_threads(threads, || a.matmul_on(&b, body));
+                            assert_eq!(
+                                bits(&got),
+                                want,
+                                "{rows}x{inner}x{cols}, {body:?} at {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one input where the zero skip mattered: a zero factor against
+    /// ∞ or NaN in `other` now adds IEEE `0 × ∞ = NaN`, as the triple loop
+    /// does, where the old loop skipped the term.
+    #[test]
+    fn zero_times_non_finite_is_nan() {
+        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let b = Matrix::from_vec(2, 2, vec![bad, 1.0, 2.0, 3.0]);
+            let got = a.matmul(&b);
+            assert!(got.data()[0].is_nan(), "0 x {bad} must reach the output");
+            assert_eq!(got.data()[1], 3.0);
+            assert!(naive_matmul(&a, &b).data()[0].is_nan());
+            assert_eq!(ikj_matmul(&a, &b).data()[0], 2.0, "the old loop skipped the term");
+        }
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Parallel execution is an implementation detail: every result produced
 //! through the `mgg-runtime` worker pool must be bit-identical to the
 //! sequential run at any thread count. These tests pin that contract
-//! across the pool itself, the engine's aggregation path and a chaos seed
-//! matrix — deliberately including an odd worker count (7) to catch
-//! stride/chunking assumptions.
+//! across the pool itself, the engine's aggregation path, the dense plane
+//! of the GNN models and a chaos seed matrix — deliberately including an
+//! odd worker count (7) to catch stride/chunking assumptions.
 
 use proptest::prelude::*;
 
 use mgg::core::{MggConfig, MggEngine};
 use mgg::fault::FaultSpec;
 use mgg::gnn::reference::AggregateMode;
-use mgg::gnn::Matrix;
+use mgg::gnn::{DenseCostModel, Gcn, Gin, Matrix, ReferenceAggregator};
+use mgg::graph::generators::random::erdos_renyi;
 use mgg::graph::generators::rmat::{rmat, RmatConfig};
 use mgg::runtime::{par_map, par_map_indexed, with_threads};
 use mgg::sim::ClusterSpec;
@@ -142,6 +143,33 @@ fn engine_aggregation_is_bit_identical_across_threads() {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "aggregation diverged at {t} threads ({mode:?})");
         }
+    }
+}
+
+/// The dense plane: `Matrix::matmul` splits its rows across the pool, so
+/// GCN and GIN forwards on the reference aggregator give the same logits
+/// and timings at every width. 2,051 rows make 2 to 7 row jobs and leave a
+/// remainder below the kernel's 4-row block.
+#[test]
+fn model_forwards_are_bit_identical_across_threads() {
+    let g = erdos_renyi(2_051, 16_000, 17);
+    let x = Matrix::glorot(g.num_nodes(), 24, 5);
+    let cost = DenseCostModel::a100(4);
+    let gcn = Gcn::new(24, 16, 7, 3);
+    let gin = Gin::new(24, 32, 7, 3, 4);
+    let forwards = || {
+        let mut gcn_agg = ReferenceAggregator { graph: g.clone(), mode: AggregateMode::GcnNorm };
+        let mut gin_agg = ReferenceAggregator { graph: g.clone(), mode: AggregateMode::Sum };
+        let (gcn_logits, gcn_t) = gcn.forward(&mut gcn_agg, &x, &cost);
+        let (gin_logits, gin_t) = gin.forward(&mut gin_agg, &x, &cost);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        (bits(&gcn_logits), gcn_t, bits(&gin_logits), gin_t)
+    };
+    let seq = with_threads(1, forwards);
+    for t in THREAD_COUNTS {
+        let par = with_threads(t, forwards);
+        assert!(seq.0 == par.0 && seq.1 == par.1, "GCN forward diverged at {t} threads");
+        assert!(seq.2 == par.2 && seq.3 == par.3, "GIN forward diverged at {t} threads");
     }
 }
 
