@@ -275,8 +275,8 @@ pub fn run(scale: f64, gpus: usize) -> ChurnBenchReport {
             (mixed(2.0), FaultSchedule::quiet(gpus), quiet()),
         ];
 
-        let outs = server.run_churn_sweep(&scenarios);
-        let seq_outs = mgg_runtime::with_threads(1, || server.run_churn_sweep(&scenarios));
+        let outs = server.run_sweep(&scenarios);
+        let seq_outs = mgg_runtime::with_threads(1, || server.run_sweep(&scenarios));
         replay_matches &= outs
             .iter()
             .zip(&seq_outs)

@@ -18,6 +18,7 @@
 //!   never manufactures a deadline violation
 //!   (`degraded_breaker_opened`, `degraded_routing_violations == 0`).
 
+use mgg_churn::ChurnSchedule;
 use mgg_core::{MggConfig, MggEngine};
 use mgg_fault::{FaultSchedule, FaultSpec};
 use mgg_gnn::reference::AggregateMode;
@@ -192,20 +193,18 @@ pub fn run(scale: f64, gpus: usize) -> ServeBenchReport {
 
         // Scenario set: the load sweep plus the degraded-GPU run, all
         // executed through the same deterministic fan-out.
-        let mut scenarios: Vec<(WorkloadSpec, FaultSchedule)> = LOAD_MULTS
-            .iter()
-            .map(|m| {
-                (WorkloadSpec::poisson(42, sat * m, ds.graph.num_nodes()), FaultSchedule::quiet(gpus))
-            })
-            .collect();
+        let scenario = |qps: f64, sched: FaultSchedule| {
+            let spec = WorkloadSpec::poisson(42, qps, ds.graph.num_nodes());
+            let quiet = ChurnSchedule::quiet(spec.duration_ns);
+            (spec, sched, quiet)
+        };
+        let mut scenarios: Vec<(WorkloadSpec, FaultSchedule, ChurnSchedule)> =
+            LOAD_MULTS.iter().map(|m| scenario(sat * m, FaultSchedule::quiet(gpus))).collect();
         let straggler = FaultSchedule::derive(
             &FaultSpec { seed: 5, straggler: STRAGGLER, ..FaultSpec::default() },
             gpus,
         );
-        scenarios.push((
-            WorkloadSpec::poisson(42, sat, ds.graph.num_nodes()),
-            straggler.clone(),
-        ));
+        scenarios.push(scenario(sat, straggler.clone()));
         duration_ns = scenarios[0].0.duration_ns;
 
         let outs = server.run_sweep(&scenarios);

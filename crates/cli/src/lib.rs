@@ -332,29 +332,70 @@ fn parse_membership(
         .collect()
 }
 
+/// Names of a command's value flags and of its switches.
+type FlagNames = (&'static [&'static str], &'static [&'static str]);
+
+/// The value flags and the switches `cmd` reads (`-o` is the value flag
+/// `out`). [`parse`] rejects any other flag, so a misspelt flag is an
+/// error instead of being ignored.
+fn command_flags(cmd: &str) -> Result<FlagNames, String> {
+    Ok(match cmd {
+        "generate" => (&["dataset", "scale", "rmat", "seed", "out"], &[]),
+        "stats" => (&[], &[]),
+        "partition" => (&["gpus"], &["multilevel"]),
+        "reorder" => (&["out"], &[]),
+        "train" => (&["communities", "size", "epochs", "gpus"], &[]),
+        "simulate" => (
+            &[
+                "gpus", "dim", "engine", "platform", "fault-seed", "fault-link-degrade",
+                "fault-straggler", "fault-drop-rate", "fault-gpu-fail", "fault-link-down",
+                "trace-out", "metrics-out", "threads", "cache-mb", "cache-policy",
+            ],
+            &["tune"],
+        ),
+        "serve" => (
+            &[
+                "gpus", "dim", "platform", "arrival", "qps", "deadline-us", "zipf", "duration",
+                "seed", "batch-cap", "queue-cap", "threads", "fault-seed", "fault-link-degrade",
+                "fault-straggler", "fault-drop-rate", "fault-gpu-fail", "fault-link-down",
+                "priority-mix", "churn-seed", "churn-deltas", "churn-fence-us",
+                "churn-warmup-us", "drain", "leave", "join", "json-out", "metrics-out",
+            ],
+            &[],
+        ),
+        "profile" => (
+            &["gpus", "dim", "engine", "platform", "trace-out", "metrics-out", "threads"],
+            &["host"],
+        ),
+        "perfdiff" => (&["json-out"], &["annotate", "strict"]),
+        other => return Err(format!("unknown command '{other}'")),
+    })
+}
+
 /// Parses an argument vector (without the binary name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or("no command given")?;
+    let (value_flags, switch_flags) = command_flags(cmd)?;
     let mut positional: Vec<String> = Vec::new();
     let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
     let mut switches: std::collections::HashSet<String> = std::collections::HashSet::new();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            match name {
-                "multilevel" | "tune" | "host" | "annotate" | "strict" => {
-                    switches.insert(name.to_string());
-                }
-                _ => {
-                    let v = it.next().ok_or_else(|| format!("missing value for --{name}"))?;
-                    flags.insert(name.to_string(), v.clone());
-                }
+        let name = match a.strip_prefix("--") {
+            Some(name) => name,
+            None if a == "-o" => "out",
+            None => {
+                positional.push(a.clone());
+                continue;
             }
-        } else if a == "-o" {
-            let v = it.next().ok_or("missing value for -o")?;
-            flags.insert("out".to_string(), v.clone());
+        };
+        if switch_flags.contains(&name) {
+            switches.insert(name.to_string());
+        } else if value_flags.contains(&name) {
+            let v = it.next().ok_or_else(|| format!("missing value for {a}"))?;
+            flags.insert(name.to_string(), v.clone());
         } else {
-            positional.push(a.clone());
+            return Err(format!("unknown flag {a} for {cmd}"));
         }
     }
     let get_usize = |k: &str, default: usize| -> Result<usize, String> {
@@ -706,7 +747,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 json_out: flags.get("json-out").map(PathBuf::from),
             })
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => unreachable!("command_flags accepted unknown command '{other}'"),
     }
 }
 
@@ -1026,7 +1067,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 MggConfig::default_fixed(),
                 AggregateMode::Sum,
             );
-            let cfg = ServeConfig { batch_cap: *batch_cap, queue_cap: *queue_cap, ..ServeConfig::default() };
+            let cfg = ServeConfig { batch_cap: *batch_cap, queue_cap: *queue_cap };
             let server = Server::new(&mut engine, *dim, cfg).map_err(|e| e.to_string())?;
             let cal = server.calibration();
             // Default to a 1.5x overload of the calibrated saturation rate,
@@ -1571,6 +1612,20 @@ mod tests {
         for spec in ["0,100", "40,100"] {
             let err = parse(&args(&format!("generate --rmat {spec} -o g.csr"))).unwrap_err();
             assert!(err.contains("--rmat"), "--rmat {spec}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_flags_a_command_does_not_take() {
+        for (line, flag, cmd) in [
+            ("perfdiff a.json a.json --strcit yes", "--strcit", "perfdiff"),
+            ("simulate g.csr --qps 5", "--qps", "simulate"),
+            ("simulate g.csr --strict", "--strict", "simulate"),
+            ("serve g.csr --batchcap 8", "--batchcap", "serve"),
+            ("simulate g.csr -o out.csr", "-o", "simulate"),
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} for {cmd}"), "{line}");
         }
     }
 

@@ -16,15 +16,18 @@
 //!   calibrated from the engine's measured launch throughput.
 //! * **Deadline-aware batching** — per-shard batches close when the size
 //!   cap is reached, when the oldest member's slack would otherwise be
-//!   burned (`deadline - service_estimate - safety`), or when the batch
-//!   has lingered past the configured cap (so sub-saturation load is not
-//!   held until its deadline just to fill batches).
+//!   burned (`deadline - service_estimate - 2 µs safety`), or when the
+//!   batch has lingered 50 µs (so sub-saturation load is not held until
+//!   its deadline just to fill batches).
 //! * **Graceful degradation** ([`breaker`]) — per-shard circuit breakers
 //!   consume the failover plane's phi-accrual health signals to route
-//!   around degraded or dead shards, and straggler shards get hedged
-//!   re-dispatch on a healthy peer. Capacity loss beyond what routing
-//!   absorbs falls back to the engine's recovery ladder (re-split /
-//!   UVM degrade).
+//!   around degraded or dead shards: a shard slowed 1.5x or more trips
+//!   at its first poll and probes again after 200 µs. A batch dispatched
+//!   at a service scale of 1.5x or more is hedged on a healthy peer;
+//!   with the breaker tripping at the same scale, only a re-joined
+//!   shard's warm-up penalty can reach it. Capacity loss beyond what
+//!   routing absorbs falls back to the engine's recovery ladder
+//!   (re-split / UVM degrade).
 //! * **Live mutation & elastic membership** ([`Server::run_scenario`]) —
 //!   replays an `mgg-churn` schedule inside the same event loop: epoch
 //!   fences stall in-rotation shards for the apply transaction, drains

@@ -14,9 +14,10 @@
 //! ([`Server::run_sweep`] via `mgg_runtime::par_map`), never inside the
 //! decision loop.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mgg_churn::{ChurnEventKind, ChurnSchedule, MembershipChange};
+use mgg_churn::{ChurnEventKind, ChurnSchedule, MembershipChange, MembershipEvent};
 use mgg_core::{MggEngine, MggError};
 use mgg_failover::HealthMonitor;
 use mgg_fault::FaultSchedule;
@@ -97,41 +98,11 @@ pub struct ServeConfig {
     /// `shards x batch_cap` so it binds on queueing backlog, not on
     /// healthy in-flight work.
     pub queue_cap: usize,
-    /// Slack margin subtracted when computing a batch's
-    /// latest-safe-close instant.
-    pub safety_ns: u64,
-    /// Longest a batch may stay open past its first member's arrival.
-    /// Deadline slack alone would hold sub-saturation batches until just
-    /// before their deadline to fill them; the linger cap bounds that
-    /// low-load latency tax.
-    pub linger_ns: u64,
-    /// Open-state dwell time of the per-shard circuit breakers.
-    pub breaker_cooldown_ns: u64,
-    /// Straggler compute-scale at which a shard's breaker trips.
-    pub breaker_trip_scale: f64,
-    /// Compute-scale at which dispatches to a still-closed straggler
-    /// shard are hedged on a healthy peer.
-    pub hedge_scale: f64,
-    /// Token-bucket burst, in queries.
-    pub token_burst: f64,
-    /// Token refill rate as a multiple of calibrated saturation
-    /// throughput (1.0 = admit exactly what the cluster sustains).
-    pub rate_mult: f64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            batch_cap: 32,
-            queue_cap: 2_048,
-            safety_ns: 2_000,
-            linger_ns: 50_000,
-            breaker_cooldown_ns: 200_000,
-            breaker_trip_scale: 1.5,
-            hedge_scale: 1.5,
-            token_burst: 64.0,
-            rate_mult: 1.0,
-        }
+        ServeConfig { batch_cap: 32, queue_cap: 2_048 }
     }
 }
 
@@ -185,6 +156,33 @@ const WARMUP_PENALTY: f64 = 0.5;
 /// shard: the transactional cache invalidation and split re-extension
 /// stall every member briefly, priced well below a full query.
 const FENCE_STALL_UNITS: f64 = 0.25;
+
+/// Slack margin subtracted when computing a batch's latest-safe-close
+/// instant, and required between a query's estimated completion and its
+/// deadline at admission.
+const SAFETY_NS: u64 = 2_000;
+
+/// Longest a batch may stay open past its first member's arrival.
+/// Deadline slack alone would hold sub-saturation batches until just
+/// before their deadline to fill them; the linger cap bounds that
+/// low-load latency tax.
+const LINGER_NS: u64 = 50_000;
+
+/// Open-state dwell time of the per-shard circuit breakers.
+const BREAKER_COOLDOWN_NS: u64 = 200_000;
+
+/// Straggler compute scale at which a shard's breaker trips.
+const BREAKER_TRIP_SCALE: f64 = 1.5;
+
+/// Service scale (straggler compute scale times warm-up penalty) at which
+/// a dispatched batch is hedged on a healthy peer. It equals
+/// `BREAKER_TRIP_SCALE`, so a straggler at or above it never has a batch
+/// to dispatch (its breaker opens at the first poll): only a join's
+/// warm-up penalty can lift a smaller straggle to it.
+const HEDGE_SCALE: f64 = 1.5;
+
+/// Token-bucket burst, in queries.
+const TOKEN_BURST: f64 = 64.0;
 
 /// Elastic-membership phase of one shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -449,464 +447,285 @@ impl Server {
         churn: &ChurnSchedule,
         telemetry: &Telemetry,
     ) -> ServeOutcome {
-        let queries = generate(spec);
-        self.run_queries(&queries, spec, sched, churn, telemetry)
+        Replay::new(self, sched, churn, telemetry).run(&generate(spec), spec)
     }
 
-    /// Runs several independent scenarios concurrently on the
-    /// deterministic worker pool; results merge in input order, so the
-    /// output is bit-identical to a sequential loop at any thread count.
+    /// Runs several independent `(workload, fault, churn)` scenarios
+    /// concurrently on the deterministic worker pool; results merge in
+    /// input order, so the output is bit-identical to a sequential loop at
+    /// any thread count. A scenario without churn passes
+    /// `ChurnSchedule::quiet(spec.duration_ns)`, which replays
+    /// [`Server::run`] bit for bit.
     pub fn run_sweep(
-        &self,
-        specs: &[(WorkloadSpec, FaultSchedule)],
-    ) -> Vec<ServeOutcome> {
-        mgg_runtime::profile::labeled("serve.sweep", || {
-            mgg_runtime::par_map(specs, |(spec, sched)| {
-                self.run(spec, sched, &Telemetry::disabled())
-            })
-        })
-    }
-
-    /// [`Server::run_sweep`] for churn scenarios: each `(workload, fault,
-    /// churn)` triple replays independently, merged in input order.
-    pub fn run_churn_sweep(
         &self,
         specs: &[(WorkloadSpec, FaultSchedule, ChurnSchedule)],
     ) -> Vec<ServeOutcome> {
-        mgg_runtime::profile::labeled("serve.churn_sweep", || {
+        mgg_runtime::profile::labeled("serve.sweep", || {
             mgg_runtime::par_map(specs, |(spec, sched, churn)| {
                 self.run_scenario(spec, sched, churn, &Telemetry::disabled())
             })
         })
     }
+}
 
-    fn run_queries(
-        &self,
-        queries: &[Query],
-        spec: &WorkloadSpec,
-        sched: &FaultSchedule,
-        churn: &ChurnSchedule,
-        telemetry: &Telemetry,
-    ) -> ServeOutcome {
-        let n_shards = self.cal.num_shards;
-        let warmup_ns = churn.spec().warmup_ns;
-        let mut shards: Vec<ShardState> = (0..n_shards)
+/// One serving run: the replay's mutable state, borrowing what stays
+/// fixed, with one handler per event kind. [`Replay::dispatch`] is the
+/// only place a batch is priced.
+struct Replay<'a> {
+    server: &'a Server,
+    sched: &'a FaultSchedule,
+    churn: &'a ChurnSchedule,
+    telemetry: &'a Telemetry,
+    /// Warm-up window of a re-joined shard (from the churn spec).
+    warmup_ns: u64,
+    shards: Vec<ShardState>,
+    records: Vec<QueryRecord>,
+    transitions: Vec<BreakerTransition>,
+    /// Scheduled batch closes: `Reverse((t, shard, seq))`.
+    timers: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    timer_seq: u64,
+    /// Completion instants of admitted queries (lazy in-system count).
+    completions: BinaryHeap<Reverse<u64>>,
+    /// Token bucket: level, instant of the last settle, and refill rate.
+    /// The rate follows the live member count: every drain/leave/join
+    /// rescales it to `live / n_shards` of the calibrated rate, so
+    /// admission capacity tracks real capacity.
+    tokens: f64,
+    tokens_at: u64,
+    refill_per_ns: f64,
+    batches: u64,
+    batched_queries: u64,
+    hedges: u64,
+    churn_stats: ChurnStats,
+}
+
+impl<'a> Replay<'a> {
+    fn new(
+        server: &'a Server,
+        sched: &'a FaultSchedule,
+        churn: &'a ChurnSchedule,
+        telemetry: &'a Telemetry,
+    ) -> Self {
+        let shards = (0..server.cal.num_shards)
             .map(|s| ShardState {
                 pending: Vec::new(),
                 open_at: 0,
                 close_at: u64::MAX,
                 close_seq: 0,
                 busy_until: 0,
-                breaker: Breaker::new(s, self.cfg.breaker_cooldown_ns, self.cfg.breaker_trip_scale),
+                breaker: Breaker::new(s, BREAKER_COOLDOWN_NS, BREAKER_TRIP_SCALE),
                 phase: MemberPhase::Active,
             })
             .collect();
-        let mut transitions: Vec<BreakerTransition> = Vec::new();
-        let mut records: Vec<QueryRecord> = Vec::with_capacity(queries.len());
-        // Timer heap of scheduled batch closes: Reverse((t, shard, seq)).
-        let mut timers: BinaryHeap<std::cmp::Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        let mut timer_seq = 0u64;
-        // Lazy in-system accounting: completions ordered by time.
-        let mut completions: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new();
-        // Token bucket. The refill rate follows the live member count:
-        // every drain/leave/join rescales it to `live / n_shards` of the
-        // calibrated rate, so admission capacity tracks real capacity.
-        let mut tokens = self.cfg.token_burst;
-        let mut tokens_at = 0u64;
-        let base_refill_per_ns = self.cal.saturation_qps * self.cfg.rate_mult / 1e9;
-        let mut refill_per_ns = base_refill_per_ns;
-        let mut batches = 0u64;
-        let mut batched_queries = 0u64;
-        let mut hedges = 0u64;
-        let mut churn_stats = ChurnStats::default();
+        Replay {
+            server,
+            sched,
+            churn,
+            telemetry,
+            warmup_ns: churn.spec().warmup_ns,
+            shards,
+            records: Vec::new(),
+            transitions: Vec::new(),
+            timers: BinaryHeap::new(),
+            timer_seq: 0,
+            completions: BinaryHeap::new(),
+            tokens: TOKEN_BURST,
+            tokens_at: 0,
+            refill_per_ns: server.cal.saturation_qps / 1e9,
+            batches: 0,
+            batched_queries: 0,
+            hedges: 0,
+            churn_stats: ChurnStats::default(),
+        }
+    }
 
-        let dispatch = |shards: &mut Vec<ShardState>,
-                            records: &mut Vec<QueryRecord>,
-                            completions: &mut BinaryHeap<std::cmp::Reverse<u64>>,
-                            transitions: &mut Vec<BreakerTransition>,
-                            batches: &mut u64,
-                            batched_queries: &mut u64,
-                            hedges: &mut u64,
-                            s: usize,
-                            now: u64| {
-            let batch: Vec<(Query, f64, bool)> = std::mem::take(&mut shards[s].pending);
-            shards[s].close_at = u64::MAX;
-            if batch.is_empty() {
-                return;
-            }
-            let units: f64 = batch.iter().map(|(_, u, _)| *u).sum();
-            let scale = sched.compute_scale(s) * warm_mult(shards[s].phase, warmup_ns, now);
-            let start = now.max(shards[s].busy_until);
-            let mut completion = start + self.cal.service_ns(units, scale);
-            shards[s].busy_until = completion;
-            let mut hedged = false;
-            // Hedged re-dispatch: a straggling-but-not-tripped shard gets
-            // its batch duplicated on the deterministically-chosen
-            // healthiest peer; the batch completes at the earlier finish.
-            if scale >= self.cfg.hedge_scale {
-                if let Some(peer) = self.hedge_peer(shards, sched, s, now, transitions) {
-                    let peer_units = units + batch.len() as f64 * REROUTE_UNITS;
-                    let peer_scale =
-                        sched.compute_scale(peer) * warm_mult(shards[peer].phase, warmup_ns, now);
-                    let peer_start = now.max(shards[peer].busy_until);
-                    let peer_done = peer_start + self.cal.service_ns(peer_units, peer_scale);
-                    shards[peer].busy_until = peer_done;
-                    if peer_done < completion {
-                        completion = peer_done;
-                    }
-                    hedged = true;
-                    *hedges += 1;
-                }
-            }
-            *batches += 1;
-            *batched_queries += batch.len() as u64;
-            telemetry.histogram_record("serve.batch_size", batch.len() as f64);
-            for (q, _, rerouted) in &batch {
-                let met = completion <= q.deadline_ns;
-                telemetry
-                    .histogram_record("serve.latency_us", (completion - q.arrival_ns) as f64 / 1e3);
-                completions.push(std::cmp::Reverse(completion));
-                records.push(QueryRecord {
-                    id: q.id,
-                    arrival_ns: q.arrival_ns,
-                    decision: Decision::Admitted,
-                    shard: Some(s as u16),
-                    completion_ns: Some(completion),
-                    deadline_met: met,
-                    rerouted: *rerouted,
-                    hedged,
-                    class: q.class,
-                });
-            }
-        };
-
-        // Deadline-aware close (re)scheduling of `s`'s open batch: the
-        // latest instant at which the batch at its current size still
-        // makes every member's deadline, bounded by the linger cap.
-        let schedule_close = |shards: &mut Vec<ShardState>,
-                              timers: &mut BinaryHeap<std::cmp::Reverse<(u64, usize, u64)>>,
-                              timer_seq: &mut u64,
-                              s: usize,
-                              now: u64| {
-            let scale = sched.compute_scale(s) * warm_mult(shards[s].phase, warmup_ns, now);
-            let st = &shards[s];
-            let units_now: f64 = st.pending.iter().map(|(_, u, _)| *u).sum();
-            let service = self.cal.service_ns(units_now, scale);
-            let mut close = u64::MAX;
-            for (m, ..) in &st.pending {
-                let latest = m.deadline_ns.saturating_sub(service + self.cfg.safety_ns);
-                close = close.min(latest);
-            }
-            let close = close.min(st.open_at + self.cfg.linger_ns).max(now);
-            *timer_seq += 1;
-            let st = &mut shards[s];
-            st.close_at = close;
-            st.close_seq = *timer_seq;
-            timers.push(std::cmp::Reverse((close, s, *timer_seq)));
-        };
-
-        let mut qi = 0usize;
-        let mut ci = 0usize;
+    /// Replays `queries` (in arrival order) with the churn events, then
+    /// dispatches the batches still open when the window of `spec` ends.
+    fn run(mut self, queries: &[Query], spec: &WorkloadSpec) -> ServeOutcome {
+        self.records.reserve(queries.len());
+        let events = self.churn.events();
+        let (mut qi, mut ci) = (0usize, 0usize);
         loop {
             // Next event: earliest of (pending timer, churn event, next
             // arrival). Ties at one instant order timers first (close the
             // batch the old world promised), then churn (capacity and
             // fence effects land before new work), then arrivals.
-            let next_arrival = queries.get(qi).map(|q| q.arrival_ns);
-            let next_timer = timers.peek().map(|std::cmp::Reverse((t, ..))| *t);
-            let next_churn = churn.events().get(ci).map(|e| e.at_ns);
-            let mut best: Option<(u64, u8)> = None;
-            for (t, k) in [(next_timer, 0u8), (next_churn, 1u8), (next_arrival, 2u8)] {
-                if let Some(t) = t {
-                    if best.is_none_or(|b| (t, k) < b) {
-                        best = Some((t, k));
+            let next = [
+                (self.timers.peek().map(|Reverse((t, ..))| *t), 0u8),
+                (events.get(ci).map(|e| e.at_ns), 1),
+                (queries.get(qi).map(|q| q.arrival_ns), 2),
+            ]
+            .into_iter()
+            .filter_map(|(t, kind)| Some((t?, kind)))
+            .min();
+            let Some((now, kind)) = next else { break };
+            match kind {
+                0 => self.timer(),
+                1 => {
+                    let ev = &events[ci];
+                    ci += 1;
+                    // Settle the token bucket at the old rate before any
+                    // capacity change (the refill is piecewise linear).
+                    self.refill(now);
+                    match &ev.kind {
+                        ChurnEventKind::Membership(m) => self.membership(*m, now),
+                        ChurnEventKind::Fence { deltas } => self.fence(deltas.len(), now),
                     }
                 }
-            }
-            let Some((now, kind)) = best else { break };
-
-            if kind == 0 {
-                let std::cmp::Reverse((t, s, seq)) = timers.pop().expect("peeked");
-                // Stale timer: the batch it was set for already dispatched
-                // (full) or was superseded by a tighter close.
-                if shards[s].close_seq != seq || shards[s].close_at != t {
-                    continue;
-                }
-                dispatch(
-                    &mut shards,
-                    &mut records,
-                    &mut completions,
-                    &mut transitions,
-                    &mut batches,
-                    &mut batched_queries,
-                    &mut hedges,
-                    s,
-                    t,
-                );
-                continue;
-            }
-
-            if kind == 1 {
-                let ev = churn.events()[ci].clone();
-                ci += 1;
-                // Settle the token bucket at the old rate before any
-                // capacity change (the refill is piecewise linear).
-                tokens =
-                    (tokens + (now - tokens_at) as f64 * refill_per_ns).min(self.cfg.token_burst);
-                tokens_at = now;
-                match ev.kind {
-                    ChurnEventKind::Membership(m) => {
-                        churn_stats.membership_events += 1;
-                        let s = m.shard as usize;
-                        if s >= n_shards {
-                            churn_stats.join_rejections += 1;
-                        } else {
-                            match m.change {
-                                MembershipChange::Drain => {
-                                    if in_rotation(shards[s].phase) {
-                                        // Flush the open batch before the
-                                        // shard stops taking traffic.
-                                        dispatch(
-                                            &mut shards,
-                                            &mut records,
-                                            &mut completions,
-                                            &mut transitions,
-                                            &mut batches,
-                                            &mut batched_queries,
-                                            &mut hedges,
-                                            s,
-                                            now,
-                                        );
-                                        shards[s].phase = MemberPhase::Draining;
-                                        churn_stats.drains += 1;
-                                        telemetry.counter_add("serve.churn.drains", 1);
-                                    }
-                                }
-                                MembershipChange::Leave => {
-                                    if shards[s].phase != MemberPhase::Left {
-                                        let orphans = std::mem::take(&mut shards[s].pending);
-                                        shards[s].close_at = u64::MAX;
-                                        shards[s].phase = MemberPhase::Left;
-                                        churn_stats.leaves += 1;
-                                        telemetry.counter_add("serve.churn.leaves", 1);
-                                        // Loss-free departure: pending work
-                                        // migrates to the least-loaded
-                                        // in-rotation peer at the relay
-                                        // surcharge; with no peer left it
-                                        // executes here before the shard
-                                        // goes.
-                                        for (q, units, _) in orphans {
-                                            let mut peer: Option<(u64, usize)> = None;
-                                            for step in 1..n_shards {
-                                                let p = (s + step) % n_shards;
-                                                if !in_rotation(shards[p].phase) {
-                                                    continue;
-                                                }
-                                                if !shards[p].breaker.poll(
-                                                    &self.monitor,
-                                                    sched,
-                                                    now,
-                                                    &mut transitions,
-                                                ) {
-                                                    continue;
-                                                }
-                                                let key = (shards[p].busy_until, p);
-                                                if peer.is_none_or(|b| key < b) {
-                                                    peer = Some(key);
-                                                }
-                                            }
-                                            if let Some((_, p)) = peer {
-                                                if shards[p].pending.is_empty() {
-                                                    shards[p].open_at = now;
-                                                }
-                                                shards[p]
-                                                    .pending
-                                                    .push((q, units + REROUTE_UNITS, true));
-                                                churn_stats.migrated_queries += 1;
-                                                if shards[p].pending.len() >= self.cfg.batch_cap {
-                                                    dispatch(
-                                                        &mut shards,
-                                                        &mut records,
-                                                        &mut completions,
-                                                        &mut transitions,
-                                                        &mut batches,
-                                                        &mut batched_queries,
-                                                        &mut hedges,
-                                                        p,
-                                                        now,
-                                                    );
-                                                } else {
-                                                    schedule_close(
-                                                        &mut shards,
-                                                        &mut timers,
-                                                        &mut timer_seq,
-                                                        p,
-                                                        now,
-                                                    );
-                                                }
-                                            } else {
-                                                shards[s].pending.push((q, units, false));
-                                            }
-                                        }
-                                        if !shards[s].pending.is_empty() {
-                                            dispatch(
-                                                &mut shards,
-                                                &mut records,
-                                                &mut completions,
-                                                &mut transitions,
-                                                &mut batches,
-                                                &mut batched_queries,
-                                                &mut hedges,
-                                                s,
-                                                now,
-                                            );
-                                        }
-                                        if churn_stats.migrated_queries > 0 {
-                                            telemetry.counter_add(
-                                                "serve.churn.migrated",
-                                                churn_stats.migrated_queries,
-                                            );
-                                        }
-                                    }
-                                }
-                                MembershipChange::Join => {
-                                    let absent = matches!(
-                                        shards[s].phase,
-                                        MemberPhase::Draining | MemberPhase::Left
-                                    );
-                                    if absent && self.monitor.join_admissible(sched, s, now) {
-                                        shards[s].phase =
-                                            MemberPhase::Warming { until: now + warmup_ns };
-                                        churn_stats.joins += 1;
-                                        telemetry.counter_add("serve.churn.joins", 1);
-                                    } else {
-                                        churn_stats.join_rejections += 1;
-                                        telemetry.counter_add("serve.churn.join_rejections", 1);
-                                    }
-                                }
-                            }
-                        }
-                        // Admission capacity follows the live member count.
-                        let live = shards.iter().filter(|st| in_rotation(st.phase)).count();
-                        refill_per_ns = base_refill_per_ns * live as f64 / n_shards as f64;
-                    }
-                    ChurnEventKind::Fence { deltas } => {
-                        churn_stats.fences += 1;
-                        churn_stats.deltas_applied += deltas.len() as u64;
-                        telemetry.counter_add("serve.churn.fences", 1);
-                        telemetry.counter_add("serve.churn.deltas", deltas.len() as u64);
-                        // Epoch-fence apply transaction: every member that
-                        // still holds rows stalls for the targeted cache
-                        // invalidation and split re-extension.
-                        let stall = self.cal.launch_ns
-                            + (deltas.len() as f64 * self.cal.per_query_ns * FENCE_STALL_UNITS)
-                                .ceil() as u64;
-                        for st in shards.iter_mut() {
-                            if st.phase != MemberPhase::Left {
-                                st.busy_until = st.busy_until.max(now) + stall;
-                                churn_stats.fence_stall_ns += stall;
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-
-            let q = queries[qi];
-            qi += 1;
-            // Lazy queue drain: completed queries leave the system.
-            while completions.peek().is_some_and(|std::cmp::Reverse(t)| *t <= now) {
-                completions.pop();
-            }
-            // Refill the token bucket up to `now`.
-            tokens = (tokens + (now - tokens_at) as f64 * refill_per_ns).min(self.cfg.token_burst);
-            tokens_at = now;
-
-            let in_system =
-                completions.len() + shards.iter().map(|s| s.pending.len()).sum::<usize>();
-            let outcome = self.admit(
-                &mut shards,
-                sched,
-                &mut transitions,
-                &mut tokens,
-                in_system,
-                warmup_ns,
-                q,
-                now,
-            );
-            match outcome {
-                Ok((shard, units, rerouted)) => {
-                    telemetry.counter_add("serve.admitted", 1);
-                    let st = &mut shards[shard];
-                    if st.pending.is_empty() {
-                        st.open_at = now;
-                    }
-                    st.pending.push((q, units, rerouted));
-                    if st.pending.len() >= self.cfg.batch_cap {
-                        dispatch(
-                            &mut shards,
-                            &mut records,
-                            &mut completions,
-                            &mut transitions,
-                            &mut batches,
-                            &mut batched_queries,
-                            &mut hedges,
-                            shard,
-                            now,
-                        );
-                    } else {
-                        schedule_close(&mut shards, &mut timers, &mut timer_seq, shard, now);
-                    }
-                }
-                Err(err) => {
-                    telemetry.counter_add(&format!("serve.shed.{}", err.name()), 1);
-                    records.push(QueryRecord {
-                        id: q.id,
-                        arrival_ns: q.arrival_ns,
-                        decision: Decision::Shed(err),
-                        shard: None,
-                        completion_ns: None,
-                        deadline_met: false,
-                        rerouted: false,
-                        hedged: false,
-                        class: q.class,
-                    });
+                _ => {
+                    self.arrival(queries[qi], now);
+                    qi += 1;
                 }
             }
         }
 
         // Drain still-open batches (workload window ended).
-        for s in 0..n_shards {
-            if !shards[s].pending.is_empty() {
-                let at = shards[s].close_at.min(spec.duration_ns);
-                dispatch(
-                    &mut shards,
-                    &mut records,
-                    &mut completions,
-                    &mut transitions,
-                    &mut batches,
-                    &mut batched_queries,
-                    &mut hedges,
-                    s,
-                    at,
-                );
+        for s in 0..self.shards.len() {
+            if !self.shards[s].pending.is_empty() {
+                let at = self.shards[s].close_at.min(spec.duration_ns);
+                self.dispatch(s, at);
             }
         }
 
-        records.sort_by_key(|r| r.id);
-        for t in &transitions {
-            telemetry.counter_add(&format!("serve.breaker.{}", t.to.name()), 1);
+        self.records.sort_by_key(|r| r.id);
+        for t in &self.transitions {
+            self.telemetry.counter_add(&format!("serve.breaker.{}", t.to.name()), 1);
         }
-        let summary = self.summarize(
-            &records,
-            &transitions,
-            spec,
-            batches,
-            batched_queries,
-            hedges,
-            churn_stats,
-        );
-        ServeOutcome { records, transitions, summary }
+        let summary = self.summarize(spec);
+        ServeOutcome { records: self.records, transitions: self.transitions, summary }
+    }
+
+    /// A scheduled batch close fires. A stale timer is skipped: the batch
+    /// it was set for already dispatched (full) or was superseded by a
+    /// tighter close.
+    fn timer(&mut self) {
+        let Reverse((t, s, seq)) = self.timers.pop().expect("peeked");
+        if self.shards[s].close_seq == seq && self.shards[s].close_at == t {
+            self.dispatch(s, t);
+        }
+    }
+
+    /// A drain, leave or join of one shard; admission capacity then
+    /// follows the live member count.
+    fn membership(&mut self, m: MembershipEvent, now: u64) {
+        self.churn_stats.membership_events += 1;
+        let n = self.shards.len();
+        let s = m.shard as usize;
+        if s >= n {
+            self.churn_stats.join_rejections += 1;
+        } else {
+            match m.change {
+                MembershipChange::Drain => {
+                    if in_rotation(self.shards[s].phase) {
+                        // Flush the open batch before the shard stops
+                        // taking traffic.
+                        self.dispatch(s, now);
+                        self.shards[s].phase = MemberPhase::Draining;
+                        self.churn_stats.drains += 1;
+                        self.telemetry.counter_add("serve.churn.drains", 1);
+                    }
+                }
+                MembershipChange::Leave => {
+                    if self.shards[s].phase != MemberPhase::Left {
+                        self.leave(s, now);
+                    }
+                }
+                MembershipChange::Join => {
+                    let absent =
+                        matches!(self.shards[s].phase, MemberPhase::Draining | MemberPhase::Left);
+                    if absent && self.server.monitor.join_admissible(self.sched, s, now) {
+                        self.shards[s].phase = MemberPhase::Warming { until: now + self.warmup_ns };
+                        self.churn_stats.joins += 1;
+                        self.telemetry.counter_add("serve.churn.joins", 1);
+                    } else {
+                        self.churn_stats.join_rejections += 1;
+                        self.telemetry.counter_add("serve.churn.join_rejections", 1);
+                    }
+                }
+            }
+        }
+        let live = self.shards.iter().filter(|st| in_rotation(st.phase)).count();
+        self.refill_per_ns = self.server.cal.saturation_qps / 1e9 * live as f64 / n as f64;
+    }
+
+    /// Loss-free departure of shard `s`: each pending query migrates to
+    /// the least-loaded in-rotation peer at the relay surcharge; with no
+    /// peer left it executes here before the shard goes.
+    fn leave(&mut self, s: usize, now: u64) {
+        let orphans = std::mem::take(&mut self.shards[s].pending);
+        self.shards[s].close_at = u64::MAX;
+        self.shards[s].phase = MemberPhase::Left;
+        self.churn_stats.leaves += 1;
+        self.telemetry.counter_add("serve.churn.leaves", 1);
+        for (q, units, _) in orphans {
+            if let Some(p) = self.peer(s, now, false) {
+                self.churn_stats.migrated_queries += 1;
+                self.enqueue(p, q, units + REROUTE_UNITS, true, now);
+            } else {
+                self.shards[s].pending.push((q, units, false));
+            }
+        }
+        if !self.shards[s].pending.is_empty() {
+            self.dispatch(s, now);
+        }
+        if self.churn_stats.migrated_queries > 0 {
+            self.telemetry.counter_add("serve.churn.migrated", self.churn_stats.migrated_queries);
+        }
+    }
+
+    /// Epoch-fence apply transaction over `deltas` graph deltas: every
+    /// member that still holds rows stalls for the targeted cache
+    /// invalidation and split re-extension.
+    fn fence(&mut self, deltas: usize, now: u64) {
+        self.churn_stats.fences += 1;
+        self.churn_stats.deltas_applied += deltas as u64;
+        self.telemetry.counter_add("serve.churn.fences", 1);
+        self.telemetry.counter_add("serve.churn.deltas", deltas as u64);
+        let cal = &self.server.cal;
+        let stall =
+            cal.launch_ns + (deltas as f64 * cal.per_query_ns * FENCE_STALL_UNITS).ceil() as u64;
+        for st in self.shards.iter_mut() {
+            if st.phase != MemberPhase::Left {
+                st.busy_until = st.busy_until.max(now) + stall;
+                self.churn_stats.fence_stall_ns += stall;
+            }
+        }
+    }
+
+    /// A query arrives: completed queries leave the system, the token
+    /// bucket settles, and the query is admitted into a batch or shed.
+    fn arrival(&mut self, q: Query, now: u64) {
+        while self.completions.peek().is_some_and(|Reverse(t)| *t <= now) {
+            self.completions.pop();
+        }
+        self.refill(now);
+        match self.admit(q, now) {
+            Ok((shard, units, rerouted)) => {
+                self.telemetry.counter_add("serve.admitted", 1);
+                self.enqueue(shard, q, units, rerouted, now);
+            }
+            Err(err) => {
+                self.telemetry.counter_add(&format!("serve.shed.{}", err.name()), 1);
+                self.records.push(QueryRecord {
+                    id: q.id,
+                    arrival_ns: q.arrival_ns,
+                    decision: Decision::Shed(err),
+                    shard: None,
+                    completion_ns: None,
+                    deadline_met: false,
+                    rerouted: false,
+                    hedged: false,
+                    class: q.class,
+                });
+            }
+        }
+    }
+
+    /// Settles the token bucket up to `now` at the current refill rate.
+    fn refill(&mut self, now: u64) {
+        self.tokens =
+            (self.tokens + (now - self.tokens_at) as f64 * self.refill_per_ns).min(TOKEN_BURST);
+        self.tokens_at = now;
     }
 
     /// Admission pipeline: class-weighted token bucket → class-weighted
@@ -918,23 +737,14 @@ impl Server {
     /// while the bucket holds ≥ 4 tokens (silver ≥ 2) and may fill only
     /// half the queue bound, but an admitted query of any class spends
     /// exactly one token. Gold's gates are the legacy single-class gates.
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &self,
-        shards: &mut [ShardState],
-        sched: &FaultSchedule,
-        transitions: &mut Vec<BreakerTransition>,
-        tokens: &mut f64,
-        in_system: usize,
-        warmup_ns: u64,
-        q: Query,
-        now: u64,
-    ) -> Result<(usize, f64, bool), ServeError> {
+    fn admit(&mut self, q: Query, now: u64) -> Result<(usize, f64, bool), ServeError> {
         let class = q.class.code() as usize;
-        if *tokens < TOKEN_FLOOR[class] {
+        if self.tokens < TOKEN_FLOOR[class] {
             return Err(ServeError::RateLimited);
         }
-        let class_cap = (self.cfg.queue_cap as f64 * QUEUE_FRAC[class]) as usize;
+        let in_system =
+            self.completions.len() + self.shards.iter().map(|s| s.pending.len()).sum::<usize>();
+        let class_cap = (self.server.cfg.queue_cap as f64 * QUEUE_FRAC[class]) as usize;
         if in_system >= class_cap {
             return Err(ServeError::Overloaded { queued: in_system, cap: class_cap });
         }
@@ -949,22 +759,18 @@ impl Server {
         // order. (Permanent capacity loss beyond what rerouting absorbs
         // falls back to the engine's recovery ladder — evacuation re-split
         // or UVM degrade — outside the serving fast path.)
-        let home = self.shard_of(q.node);
-        let n = self.cal.num_shards;
+        let home = self.server.shard_of(q.node);
+        let n = self.shards.len();
         let mut best: Option<(u64, usize, f64)> = None;
         for step in 0..n {
             let s = (home + step) % n;
-            if !in_rotation(shards[s].phase) {
-                continue;
-            }
-            if !shards[s].breaker.poll(&self.monitor, sched, now, transitions) {
+            if !in_rotation(self.shards[s].phase) || !self.poll(s, now) {
                 continue;
             }
             let units = if step == 0 { 1.0 } else { 1.0 + REROUTE_UNITS };
-            let scale = sched.compute_scale(s) * warm_mult(shards[s].phase, warmup_ns, now);
-            let queued_units: f64 = shards[s].pending.iter().map(|(_, u, _)| *u).sum();
-            let est =
-                now.max(shards[s].busy_until) + self.cal.service_ns(queued_units + units, scale);
+            let service =
+                self.server.cal.service_ns(self.pending_units(s) + units, self.scale(s, now));
+            let est = now.max(self.shards[s].busy_until) + service;
             if best.is_none_or(|(b, ..)| est < b) {
                 best = Some((est, s, units));
             }
@@ -975,36 +781,115 @@ impl Server {
         // Feasibility: joining the best shard's open batch must still make
         // the deadline even if the batch closes immediately after this
         // query.
-        if earliest_done + self.cfg.safety_ns > q.deadline_ns {
+        if earliest_done + SAFETY_NS > q.deadline_ns {
             return Err(ServeError::DeadlineInfeasible);
         }
-        *tokens -= 1.0;
+        self.tokens -= 1.0;
         Ok((shard, units, shard != home))
     }
 
-    /// Healthiest breaker-closed peer for hedging, preferring lower load.
-    fn hedge_peer(
-        &self,
-        shards: &mut [ShardState],
-        sched: &FaultSchedule,
-        home: usize,
-        now: u64,
-        transitions: &mut Vec<BreakerTransition>,
-    ) -> Option<usize> {
-        let n = self.cal.num_shards;
+    /// Adds `q` at `units` to shard `s`'s open batch, opening the batch at
+    /// `now` if it was empty. A full batch dispatches at once; otherwise
+    /// its close is rescheduled for the new size.
+    fn enqueue(&mut self, s: usize, q: Query, units: f64, rerouted: bool, now: u64) {
+        let st = &mut self.shards[s];
+        if st.pending.is_empty() {
+            st.open_at = now;
+        }
+        st.pending.push((q, units, rerouted));
+        if st.pending.len() >= self.server.cfg.batch_cap {
+            self.dispatch(s, now);
+        } else {
+            self.schedule_close(s, now);
+        }
+    }
+
+    /// Deadline-aware close (re)scheduling of `s`'s open batch: the
+    /// latest instant at which the batch at its current size still makes
+    /// every member's deadline, bounded by the linger cap.
+    fn schedule_close(&mut self, s: usize, now: u64) {
+        let service = self.server.cal.service_ns(self.pending_units(s), self.scale(s, now));
+        let st = &self.shards[s];
+        let mut close = u64::MAX;
+        for (m, ..) in &st.pending {
+            close = close.min(m.deadline_ns.saturating_sub(service + SAFETY_NS));
+        }
+        let close = close.min(st.open_at + LINGER_NS).max(now);
+        self.timer_seq += 1;
+        let st = &mut self.shards[s];
+        st.close_at = close;
+        st.close_seq = self.timer_seq;
+        self.timers.push(Reverse((close, s, self.timer_seq)));
+    }
+
+    /// Dispatches shard `s`'s open batch at `now`: the one place a
+    /// batch's service time is computed. The batch starts when the
+    /// shard's executor frees up and runs for the calibrated service time
+    /// at the shard's scale. At a scale of `HEDGE_SCALE` or more it is
+    /// duplicated on the least-loaded healthy peer and completes at the
+    /// earlier finish.
+    fn dispatch(&mut self, s: usize, now: u64) {
+        let batch = std::mem::take(&mut self.shards[s].pending);
+        self.shards[s].close_at = u64::MAX;
+        if batch.is_empty() {
+            return;
+        }
+        let cal = self.server.cal;
+        let units: f64 = batch.iter().map(|(_, u, _)| *u).sum();
+        let scale = self.scale(s, now);
+        let start = now.max(self.shards[s].busy_until);
+        let mut completion = start + cal.service_ns(units, scale);
+        self.shards[s].busy_until = completion;
+        let mut hedged = false;
+        if scale >= HEDGE_SCALE {
+            if let Some(peer) = self.peer(s, now, true) {
+                let peer_units = units + batch.len() as f64 * REROUTE_UNITS;
+                let peer_start = now.max(self.shards[peer].busy_until);
+                let peer_done = peer_start + cal.service_ns(peer_units, self.scale(peer, now));
+                self.shards[peer].busy_until = peer_done;
+                completion = completion.min(peer_done);
+                hedged = true;
+                self.hedges += 1;
+            }
+        }
+        self.batches += 1;
+        self.batched_queries += batch.len() as u64;
+        self.telemetry.histogram_record("serve.batch_size", batch.len() as f64);
+        for (q, _, rerouted) in &batch {
+            self.telemetry
+                .histogram_record("serve.latency_us", (completion - q.arrival_ns) as f64 / 1e3);
+            self.completions.push(Reverse(completion));
+            self.records.push(QueryRecord {
+                id: q.id,
+                arrival_ns: q.arrival_ns,
+                decision: Decision::Admitted,
+                shard: Some(s as u16),
+                completion_ns: Some(completion),
+                deadline_met: completion <= q.deadline_ns,
+                rerouted: *rerouted,
+                hedged,
+                class: q.class,
+            });
+        }
+    }
+
+    /// The in-rotation peer of `home` whose breaker admits at `now` with
+    /// the earliest `busy_until` (ties to the lower index). With `hedge`
+    /// set it also passes over stragglers at or above `HEDGE_SCALE`
+    /// before polling their breakers, so a hedge logs no transition for
+    /// them.
+    fn peer(&mut self, home: usize, now: u64, hedge: bool) -> Option<usize> {
+        let n = self.shards.len();
         let mut best: Option<(u64, usize)> = None;
         for step in 1..n {
             let s = (home + step) % n;
-            if !in_rotation(shards[s].phase) {
+            if !in_rotation(self.shards[s].phase)
+                || (hedge && self.sched.compute_scale(s) >= HEDGE_SCALE)
+                || !self.poll(s, now)
+            {
                 continue;
             }
-            if sched.compute_scale(s) >= self.cfg.hedge_scale {
-                continue;
-            }
-            if !shards[s].breaker.poll(&self.monitor, sched, now, transitions) {
-                continue;
-            }
-            let key = (shards[s].busy_until, s);
+            let key = (self.shards[s].busy_until, s);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }
@@ -1012,17 +897,24 @@ impl Server {
         best.map(|(_, s)| s)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn summarize(
-        &self,
-        records: &[QueryRecord],
-        transitions: &[BreakerTransition],
-        spec: &WorkloadSpec,
-        batches: u64,
-        batched_queries: u64,
-        hedges: u64,
-        churn_stats: ChurnStats,
-    ) -> ServeSummary {
+    /// Polls shard `s`'s breaker at `now`, logging any transition.
+    fn poll(&mut self, s: usize, now: u64) -> bool {
+        self.shards[s].breaker.poll(&self.server.monitor, self.sched, now, &mut self.transitions)
+    }
+
+    /// Service-time scale of shard `s` at `now`: its straggler compute
+    /// scale times its warm-up penalty.
+    fn scale(&self, s: usize, now: u64) -> f64 {
+        self.sched.compute_scale(s) * warm_mult(self.shards[s].phase, self.warmup_ns, now)
+    }
+
+    /// Query-units waiting in shard `s`'s open batch.
+    fn pending_units(&self, s: usize) -> f64 {
+        self.shards[s].pending.iter().map(|(_, u, _)| *u).sum()
+    }
+
+    fn summarize(&self, spec: &WorkloadSpec) -> ServeSummary {
+        let records = &self.records;
         let offered = records.len() as u64;
         let mut admitted = 0u64;
         let (mut shed_queue, mut shed_rate, mut shed_infeasible, mut shed_unavailable) =
@@ -1099,7 +991,7 @@ impl Server {
                 cs
             })
             .collect();
-        let digest = self.digest(records, transitions, &churn_stats);
+        let batches = self.batches;
         ServeSummary {
             offered,
             admitted,
@@ -1111,37 +1003,32 @@ impl Server {
             deadline_violations: violations,
             routing_violations,
             rerouted,
-            hedges,
+            hedges: self.hedges,
             batches,
-            mean_batch: if batches == 0 { 0.0 } else { batched_queries as f64 / batches as f64 },
+            mean_batch: if batches == 0 { 0.0 } else { self.batched_queries as f64 / batches as f64 },
             p50_ns: pct(0.50),
             p95_ns: pct(0.95),
             p99_ns: pct(0.99),
             goodput_qps: in_deadline as f64 / window_s,
             offered_qps: offered as f64 / window_s,
-            saturation_qps: self.cal.saturation_qps,
+            saturation_qps: self.server.cal.saturation_qps,
             shed_fraction: if offered == 0 {
                 0.0
             } else {
                 (shed_queue + shed_rate + shed_infeasible + shed_unavailable) as f64 / offered as f64
             },
             per_class,
-            churn: churn_stats,
-            digest: format!("{:016x}", digest),
+            churn: self.churn_stats.clone(),
+            digest: format!("{:016x}", self.digest()),
         }
     }
 
     /// FNV-1a over the full decision trace: the run's replay fingerprint.
     /// Churn activity is folded in only when present, so static-graph
     /// digests match the values pinned by committed baselines.
-    fn digest(
-        &self,
-        records: &[QueryRecord],
-        transitions: &[BreakerTransition],
-        churn_stats: &ChurnStats,
-    ) -> u64 {
+    fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        for r in records {
+        for r in &self.records {
             h.u64(r.id);
             match r.decision {
                 Decision::Admitted => h.u8(0),
@@ -1154,6 +1041,7 @@ impl Server {
                 | (u8::from(r.hedged) << 2)
                 | (r.class.code() << 3));
         }
+        let churn_stats = &self.churn_stats;
         if *churn_stats != ChurnStats::default() {
             for v in [
                 churn_stats.fences,
@@ -1169,7 +1057,7 @@ impl Server {
                 h.u64(v);
             }
         }
-        for t in transitions {
+        for t in &self.transitions {
             h.u64(t.at_ns);
             h.u64(t.shard as u64);
             h.u8(t.from.name().len() as u8);
@@ -1355,19 +1243,44 @@ mod tests {
 
     #[test]
     fn straggler_below_trip_threshold_gets_hedged() {
-        let cfg = ServeConfig {
-            breaker_trip_scale: 3.0, // tolerate the straggler...
-            hedge_scale: 1.5,        // ...but hedge its dispatches
-            ..ServeConfig::default()
-        };
-        let (s, nodes) = server(4, cfg);
-        let fault = FaultSpec { seed: 9, straggler: 2.0, ..FaultSpec::default() };
+        // A 1.2x straggler stays below the breaker's trip scale (1.5), and
+        // its health 1/1.2 = 0.83 above 1/1.5, so its breaker stays closed
+        // and its own scale never reaches HEDGE_SCALE. After it drains,
+        // leaves and re-joins, the warm-up penalty (up to x1.5, decaying)
+        // lifts it to at least 1.2 x 1.25 = 1.5 for the first half of the
+        // warm-up window: the batches it dispatches there are hedged.
+        let (s, nodes) = server(4, ServeConfig::default());
+        let fault = FaultSpec { seed: 9, straggler: 1.2, ..FaultSpec::default() };
         let sched = FaultSchedule::derive(&fault, 4);
-        assert!(!sched.impaired_gpus().is_empty());
+        let impaired = sched.impaired_gpus();
+        assert_eq!(impaired.len(), 1, "one straggler among 4 GPUs");
+        let k = impaired[0];
         let spec = spec_at(&s, nodes, 1.0, 14);
-        let out = s.run(&spec, &sched, &Telemetry::disabled());
-        assert!(out.summary.hedges > 0, "straggling shard's batches must be hedged");
+        let join_at = 1_000_000u64;
+        let mut cspec = ChurnSpec::quiet(spec.duration_ns);
+        cspec.membership = vec![
+            MembershipEvent { shard: k as u16, at_ns: 400_000, change: MembershipChange::Drain },
+            MembershipEvent { shard: k as u16, at_ns: 600_000, change: MembershipChange::Leave },
+            MembershipEvent { shard: k as u16, at_ns: join_at, change: MembershipChange::Join },
+        ];
+        let warmup_ns = cspec.warmup_ns;
+        let churn = ChurnSchedule::derive(&cspec, nodes);
+        let out = s.run_scenario(&spec, &sched, &churn, &Telemetry::disabled());
+        assert_eq!(out.summary.churn.joins, 1, "the straggler re-joins");
+        assert!(
+            out.transitions.iter().all(|t| t.shard != k),
+            "the 1.2x straggler's breaker must stay closed"
+        );
+        assert!(out.summary.hedges > 0, "warming straggler's batches must be hedged");
         assert!(out.records.iter().any(|r| r.hedged));
+        for r in out.records.iter().filter(|r| r.hedged) {
+            assert_eq!(r.shard, Some(k as u16), "query {} hedged off another shard", r.id);
+            assert!(
+                r.arrival_ns >= join_at && r.arrival_ns < join_at + warmup_ns,
+                "query {} hedged outside the warm-up window",
+                r.id
+            );
+        }
     }
 
     #[test]
@@ -1387,13 +1300,14 @@ mod tests {
     #[test]
     fn sweep_is_thread_count_invariant() {
         let (s, nodes) = server(4, ServeConfig::default());
-        let scenarios: Vec<(WorkloadSpec, FaultSchedule)> = (0..6)
+        let scenarios: Vec<(WorkloadSpec, FaultSchedule, ChurnSchedule)> = (0..6)
             .map(|i| {
                 let mut spec = spec_at(&s, nodes, 0.8 + 0.3 * i as f64, 20 + i);
                 if i % 2 == 1 {
                     spec.arrival = ArrivalKind::Bursty { period_ns: 400_000, duty_pct: 25 };
                 }
-                (spec, FaultSchedule::quiet(4))
+                let quiet = ChurnSchedule::quiet(spec.duration_ns);
+                (spec, FaultSchedule::quiet(4), quiet)
             })
             .collect();
         let seq = mgg_runtime::with_threads(1, || s.run_sweep(&scenarios));
@@ -1428,7 +1342,7 @@ mod tests {
     }
 
     use crate::workload::PriorityMix;
-    use mgg_churn::{ChurnSpec, MembershipEvent};
+    use mgg_churn::ChurnSpec;
 
     #[test]
     fn quiet_churn_scenario_matches_legacy_run_bitwise() {
@@ -1578,8 +1492,8 @@ mod tests {
                 (spec, FaultSchedule::quiet(4), ChurnSchedule::derive(&cspec, nodes))
             })
             .collect();
-        let seq = mgg_runtime::with_threads(1, || s.run_churn_sweep(&scenarios));
-        let par = mgg_runtime::with_threads(4, || s.run_churn_sweep(&scenarios));
+        let seq = mgg_runtime::with_threads(1, || s.run_sweep(&scenarios));
+        let par = mgg_runtime::with_threads(4, || s.run_sweep(&scenarios));
         assert_eq!(seq, par, "churn sweep must merge in input order at any thread count");
     }
 }

@@ -56,11 +56,6 @@ pub struct UvmConfig {
     pub prefetch_batch: u32,
     /// Migration path.
     pub source: MigrationSource,
-    /// Access-counter threshold (A100 behaviour): a page migrates only on
-    /// its `N`-th touch from a GPU; earlier touches are serviced as
-    /// direct remote accesses without migration. `1` migrates on first
-    /// touch (pre-Ampere behaviour).
-    pub migrate_after_touches: u32,
 }
 
 impl UvmConfig {
@@ -73,13 +68,7 @@ impl UvmConfig {
             fault_concurrency: 8,
             prefetch_batch: 1,
             source: MigrationSource::Host,
-            migrate_after_touches: 1,
         }
-    }
-
-    /// Same, with batched prefetching enabled.
-    pub fn a100_batched(capacity_pages: usize, batch: u32) -> Self {
-        UvmConfig { prefetch_batch: batch.max(1), ..Self::a100(capacity_pages) }
     }
 
     /// GPU-resident configuration for data that fits in aggregate device
@@ -96,7 +85,6 @@ impl UvmConfig {
             fault_concurrency: 16,
             prefetch_batch: 4,
             source: MigrationSource::PeerInterleaved,
-            migrate_after_touches: 1,
         }
     }
 }
@@ -116,9 +104,6 @@ pub struct UvmGpuStats {
     pub evictions: u64,
     /// Faults on pages previously evicted from this GPU (thrash).
     pub thrash_refetches: u64,
-    /// Touches serviced as direct remote accesses below the
-    /// access-counter migration threshold.
-    pub remote_accesses: u64,
 }
 
 /// Aggregate UVM statistics.
@@ -146,8 +131,6 @@ struct PageCache {
     resident: HashMap<u64, (SimTime, u64)>,
     /// Pages ever evicted, for thrash accounting.
     evicted_once: HashMap<u64, u32>,
-    /// page -> access count (for the access-counter threshold).
-    touches: HashMap<u64, u32>,
     tick: u64,
 }
 
@@ -156,7 +139,6 @@ impl PageCache {
         PageCache {
             resident: HashMap::new(),
             evicted_once: HashMap::new(),
-            touches: HashMap::new(),
             tick: 0,
         }
     }
@@ -218,7 +200,6 @@ impl UvmSpace {
         for c in &mut self.caches {
             c.resident.clear();
             c.evicted_once.clear();
-            c.touches.clear();
             c.tick = 0;
         }
         for q in &mut self.fault_queues {
@@ -271,25 +252,6 @@ impl PageHandler for UvmSpace {
             self.caches[gpu].resident.insert(page, (ready, tick));
             self.stats.per_gpu[gpu].hits += 1;
             return PageAccessOutcome { ready_at: ready.max(now), hit: true };
-        }
-        // Access counters: below the threshold, service the touch as a
-        // direct remote access (one cache line over the fabric or host
-        // path) without migrating the page.
-        if self.cfg.migrate_after_touches > 1 {
-            let count = {
-                let c = self.caches[gpu].touches.entry(page).or_insert(0);
-                *c += 1;
-                *c
-            };
-            if count < self.cfg.migrate_after_touches {
-                const LINE: u64 = 256;
-                let ready = match home {
-                    None => ic.host_transfer(now, LINE),
-                    Some(h) => ic.remote_transfer(now, h, gpu, LINE),
-                };
-                self.stats.per_gpu[gpu].remote_accesses += 1;
-                return PageAccessOutcome { ready_at: ready, hit: false };
-            }
         }
         // Fault: driver servicing with bounded concurrency, then migration
         // of `prefetch_batch` consecutive pages from the source.
@@ -395,7 +357,8 @@ mod tests {
         let faults = |batch| {
             let cluster = Cluster::new(ClusterSpec::dgx_a100(1));
             let mut c = cluster;
-            let mut uvm = UvmSpace::new(1, UvmConfig::a100_batched(1024, batch));
+            let mut uvm =
+                UvmSpace::new(1, UvmConfig { prefetch_batch: batch, ..UvmConfig::a100(1024) });
             let mut t = 0;
             for p in 0..64u64 {
                 t = uvm.access(t, 0, p, &mut c.ic).ready_at;
@@ -475,63 +438,5 @@ mod proptests {
             prop_assert_eq!(uvm.stats().per_gpu[0].faults, distinct.len() as u64);
             prop_assert_eq!(uvm.stats().per_gpu[0].evictions, 0);
         }
-    }
-}
-
-#[cfg(test)]
-mod access_counter_tests {
-    use super::*;
-    use mgg_sim::{Cluster, ClusterSpec};
-
-    fn cfg(threshold: u32) -> UvmConfig {
-        UvmConfig { migrate_after_touches: threshold, ..UvmConfig::a100_resident(1 << 20) }
-    }
-
-    #[test]
-    fn below_threshold_touches_do_not_migrate() {
-        let mut c = Cluster::new(ClusterSpec::dgx_a100(2));
-        let mut uvm = UvmSpace::new(2, cfg(3));
-        // Page 1 homes on GPU 1; GPU 0 touches it.
-        let mut t = 0;
-        for _ in 0..2 {
-            let out = uvm.access(t, 0, 1, &mut c.ic);
-            assert!(!out.hit);
-            t = out.ready_at;
-        }
-        let s = uvm.stats().per_gpu[0];
-        assert_eq!(s.remote_accesses, 2);
-        assert_eq!(s.faults, 0, "no migration before the threshold");
-        // Third touch crosses the threshold: migration happens.
-        let out = uvm.access(t, 0, 1, &mut c.ic);
-        assert!(!out.hit);
-        let s = uvm.stats().per_gpu[0];
-        assert_eq!(s.faults, 1);
-        // Fourth touch hits the now-resident page.
-        let out = uvm.access(out.ready_at, 0, 1, &mut c.ic);
-        assert!(out.hit);
-    }
-
-    #[test]
-    fn remote_accesses_are_cheaper_than_faults() {
-        let mut c1 = Cluster::new(ClusterSpec::dgx_a100(2));
-        let mut counters = UvmSpace::new(2, cfg(8));
-        let direct = counters.access(0, 0, 1, &mut c1.ic).ready_at;
-        let mut c2 = Cluster::new(ClusterSpec::dgx_a100(2));
-        let mut eager = UvmSpace::new(2, cfg(1));
-        let fault = eager.access(0, 0, 1, &mut c2.ic).ready_at;
-        assert!(
-            direct * 5 < fault,
-            "direct access ({direct}) should be much cheaper than a fault ({fault})"
-        );
-    }
-
-    #[test]
-    fn home_gpu_never_counts_touches() {
-        let mut c = Cluster::new(ClusterSpec::dgx_a100(2));
-        let mut uvm = UvmSpace::new(2, cfg(4));
-        // Page 0 homes on GPU 0 under PeerInterleaved: always a hit there.
-        let out = uvm.access(0, 0, 0, &mut c.ic);
-        assert!(out.hit);
-        assert_eq!(uvm.stats().per_gpu[0].remote_accesses, 0);
     }
 }

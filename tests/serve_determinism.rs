@@ -21,6 +21,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use mgg::churn::ChurnSchedule;
 use mgg::core::{MggConfig, MggEngine};
 use mgg::fault::{FaultSchedule, FaultSpec};
 use mgg::gnn::reference::AggregateMode;
@@ -135,9 +136,12 @@ proptest! {
         seeds in proptest::collection::vec(0u64..1000, 2..5),
     ) {
         let s = server();
-        let scenarios: Vec<(WorkloadSpec, FaultSchedule)> = seeds
+        let scenarios: Vec<(WorkloadSpec, FaultSchedule, ChurnSchedule)> = seeds
             .into_iter()
-            .map(|seed| (WorkloadSpec { seed, ..spec }, sched.clone()))
+            .map(|seed| {
+                let quiet = ChurnSchedule::quiet(spec.duration_ns);
+                (WorkloadSpec { seed, ..spec }, sched.clone(), quiet)
+            })
             .collect();
         let wide = mgg::runtime::with_threads(4, || s.run_sweep(&scenarios));
         let narrow = mgg::runtime::with_threads(1, || s.run_sweep(&scenarios));
