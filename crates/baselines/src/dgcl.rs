@@ -189,14 +189,14 @@ impl KernelProgram for DglKernel<'_> {
         }
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let i = (block * WPB + warp) as usize;
         let Some(&v) = self.owned[pe].get(i) else {
-            return Vec::new();
+            return;
         };
         let deg = self.graph.degree(v) as u32;
         if deg == 0 {
-            return Vec::new();
+            return;
         }
         let row_bytes = (self.dim * 4) as u32;
         // DGL-style node-per-warp kernel: scattered per-neighbor row
@@ -204,14 +204,12 @@ impl KernelProgram for DglKernel<'_> {
         // "offline-optimized single-GPU kernel that cannot adapt towards
         // different GNN inputs" of §5.2. Hub warps serialize their whole
         // neighborhood on device-memory latency.
-        let mut ops = Vec::with_capacity(2 * deg as usize + 1);
         let per_neighbor = aggregation_cycles(1, self.dim);
         for _ in 0..deg {
-            ops.push(WarpOp::GlobalRead { bytes: row_bytes });
-            ops.push(WarpOp::Compute { cycles: per_neighbor });
+            out.push(WarpOp::GlobalRead { bytes: row_bytes });
+            out.push(WarpOp::Compute { cycles: per_neighbor });
         }
-        ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
-        ops
+        out.push(WarpOp::GlobalWrite { bytes: row_bytes });
     }
 }
 

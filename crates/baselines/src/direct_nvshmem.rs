@@ -87,23 +87,22 @@ impl KernelProgram for DirectKernel<'_> {
         }
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let r = (block * WPB + warp) as usize;
         let part = &self.parts[pe];
         if r >= part.local.num_rows() {
-            return Vec::new();
+            return;
         }
         let row_bytes = (self.dim * 4) as u32;
         let local = part.local.row(r as u32);
         let remote = part.remote.row(r as u32);
         if local.is_empty() && remote.is_empty() {
-            return Vec::new();
+            return;
         }
-        let mut ops = Vec::with_capacity(remote.len() * 2 + 4);
         // Local neighbors: a single coalesced sweep plus the arithmetic.
         if !local.is_empty() {
-            ops.push(WarpOp::GlobalRead { bytes: local.len() as u32 * row_bytes });
-            ops.push(WarpOp::Compute {
+            out.push(WarpOp::GlobalRead { bytes: local.len() as u32 * row_bytes });
+            out.push(WarpOp::Compute {
                 cycles: aggregation_cycles(local.len() as u32, self.dim),
             });
         }
@@ -111,12 +110,11 @@ impl KernelProgram for DirectKernel<'_> {
         // one row, then the next — the §2.3 "frequently switching between
         // local computation and remote access" pattern.
         for rr in remote {
-            ops.push(WarpOp::Compute { cycles: GET_SW_CYCLES });
-            ops.push(WarpOp::RemoteGet { peer: rr.owner, bytes: row_bytes, nbi: false });
-            ops.push(WarpOp::Compute { cycles: aggregation_cycles(1, self.dim) });
+            out.push(WarpOp::Compute { cycles: GET_SW_CYCLES });
+            out.push(WarpOp::RemoteGet { peer: rr.owner, bytes: row_bytes, nbi: false });
+            out.push(WarpOp::Compute { cycles: aggregation_cycles(1, self.dim) });
         }
-        ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
-        ops
+        out.push(WarpOp::GlobalWrite { bytes: row_bytes });
     }
 }
 

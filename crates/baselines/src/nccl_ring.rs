@@ -62,18 +62,18 @@ impl KernelProgram for LocalAggKernel<'_> {
         }
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let w = (block * WPB + warp) as usize;
         let Some(p) = self.parts[pe].get(w) else {
-            return Vec::new();
+            return;
         };
         let row_bytes = (self.dim * 4) as u32;
         let _ = self.graph;
-        vec![
+        out.extend([
             WarpOp::GlobalRead { bytes: p.len * row_bytes },
             WarpOp::Compute { cycles: aggregation_cycles(p.len, self.dim) },
             WarpOp::GlobalWrite { bytes: row_bytes },
-        ]
+        ]);
     }
 }
 

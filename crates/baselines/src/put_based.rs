@@ -169,21 +169,19 @@ impl KernelProgram for PushKernel<'_> {
         }
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let i = (block * WPB + warp) as usize;
         let Some(&(dst, rows)) = self.batches[pe].get(i) else {
-            return Vec::new();
+            return;
         };
         let row_bytes = (self.dim * 4) as u32;
-        let mut ops = Vec::with_capacity(rows as usize + 2);
         // Read the rows locally, then put them to the consumer's staging
         // buffer (posted), then put the arrival flag.
-        ops.push(WarpOp::GlobalRead { bytes: rows * row_bytes });
+        out.push(WarpOp::GlobalRead { bytes: rows * row_bytes });
         for _ in 0..rows {
-            ops.push(WarpOp::RemotePut { peer: dst, bytes: row_bytes });
+            out.push(WarpOp::RemotePut { peer: dst, bytes: row_bytes });
         }
-        ops.push(WarpOp::RemotePut { peer: dst, bytes: 8 }); // flag
-        ops
+        out.push(WarpOp::RemotePut { peer: dst, bytes: 8 }); // flag
     }
 }
 
@@ -197,19 +195,19 @@ impl KernelProgram for AggKernel<'_> {
         }
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let i = (block * WPB + warp) as usize;
         let Some(p) = self.parts[pe].get(i) else {
-            return Vec::new();
+            return;
         };
         let row_bytes = (self.dim * 4) as u32;
-        vec![
+        out.extend([
             // Receiver-side synchronization: poll the arrival flags.
             WarpOp::Compute { cycles: POLL_CYCLES_PER_PARTITION },
             WarpOp::GlobalRead { bytes: p.len * row_bytes },
             WarpOp::Compute { cycles: aggregation_cycles(p.len, self.dim) },
             WarpOp::GlobalWrite { bytes: row_bytes },
-        ]
+        ]);
     }
 }
 

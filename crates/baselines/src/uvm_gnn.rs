@@ -179,23 +179,21 @@ impl KernelProgram for UvmKernel<'_> {
         }
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let w = (block * UVM_WPB + warp) as usize;
         let Some(part) = self.workload.parts[pe].get(w) else {
-            return Vec::new();
+            return;
         };
         let row_bytes = (self.dim * 4) as u32;
         let base = self.workload.row_base[pe];
         let start = (base + part.start) as usize;
         let end = start + part.len as usize;
-        let mut ops = Vec::with_capacity(part.len as usize + 2);
         for &u in &self.workload.graph.col_idx()[start..end] {
             let page = self.workload.page_of_row(u as u64, self.dim);
-            ops.push(WarpOp::PageAccess { page, bytes: row_bytes });
+            out.push(WarpOp::PageAccess { page, bytes: row_bytes });
         }
-        ops.push(WarpOp::Compute { cycles: aggregation_cycles(part.len, self.dim) });
-        ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
-        ops
+        out.push(WarpOp::Compute { cycles: aggregation_cycles(part.len, self.dim) });
+        out.push(WarpOp::GlobalWrite { bytes: row_bytes });
     }
 }
 

@@ -43,8 +43,8 @@ impl KernelProgram for OneWarp {
             smem_per_block: 0,
         }
     }
-    fn warp_ops(&self, _pe: usize, _b: u32, _w: u32) -> Vec<WarpOp> {
-        self.ops.clone()
+    fn warp_ops(&self, _pe: usize, _b: u32, _w: u32, out: &mut Vec<WarpOp>) {
+        out.extend_from_slice(&self.ops);
     }
 }
 

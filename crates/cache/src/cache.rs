@@ -1,8 +1,6 @@
 //! The capacity-bounded deterministic embedding cache.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
+use crate::hash::KeyMap;
 use crate::{CacheKey, CachePolicy, CacheStats};
 
 /// Result of one [`EmbedCache::access`].
@@ -78,29 +76,50 @@ impl ThrashGuard {
     }
 }
 
+/// List terminator for the slot and class links.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     key: u64,
-    /// Primary eviction priority: last-use tick (LRU) or use frequency
-    /// (LFU). Smaller evicts first.
-    p1: u64,
-    /// Tie-breaker: last-use tick under LFU, unused (0) under LRU.
-    p2: u64,
-    occupied: bool,
     /// Row version the payload was filled at (see
     /// [`EmbedCache::access_versioned`]). Plain [`EmbedCache::access`]
     /// admissions carry version 0.
     version: u64,
+    /// Use-count class the slot is listed in.
+    class: u32,
+    /// Older neighbour in the class's recency list.
+    prev: u32,
+    /// Newer neighbour in the class's recency list.
+    next: u32,
+}
+
+/// One use-count class: the resident slots used exactly `count` times
+/// (LFU), or every resident slot (LRU, where the count never grows).
+#[derive(Debug, Clone, Copy)]
+struct Class {
+    count: u64,
+    /// Least recently used member.
+    head: u32,
+    /// Most recently used member.
+    tail: u32,
+    /// Class with the next lower count.
+    prev: u32,
+    /// Class with the next higher count.
+    next: u32,
 }
 
 /// A deterministic, capacity-bounded cache of remote-row keys.
 ///
-/// Replacement uses a lazily-invalidated min-heap over `(priority,
-/// tie-break, slot)` triples: every access pushes the key's new priority
-/// and eviction pops until the top matches a slot's current priority. The
-/// logical clock (`tick`) makes every priority tuple unique, so pop order —
-/// and therefore eviction order — is a total order independent of hash-map
-/// iteration: the same access stream always evicts the same keys.
+/// Resident slots sit in doubly linked recency lists, one per use-count
+/// class, and the classes are linked in ascending count order. An
+/// admission appends to the tail of class 1; a hit moves the slot to the
+/// tail of its own list (LRU, the one-class case) or of class count + 1
+/// (LFU); eviction takes the head of the lowest class. Every step is
+/// O(1). Within a class the list is ordered by last use, so the head of
+/// the lowest class is the unique minimum of `(use count, last use)` —
+/// the same total order the policies define — and the same access stream
+/// always evicts the same keys, independent of hash-map layout.
 ///
 /// The cache stores *keys only*; a caller that needs payloads keeps them
 /// in a table indexed by [`Lookup::slot`].
@@ -108,11 +127,13 @@ struct Slot {
 pub struct EmbedCache {
     policy: CachePolicy,
     capacity: usize,
-    map: HashMap<u64, usize>,
+    map: KeyMap<u32>,
     slots: Vec<Slot>,
-    free: Vec<usize>,
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    tick: u64,
+    free: Vec<u32>,
+    classes: Vec<Class>,
+    free_classes: Vec<u32>,
+    /// Class with the lowest count (`NIL` when nothing is resident).
+    lowest: u32,
     stats: CacheStats,
     stale: u64,
     guard: Option<ThrashGuard>,
@@ -126,11 +147,12 @@ impl EmbedCache {
         EmbedCache {
             policy,
             capacity: capacity_rows,
-            map: HashMap::new(),
+            map: KeyMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
-            heap: BinaryHeap::new(),
-            tick: 0,
+            classes: Vec::new(),
+            free_classes: Vec::new(),
+            lowest: NIL,
             stats: CacheStats::default(),
             stale: 0,
             guard: None,
@@ -185,7 +207,7 @@ impl EmbedCache {
     /// (callers that already accounted the access use this to re-find the
     /// payload slot, e.g. coalesced duplicates of an earlier hit).
     pub fn peek(&self, key: CacheKey) -> Option<usize> {
-        self.map.get(&key.pack()).copied()
+        self.map.get(&key.pack()).map(|&s| s as usize)
     }
 
     /// Looks up `key`, admitting it on a miss (evicting if full). Updates
@@ -206,12 +228,11 @@ impl EmbedCache {
     /// the current version). Admissions stamp the slot with `version`.
     pub fn access_versioned(&mut self, key: CacheKey, version: u64) -> Lookup {
         let packed = key.pack();
-        self.tick += 1;
         if let Some(g) = &mut self.guard {
             g.accesses += 1;
         }
         if let Some(&slot) = self.map.get(&packed) {
-            if self.slots[slot].version != version {
+            if self.slots[slot as usize].version != version {
                 // Stale resident row: drop it and fall through to the miss
                 // path so the caller refetches the current payload.
                 self.stale += 1;
@@ -219,10 +240,10 @@ impl EmbedCache {
                     false,
                     "stale cache row: {key:?} resident at version {} but row is at {version} \
                      — a graph delta bypassed invalidation",
-                    self.slots[slot].version
+                    self.slots[slot as usize].version
                 );
                 self.map.remove(&packed);
-                self.slots[slot].occupied = false;
+                self.unlink(slot);
                 self.free.push(slot);
             } else {
                 self.stats.hits += 1;
@@ -230,10 +251,8 @@ impl EmbedCache {
                     g.hits += 1;
                     g.maybe_roll();
                 }
-                let (p1, p2) = self.bump(slot);
-                self.heap.push(Reverse((p1, p2, slot)));
-                self.maybe_compact();
-                return Lookup { hit: true, slot: Some(slot), evicted: None };
+                self.promote(slot);
+                return Lookup { hit: true, slot: Some(slot as usize), evicted: None };
             }
         }
         self.stats.misses += 1;
@@ -254,14 +273,19 @@ impl EmbedCache {
             match self.free.pop() {
                 Some(s) => s,
                 None => {
-                    self.slots.push(Slot { key: 0, p1: 0, p2: 0, occupied: false, version: 0 });
-                    self.slots.len() - 1
+                    let s = u32::try_from(self.slots.len())
+                        .ok()
+                        .filter(|&s| s != NIL)
+                        .expect("cache slots fit u32 indices");
+                    self.slots.push(Slot { key: 0, version: 0, class: NIL, prev: NIL, next: NIL });
+                    s
                 }
             }
         } else {
-            let victim = self.pop_victim();
-            let victim_key = self.slots[victim].key;
+            let victim = self.classes[self.lowest as usize].head;
+            let victim_key = self.slots[victim as usize].key;
             self.map.remove(&victim_key);
+            self.unlink(victim);
             self.stats.evictions += 1;
             if let Some(g) = &mut self.guard {
                 g.evictions += 1;
@@ -269,18 +293,19 @@ impl EmbedCache {
             evicted = Some(CacheKey::unpack(victim_key));
             victim
         };
-        let (p1, p2) = match self.policy {
-            CachePolicy::Lru => (self.tick, 0),
-            CachePolicy::Lfu => (1, self.tick),
+        self.slots[slot as usize].key = packed;
+        self.slots[slot as usize].version = version;
+        let first = if self.lowest != NIL && self.classes[self.lowest as usize].count == 1 {
+            self.lowest
+        } else {
+            self.new_class(1, NIL)
         };
-        self.slots[slot] = Slot { key: packed, p1, p2, occupied: true, version };
+        self.push_tail(first, slot);
         self.map.insert(packed, slot);
-        self.heap.push(Reverse((p1, p2, slot)));
-        self.maybe_compact();
         if let Some(g) = &mut self.guard {
             g.maybe_roll();
         }
-        Lookup { hit: false, slot: Some(slot), evicted }
+        Lookup { hit: false, slot: Some(slot as usize), evicted }
     }
 
     /// Records `n` requests merged by the warp coalescer (kept here so one
@@ -297,7 +322,7 @@ impl EmbedCache {
     pub fn invalidate(&mut self, key: CacheKey) -> bool {
         match self.map.remove(&key.pack()) {
             Some(slot) => {
-                self.slots[slot].occupied = false;
+                self.unlink(slot);
                 self.free.push(slot);
                 true
             }
@@ -312,7 +337,9 @@ impl EmbedCache {
         self.map.clear();
         self.slots.clear();
         self.free.clear();
-        self.heap.clear();
+        self.classes.clear();
+        self.free_classes.clear();
+        self.lowest = NIL;
         // The guard's window described a residency epoch that no longer
         // exists; restart it (admitting) so post-flush behaviour depends
         // only on the post-flush access stream.
@@ -336,47 +363,99 @@ impl EmbedCache {
         self.stale
     }
 
-    /// Refreshes `slot`'s eviction priority after a hit.
-    fn bump(&mut self, slot: usize) -> (u64, u64) {
-        let s = &mut self.slots[slot];
-        match self.policy {
-            CachePolicy::Lru => {
-                s.p1 = self.tick;
-                s.p2 = 0;
+    /// Moves a hit `slot` to the most recent end of its next list: its
+    /// own class under LRU, class count + 1 under LFU.
+    fn promote(&mut self, slot: u32) {
+        let c = self.slots[slot as usize].class;
+        let Class { count, head, tail, next, .. } = self.classes[c as usize];
+        let target = match self.policy {
+            CachePolicy::Lru => c,
+            CachePolicy::Lfu if next != NIL && self.classes[next as usize].count == count + 1 => {
+                next
             }
-            CachePolicy::Lfu => {
-                s.p1 += 1;
-                s.p2 = self.tick;
+            CachePolicy::Lfu if head == slot && tail == slot => {
+                // Sole member and no class count + 1 yet: the class itself
+                // moves up one count without leaving its place in the order.
+                self.classes[c as usize].count += 1;
+                return;
             }
+            CachePolicy::Lfu => self.new_class(count + 1, c),
+        };
+        if target == c && tail == slot {
+            return;
         }
-        (s.p1, s.p2)
+        self.unlink(slot);
+        self.push_tail(target, slot);
     }
 
-    /// Pops heap entries until one matches a slot's *current* priority —
-    /// that slot is the deterministic victim.
-    fn pop_victim(&mut self) -> usize {
-        while let Some(Reverse((p1, p2, slot))) = self.heap.pop() {
-            let s = &self.slots[slot];
-            if s.occupied && s.p1 == p1 && s.p2 == p2 {
-                return slot;
+    /// A new empty class of `count`, linked right after class `after`
+    /// (`NIL` links it in front of every class).
+    fn new_class(&mut self, count: u64, after: u32) -> u32 {
+        let next = if after == NIL { self.lowest } else { self.classes[after as usize].next };
+        let class = Class { count, head: NIL, tail: NIL, prev: after, next };
+        let c = match self.free_classes.pop() {
+            Some(c) => {
+                self.classes[c as usize] = class;
+                c
             }
-            // Stale entry (priority bumped since the push, or slot
-            // recycled) — skip.
+            None => {
+                self.classes.push(class);
+                (self.classes.len() - 1) as u32
+            }
+        };
+        if after == NIL {
+            self.lowest = c;
+        } else {
+            self.classes[after as usize].next = c;
         }
-        unreachable!("eviction requested on a cache with no live heap entries");
+        if next != NIL {
+            self.classes[next as usize].prev = c;
+        }
+        c
     }
 
-    /// Rebuilds the heap from live slots when stale entries dominate,
-    /// bounding memory by the capacity rather than the access count.
-    fn maybe_compact(&mut self) {
-        if self.heap.len() > 4 * self.capacity + 64 {
-            self.heap.clear();
-            for (i, s) in self.slots.iter().enumerate() {
-                if s.occupied {
-                    self.heap.push(Reverse((s.p1, s.p2, i)));
-                }
-            }
+    /// Appends `slot` at the most recent end of class `c`'s list.
+    fn push_tail(&mut self, c: u32, slot: u32) {
+        let tail = self.classes[c as usize].tail;
+        let s = &mut self.slots[slot as usize];
+        s.class = c;
+        s.prev = tail;
+        s.next = NIL;
+        if tail == NIL {
+            self.classes[c as usize].head = slot;
+        } else {
+            self.slots[tail as usize].next = slot;
         }
+        self.classes[c as usize].tail = slot;
+    }
+
+    /// Takes `slot` out of its class's list, freeing the class if that
+    /// empties it.
+    fn unlink(&mut self, slot: u32) {
+        let Slot { class: c, prev, next, .. } = self.slots[slot as usize];
+        if prev == NIL {
+            self.classes[c as usize].head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.classes[c as usize].tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+        if self.classes[c as usize].head != NIL {
+            return;
+        }
+        let Class { prev: below, next: above, .. } = self.classes[c as usize];
+        if below == NIL {
+            self.lowest = above;
+        } else {
+            self.classes[below as usize].next = above;
+        }
+        if above != NIL {
+            self.classes[above as usize].prev = below;
+        }
+        self.free_classes.push(c);
     }
 }
 
@@ -556,24 +635,6 @@ mod tests {
         assert!(c.access_versioned(k(0, 1), 1).hit, "refetched row is clean");
         assert_eq!(c.stale_hits(), 1);
     }
-
-    #[test]
-    fn heap_compaction_is_transparent() {
-        // Far more accesses than 4*capacity so compaction triggers; the
-        // replacement decisions must match a fresh replay.
-        let stream: Vec<CacheKey> = (0..10_000u32).map(|i| k(0, i * 7919 % 37)).collect();
-        let run = || {
-            let mut c = EmbedCache::new(8, CachePolicy::Lfu);
-            let mut evictions = Vec::new();
-            for &key in &stream {
-                if let Some(e) = c.access(key).evicted {
-                    evictions.push(e);
-                }
-            }
-            (c.stats(), evictions)
-        };
-        assert_eq!(run(), run());
-    }
 }
 
 #[cfg(test)]
@@ -582,62 +643,200 @@ mod proptests {
 
     use super::*;
 
-    /// Reference model: naive O(n) scan over a vec of (key, p1, p2).
-    fn reference(stream: &[(u16, u32)], capacity: usize, policy: CachePolicy) -> CacheStats {
-        let mut resident: Vec<(u64, u64, u64)> = Vec::new(); // (key, p1, p2)
-        let mut tick = 0u64;
-        let mut stats = CacheStats::default();
-        for &(pe, row) in stream {
-            let key = CacheKey { pe, row }.pack();
-            tick += 1;
-            if let Some(e) = resident.iter_mut().find(|e| e.0 == key) {
-                stats.hits += 1;
-                match policy {
-                    CachePolicy::Lru => e.1 = tick,
-                    CachePolicy::Lfu => {
-                        e.1 += 1;
-                        e.2 = tick;
-                    }
-                }
-                continue;
-            }
-            stats.misses += 1;
-            if capacity == 0 {
-                continue;
-            }
-            if resident.len() == capacity {
-                let victim = (0..resident.len())
-                    .min_by_key(|&i| (resident[i].1, resident[i].2))
-                    .unwrap();
-                resident.swap_remove(victim);
-                stats.evictions += 1;
-            }
-            match policy {
-                CachePolicy::Lru => resident.push((key, tick, 0)),
-                CachePolicy::Lfu => resident.push((key, 1, tick)),
+    /// One resident row of the reference model.
+    #[derive(Clone, Copy)]
+    struct RefSlot {
+        key: u64,
+        count: u64,
+        last_use: u64,
+        version: u64,
+    }
+
+    /// Reference model: a flat slot table scanned linearly, with the same
+    /// slot rule as [`EmbedCache`] (freed slots stack up for reuse, an
+    /// eviction reuses the victim's slot) and the victim picked as the
+    /// minimum of `(last use)` under LRU or `(use count, last use)` under
+    /// LFU.
+    struct Reference {
+        policy: CachePolicy,
+        capacity: usize,
+        slots: Vec<Option<RefSlot>>,
+        free: Vec<usize>,
+        tick: u64,
+        stats: CacheStats,
+        stale: u64,
+        guard: Option<ThrashGuard>,
+    }
+
+    impl Reference {
+        fn new(capacity: usize, policy: CachePolicy, guarded: bool) -> Self {
+            Reference {
+                policy,
+                capacity,
+                slots: Vec::new(),
+                free: Vec::new(),
+                tick: 0,
+                stats: CacheStats::default(),
+                stale: 0,
+                guard: guarded.then(ThrashGuard::new),
             }
         }
-        stats
+
+        fn find(&self, key: u64) -> Option<usize> {
+            self.slots.iter().position(|s| s.is_some_and(|s| s.key == key))
+        }
+
+        fn rank(&self, s: &RefSlot) -> (u64, u64) {
+            match self.policy {
+                CachePolicy::Lru => (s.last_use, 0),
+                CachePolicy::Lfu => (s.count, s.last_use),
+            }
+        }
+
+        fn access(&mut self, key: CacheKey, version: u64) -> Lookup {
+            let packed = key.pack();
+            self.tick += 1;
+            if let Some(g) = &mut self.guard {
+                g.accesses += 1;
+            }
+            if let Some(i) = self.find(packed) {
+                let s = self.slots[i].as_mut().expect("found");
+                if s.version == version {
+                    s.count += 1;
+                    s.last_use = self.tick;
+                    self.stats.hits += 1;
+                    if let Some(g) = &mut self.guard {
+                        g.hits += 1;
+                        g.maybe_roll();
+                    }
+                    return Lookup { hit: true, slot: Some(i), evicted: None };
+                }
+                self.stale += 1;
+                self.slots[i] = None;
+                self.free.push(i);
+            }
+            self.stats.misses += 1;
+            let bypass = self.guard.is_some_and(|g| g.bypassing());
+            if self.capacity == 0 || bypass {
+                self.stats.bypassed += u64::from(self.capacity > 0);
+                if let Some(g) = &mut self.guard {
+                    g.maybe_roll();
+                }
+                return Lookup { hit: false, slot: None, evicted: None };
+            }
+            let mut evicted = None;
+            let resident = self.slots.iter().flatten().count();
+            let slot = if resident < self.capacity {
+                self.free.pop().unwrap_or_else(|| {
+                    self.slots.push(None);
+                    self.slots.len() - 1
+                })
+            } else {
+                let victim = (0..self.slots.len())
+                    .filter_map(|i| self.slots[i].map(|s| (self.rank(&s), i)))
+                    .min()
+                    .expect("full cache has residents")
+                    .1;
+                evicted = Some(CacheKey::unpack(self.slots[victim].expect("resident").key));
+                self.stats.evictions += 1;
+                if let Some(g) = &mut self.guard {
+                    g.evictions += 1;
+                }
+                victim
+            };
+            self.slots[slot] = Some(RefSlot { key: packed, count: 1, last_use: self.tick, version });
+            if let Some(g) = &mut self.guard {
+                g.maybe_roll();
+            }
+            Lookup { hit: false, slot: Some(slot), evicted }
+        }
+
+        fn invalidate(&mut self, key: CacheKey) -> bool {
+            let Some(i) = self.find(key.pack()) else { return false };
+            self.slots[i] = None;
+            self.free.push(i);
+            true
+        }
+
+        fn flush(&mut self) {
+            self.slots.clear();
+            self.free.clear();
+            if self.guard.is_some() {
+                self.guard = Some(ThrashGuard::new());
+            }
+        }
+    }
+
+    /// Replays `ops` on both the cache and the reference model, asserting
+    /// every outcome agrees. Each op is `(kind, pe, row, protect)`: kind 0
+    /// flushes, 1..=30 invalidates, 31..=60 bumps the row's version, and
+    /// the rest access it at its current version. A bump invalidates the
+    /// row first when `protect` is set, as the engine does; debug builds
+    /// always protect, since an unprotected stale hit fails loudly there.
+    fn replay(ops: &[(u32, u16, u32, bool)], capacity: usize, policy: CachePolicy, guarded: bool) {
+        let mut cache = if guarded {
+            EmbedCache::with_thrash_guard(capacity, policy)
+        } else {
+            EmbedCache::new(capacity, policy)
+        };
+        let mut reference = Reference::new(capacity, policy, guarded);
+        let mut versions = [0u64; 64];
+        for (step, &(kind, pe, row, protect)) in ops.iter().enumerate() {
+            let key = CacheKey { pe, row };
+            let v = &mut versions[(pe as usize) * 16 + row as usize];
+            match kind {
+                0 => {
+                    cache.flush();
+                    reference.flush();
+                }
+                1..=30 => assert_eq!(cache.invalidate(key), reference.invalidate(key), "step {step}"),
+                31..=60 => {
+                    *v += 1;
+                    if protect || cfg!(debug_assertions) {
+                        assert_eq!(cache.invalidate(key), reference.invalidate(key), "step {step}");
+                    }
+                }
+                _ => assert_eq!(
+                    cache.access_versioned(key, *v),
+                    reference.access(key, *v),
+                    "step {step}: {key:?} at version {v}"
+                ),
+            }
+            assert_eq!(cache.len(), reference.slots.iter().flatten().count(), "step {step}");
+        }
+        assert_eq!(cache.stats(), reference.stats);
+        assert_eq!(cache.stale_hits(), reference.stale);
+        assert!(cache.len() <= capacity);
+    }
+
+    /// A long stream over a small working set, far past capacity, so the
+    /// use-count classes split, merge and empty many times over.
+    #[test]
+    fn long_lfu_stream_matches_reference_model() {
+        let ops: Vec<(u32, u16, u32, bool)> =
+            (0..10_000u32).map(|i| (100, 0, i * 7919 % 37 % 16, true)).collect();
+        for policy in [CachePolicy::Lfu, CachePolicy::Lru] {
+            replay(&ops, 8, policy, false);
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The lazy-heap implementation must agree with the naive reference
-        /// model on every counter, for both policies and any stream.
+        /// Every lookup (hit, slot, evicted key), every invalidation,
+        /// `stale_hits` and the counters agree with the naive reference
+        /// model, for both policies, with and without the thrash guard,
+        /// over streams that mix version bumps, invalidations and flushes.
         #[test]
-        fn matches_reference_model(
-            stream in proptest::collection::vec((0u16..3, 0u32..24), 0..400),
-            capacity in 0usize..12,
+        fn every_lookup_matches_reference_model(
+            ops in proptest::collection::vec(
+                (0u32..1_000, 0u16..3, 0u32..16, proptest::bool::ANY), 0..3000),
+            capacity in 0usize..24,
             lfu in proptest::bool::ANY,
+            guarded in proptest::bool::ANY,
         ) {
             let policy = if lfu { CachePolicy::Lfu } else { CachePolicy::Lru };
-            let mut c = EmbedCache::new(capacity, policy);
-            for &(pe, row) in &stream {
-                c.access(CacheKey { pe, row });
-            }
-            prop_assert_eq!(c.stats(), reference(&stream, capacity, policy));
-            prop_assert!(c.len() <= capacity);
+            replay(&ops, capacity, policy, guarded);
         }
 
         /// Guarded caches keep the counter identity `hits + misses` equal

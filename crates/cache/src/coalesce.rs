@@ -1,7 +1,6 @@
 //! Warp-scope request coalescing.
 
-use std::collections::HashSet;
-
+use crate::hash::KeySet;
 use crate::CacheKey;
 
 /// Merges duplicate in-flight GETs to the same `(PE, row)` into one fabric
@@ -20,7 +19,7 @@ use crate::CacheKey;
 /// hit); reuse *within* a batch is coalescing (the row is still in flight).
 #[derive(Debug, Default)]
 pub struct WarpCoalescer {
-    in_flight: HashSet<u64>,
+    in_flight: KeySet,
 }
 
 impl WarpCoalescer {

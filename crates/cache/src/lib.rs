@@ -9,8 +9,9 @@
 //!
 //! * [`EmbedCache`] — a capacity-bounded (MB budget carved from the
 //!   simulated HBM) map of `(PE, row)` keys with deterministic
-//!   [`CachePolicy::Lru`] or [`CachePolicy::Lfu`] replacement. A hit is
-//!   served from local HBM instead of the NVLink/PCIe fabric.
+//!   [`CachePolicy::Lru`] or [`CachePolicy::Lfu`] replacement, O(1) per
+//!   access: resident rows sit in recency lists, one per use count. A hit
+//!   is served from local HBM instead of the NVLink/PCIe fabric.
 //! * [`WarpCoalescer`] — a warp-scope window that merges duplicate
 //!   in-flight GETs to the same `(PE, row)` into one fabric transaction
 //!   (the second request piggybacks on the first's landing buffer).
@@ -19,7 +20,8 @@
 //! access stream at kernel-build time, so the same graph + placement +
 //! configuration always yields the same hits, misses and evictions — and
 //! therefore the same simulated timing. Nothing here consults wall-clock
-//! time or ambient randomness.
+//! time or ambient randomness, and the hashed key tables are only looked
+//! up, never iterated, so their hasher cannot change a decision.
 //!
 //! The cache is an *address* cache: it decides which fetches touch the
 //! fabric. Only the engine's kernel planner consults it; the functional
@@ -47,6 +49,7 @@
 
 mod cache;
 mod coalesce;
+mod hash;
 
 pub use cache::{EmbedCache, Lookup};
 pub use coalesce::WarpCoalescer;

@@ -49,27 +49,37 @@ pub fn aggregation_cycles(len: u32, dim: usize) -> u32 {
 
 /// Precomputed cache outcome for one warp's (LNP, RNP) pair: which remote
 /// references must still cross the fabric, and how many were served from
-/// the local embedding cache or merged into an in-flight request.
+/// the local embedding cache.
 ///
 /// The cache is consulted once, at [`MggKernel::build_cached`] time, in a
 /// fixed deterministic order (PE-major, then warp, then pair, then
-/// adjacency order). `warp_ops_into` only replays the plan, which keeps
-/// the `KernelProgram` contract — identical trace on every call — intact
-/// even though the cache itself is stateful.
-#[derive(Debug, Clone, Default)]
+/// adjacency order). `warp_ops` only replays the plan, which keeps the
+/// `KernelProgram` contract — identical trace on every call — intact even
+/// though the cache itself is stateful.
+#[derive(Debug, Clone, Copy)]
 struct PairCachePlan {
-    /// Owner PE of each remote reference that missed the cache, in
-    /// adjacency order.
-    miss_peers: Vec<u16>,
+    /// This pair's misses: `miss_peers[miss_start..miss_end]` of its PE's
+    /// plan.
+    miss_start: u32,
+    miss_end: u32,
     /// Misses actually admitted into the cache. Misses the eviction-thrash
     /// guard bypassed still fetch over the fabric but fill nothing, so
     /// only admitted misses cost a posted HBM fill write.
     admitted: u32,
     /// Remote references served from the resident cache (no fabric).
     hits: u32,
-    /// Duplicate references merged into an earlier request of the same
-    /// warp-scope batch window.
-    coalesced: u32,
+}
+
+/// One PE's cache plan, flat: every pair's record in warp order, where
+/// each warp's pairs start, and one shared list of missed owners.
+#[derive(Debug)]
+struct PeCachePlan {
+    pairs: Vec<PairCachePlan>,
+    /// Index into `pairs` of each warp's first pair.
+    warp_start: Vec<u32>,
+    /// Owner PE of each remote reference that missed the cache, in
+    /// access order.
+    miss_peers: Vec<u16>,
 }
 
 /// A fully-lowered MGG kernel, ready for the simulator.
@@ -81,10 +91,10 @@ pub struct MggKernel<'a> {
     dim: usize,
     wpb: u32,
     variant: KernelVariant,
-    /// Per PE, per warp, per pair cache outcomes; `None` when the kernel
-    /// was built without a cache (the default path — traces are then
-    /// byte-identical to pre-cache builds).
-    cache_plans: Option<Vec<Vec<Vec<PairCachePlan>>>>,
+    /// Per PE cache outcomes; `None` when the kernel was built without a
+    /// cache (the default path — traces are then byte-identical to
+    /// pre-cache builds).
+    cache_plans: Option<Vec<PeCachePlan>>,
     /// Cache counters accumulated while planning this kernel (delta over
     /// the caches' state before the build).
     cache_stats: CacheStats,
@@ -168,11 +178,16 @@ impl<'a> MggKernel<'a> {
         for (pe, warps) in kernel.assignments.iter().enumerate() {
             let cache = &mut caches[pe];
             let remote_adj = placement.parts[pe].remote.adj();
-            let mut pe_plans = Vec::with_capacity(warps.len());
+            let mut pe_plan = PeCachePlan {
+                pairs: Vec::with_capacity(warps.iter().map(|a| a.pairs.len()).sum()),
+                warp_start: Vec::with_capacity(warps.len()),
+                miss_peers: Vec::new(),
+            };
             for assignment in warps {
-                let mut pairs = Vec::with_capacity(assignment.pairs.len());
+                pe_plan.warp_start.push(as_index(pe_plan.pairs.len()));
                 for (_, rnp) in &assignment.pairs {
-                    let mut plan = PairCachePlan::default();
+                    let miss_start = as_index(pe_plan.miss_peers.len());
+                    let (mut hits, mut admitted) = (0, 0);
                     if let Some(r) = rnp {
                         coalescer.begin();
                         let refs =
@@ -185,7 +200,6 @@ impl<'a> MggKernel<'a> {
                                 // Duplicate inside this warp's batch
                                 // window: rides the in-flight request (or
                                 // re-reads the already-resident row).
-                                plan.coalesced += 1;
                                 cache.note_coalesced(1);
                                 continue;
                             }
@@ -195,21 +209,21 @@ impl<'a> MggKernel<'a> {
                                 row_versions.get(global as usize).copied().unwrap_or(0);
                             let look = cache.access_versioned(key, version);
                             if look.hit {
-                                plan.hits += 1;
+                                hits += 1;
                             } else {
-                                plan.miss_peers.push(rr.owner);
+                                pe_plan.miss_peers.push(rr.owner);
                                 if look.slot.is_some() {
-                                    plan.admitted += 1;
+                                    admitted += 1;
                                 }
                             }
                         }
                     }
-                    pairs.push(plan);
+                    let miss_end = as_index(pe_plan.miss_peers.len());
+                    pe_plan.pairs.push(PairCachePlan { miss_start, miss_end, admitted, hits });
                 }
-                pe_plans.push(pairs);
             }
-            pe_plans.shrink_to_fit();
-            cache_plans.push(pe_plans);
+            pe_plan.miss_peers.shrink_to_fit();
+            cache_plans.push(pe_plan);
         }
         kernel.cache_stats = caches
             .iter()
@@ -234,31 +248,30 @@ impl<'a> MggKernel<'a> {
     }
 }
 
+/// A cache-plan index, which is stored as `u32`.
+fn as_index(i: usize) -> u32 {
+    u32::try_from(i).expect("cache plan fits u32 indices")
+}
+
 impl KernelProgram for MggKernel<'_> {
     fn launch(&self, pe: usize) -> KernelLaunch {
         self.launches[pe]
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
-        let mut ops = Vec::new();
-        self.warp_ops_into(pe, block, warp, &mut ops);
-        ops
-    }
-
-    // Hot-path form: the simulator hands in a recycled buffer, so trace
-    // generation for every admitted warp is allocation-free in steady
-    // state.
-    fn warp_ops_into(&self, pe: usize, block: u32, warp: u32, ops: &mut Vec<WarpOp>) {
-        ops.clear();
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, ops: &mut Vec<WarpOp>) {
         let w = (block * self.wpb + warp) as usize;
         let Some(assignment) = self.assignments[pe].get(w) else {
             return; // padding warp in the last block
         };
         let row_bytes = self.row_bytes();
         let remote_adj = self.placement.parts[pe].remote.adj();
-        let warp_plan = self.cache_plans.as_ref().map(|p| &p[pe][w]);
+        let pe_plan = self.cache_plans.as_ref().map(|p| &p[pe]);
+        let first_pair = pe_plan.map_or(0, |p| p.warp_start[w] as usize);
         for (pair, (lnp, rnp)) in assignment.pairs.iter().enumerate() {
-            let plan = warp_plan.map(|p| &p[pair]);
+            let plan = pe_plan.map(|p| {
+                let pp = p.pairs[first_pair + pair];
+                (pp, &p.miss_peers[pp.miss_start as usize..pp.miss_end as usize])
+            });
             match self.variant {
                 KernelVariant::AsyncPipelined => {
                     // (1) Launch non-blocking gets for the remote rows.
@@ -267,8 +280,8 @@ impl KernelProgram for MggKernel<'_> {
                     // duplicates cost nothing.
                     if let Some(r) = rnp {
                         match plan {
-                            Some(p) => {
-                                for &peer in &p.miss_peers {
+                            Some((p, miss_peers)) => {
+                                for &peer in miss_peers {
                                     ops.push(WarpOp::RemoteGet {
                                         peer,
                                         bytes: row_bytes,
@@ -318,7 +331,7 @@ impl KernelProgram for MggKernel<'_> {
                         ops.push(WarpOp::Compute {
                             cycles: aggregation_cycles(r.len, self.dim),
                         });
-                        if let Some(p) = plan {
+                        if let Some((p, _)) = plan {
                             if p.admitted > 0 {
                                 // Landed misses gain residency: a posted
                                 // HBM write, off the critical path.
@@ -339,7 +352,7 @@ impl KernelProgram for MggKernel<'_> {
                     }
                     if let Some(r) = rnp {
                         match plan {
-                            Some(p) => {
+                            Some((p, miss_peers)) => {
                                 if p.hits > 0 {
                                     // Blocking ablation: the cached read
                                     // stalls through the HBM queue.
@@ -348,7 +361,7 @@ impl KernelProgram for MggKernel<'_> {
                                         nbi: false,
                                     });
                                 }
-                                for &peer in &p.miss_peers {
+                                for &peer in miss_peers {
                                     ops.push(WarpOp::RemoteGet {
                                         peer,
                                         bytes: row_bytes,
@@ -371,7 +384,7 @@ impl KernelProgram for MggKernel<'_> {
                         ops.push(WarpOp::Compute {
                             cycles: aggregation_cycles(r.len, self.dim),
                         });
-                        if let Some(p) = plan {
+                        if let Some((p, _)) = plan {
                             if p.admitted > 0 {
                                 ops.push(WarpOp::CacheFill { bytes: p.admitted * row_bytes });
                             }
@@ -497,11 +510,10 @@ mod tests {
             let launch = kernel.launch(pe);
             for b in 0..launch.blocks {
                 for w in 0..launch.warps_per_block {
-                    for op in kernel.warp_ops(pe, b, w) {
-                        if matches!(op, WarpOp::RemoteGet { .. }) {
-                            gets += 1;
-                        }
-                    }
+                    let mut ops = Vec::new();
+                    kernel.warp_ops(pe, b, w, &mut ops);
+                    gets += ops.iter().filter(|op| matches!(op, WarpOp::RemoteGet { .. })).count()
+                        as u64;
                 }
             }
         }

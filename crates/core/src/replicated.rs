@@ -115,18 +115,18 @@ impl KernelProgram for ShardKernel<'_> {
         }
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let i = (block * WPB + warp) as usize;
         let Some(p) = self.parts[pe].get(i) else {
-            return Vec::new();
+            return;
         };
         let row_bytes = (self.dim * 4) as u32;
         // Everything is local: replicated inputs, replicated outputs.
-        vec![
+        out.extend([
             WarpOp::GlobalRead { bytes: p.len * row_bytes },
             WarpOp::Compute { cycles: aggregation_cycles(p.len, self.dim) },
             WarpOp::GlobalWrite { bytes: row_bytes },
-        ]
+        ]);
     }
 }
 

@@ -657,19 +657,21 @@ impl<'a> Replay<'a> {
         self.shards[s].phase = MemberPhase::Left;
         self.churn_stats.leaves += 1;
         self.telemetry.counter_add("serve.churn.leaves", 1);
-        for (q, units, _) in orphans {
+        let mut migrated = 0;
+        for (q, units, rerouted) in orphans {
             if let Some(p) = self.peer(s, now, false) {
-                self.churn_stats.migrated_queries += 1;
+                migrated += 1;
                 self.enqueue(p, q, units + REROUTE_UNITS, true, now);
             } else {
-                self.shards[s].pending.push((q, units, false));
+                self.shards[s].pending.push((q, units, rerouted));
             }
         }
         if !self.shards[s].pending.is_empty() {
             self.dispatch(s, now);
         }
-        if self.churn_stats.migrated_queries > 0 {
-            self.telemetry.counter_add("serve.churn.migrated", self.churn_stats.migrated_queries);
+        if migrated > 0 {
+            self.churn_stats.migrated_queries += migrated;
+            self.telemetry.counter_add("serve.churn.migrated", migrated);
         }
     }
 
@@ -1424,6 +1426,54 @@ mod tests {
         // Replays bit-identically.
         let again = s.run_scenario(&spec, &sched, &churn, &Telemetry::disabled());
         assert_eq!(out, again);
+    }
+
+    #[test]
+    fn migrated_counter_counts_each_leave_once() {
+        // Two undrained leaves: the counter takes each leave's own
+        // migrations, so it ends equal to the run's total.
+        let (s, nodes) = server(4, ServeConfig::default());
+        let spec = spec_at(&s, nodes, 1.5, 33);
+        let mut cspec = ChurnSpec::quiet(spec.duration_ns);
+        cspec.membership = vec![
+            MembershipEvent { shard: 1, at_ns: 510_000, change: MembershipChange::Leave },
+            MembershipEvent { shard: 2, at_ns: 1_010_000, change: MembershipChange::Leave },
+        ];
+        let churn = ChurnSchedule::derive(&cspec, nodes);
+        let tel = Telemetry::enabled();
+        let out = s.run_scenario(&spec, &FaultSchedule::quiet(4), &churn, &tel);
+        assert_eq!(out.summary.churn.leaves, 2);
+        assert_eq!(out.summary.churn.migrated_queries, 34);
+        assert_eq!(tel.counter_value("serve.churn.migrated"), 34);
+    }
+
+    #[test]
+    fn orphans_of_the_last_shard_keep_their_reroute_flag() {
+        // Shard 0 drains, so shard 1 serves shard 0's nodes as reroutes;
+        // when shard 1 then leaves with no peer in rotation, its pending
+        // queries run there and must stay flagged as rerouted.
+        let (s, nodes) = server(2, ServeConfig::default());
+        let spec = spec_at(&s, nodes, 0.8, 35);
+        let queries = generate(&spec);
+        for leave_at in [710_000, 730_000, 740_000] {
+            let mut cspec = ChurnSpec::quiet(spec.duration_ns);
+            cspec.membership = vec![
+                MembershipEvent { shard: 0, at_ns: 500_000, change: MembershipChange::Drain },
+                MembershipEvent { shard: 1, at_ns: leave_at, change: MembershipChange::Leave },
+            ];
+            let churn = ChurnSchedule::derive(&cspec, nodes);
+            let out = s.run_scenario(&spec, &FaultSchedule::quiet(2), &churn, &Telemetry::disabled());
+            let mut off_home = 0;
+            for r in out.records.iter().filter(|r| r.decision == Decision::Admitted) {
+                let home = s.shard_of(queries[r.id as usize].node) as u16;
+                if r.shard != Some(home) {
+                    off_home += 1;
+                    assert!(r.rerouted, "query {} ran off its home shard unflagged", r.id);
+                }
+            }
+            assert!(off_home > 0, "the drain must reroute shard 0's queries");
+            assert_eq!(out.summary.rerouted, off_home);
+        }
     }
 
     #[test]

@@ -106,9 +106,12 @@ impl BandwidthChannel {
             }
             bytes as f64 / (self.bytes_per_ns * mult) + self.per_request_ns + self.carry_frac_ns
         };
-        let whole = occupancy.floor();
-        self.carry_frac_ns = occupancy - whole;
-        let occ_ns = whole as u64;
+        // `occupancy` is finite and non-negative (bandwidth > 0 is
+        // asserted, fault multipliers lie in (0, 1]), so truncation is
+        // `floor` — without the libm call the baseline target cannot
+        // inline.
+        let occ_ns = occupancy as u64;
+        self.carry_frac_ns = occupancy - occ_ns as f64;
         self.busy_until = start + occ_ns;
         self.bytes_total += bytes;
         self.requests += 1;

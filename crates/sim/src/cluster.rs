@@ -763,12 +763,12 @@ mod cube_mesh_tests {
             fn launch(&self, _pe: usize) -> KernelLaunch {
                 KernelLaunch { blocks: 4, warps_per_block: 2, smem_per_block: 0 }
             }
-            fn warp_ops(&self, pe: usize, _b: u32, _w: u32) -> Vec<WarpOp> {
-                vec![
+            fn warp_ops(&self, pe: usize, _b: u32, _w: u32, out: &mut Vec<WarpOp>) {
+                out.extend([
                     WarpOp::RemoteGet { peer: ((pe + 5) % 8) as u16, bytes: 256, nbi: true },
                     WarpOp::compute(500),
                     WarpOp::WaitRemote,
-                ]
+                ]);
             }
         }
         let mut cluster = Cluster::new(ClusterSpec::dgx1_v100(8));

@@ -32,13 +32,16 @@ use crate::warp::WarpOp;
 /// Namespace for kernel execution on a cluster.
 pub struct GpuSim;
 
+/// One admitted warp. Its trace is `ops[pc..end]` of its GPU's op arena.
 #[derive(Debug)]
 struct WarpRt {
-    ops: Vec<WarpOp>,
-    pc: usize,
+    /// Arena index of the warp's next op.
+    pc: u32,
+    /// Arena index one past the warp's last op.
+    end: u32,
+    block_slot: u32,
     /// Completion time of the latest outstanding `nbi` transfer.
     pending_remote: SimTime,
-    block_slot: u32,
 }
 
 #[derive(Debug)]
@@ -93,6 +96,13 @@ struct GpuRt {
     next_block: u32,
     blocks: Vec<BlockRt>,
     warps: Vec<WarpRt>,
+    /// Op arena: every admitted warp's trace, appended at admission.
+    ops: Vec<WarpOp>,
+    /// Arena ops that live warps have yet to execute; the rest of the
+    /// arena is spent and is reclaimed by [`compact_ops`].
+    live_ops: usize,
+    /// No block below this slot has a live warp.
+    first_live_block: usize,
     sms: Vec<SmRt>,
     finish_ns: SimTime,
     sched_busy_ns: u64,
@@ -101,9 +111,6 @@ struct GpuRt {
     /// Set once the GPU dies permanently; its events are ignored from then
     /// on and no further blocks are admitted.
     halted: bool,
-    /// Retired warps' trace buffers, recycled into newly admitted warps so
-    /// steady-state block admission does not allocate.
-    scratch: Vec<Vec<WarpOp>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -172,20 +179,19 @@ enum EvKind {
     Wake,
 }
 
-/// Cap on recycled `WarpOp` buffers kept per host thread; beyond this the
-/// extras drop and fall back to allocation — a memory bound, not a
-/// correctness knob.
-const SCRATCH_OPS_CAP: usize = 4096;
+/// Spent arena ops are reclaimed only past this many, so small kernels
+/// never pay for a compaction.
+const COMPACT_MIN_OPS: usize = 1 << 14;
 
 /// Per-host-thread reusable simulator state. Worker threads on the
 /// persistent `mgg-runtime` pool run many simulations back to back (one
-/// sweep cell each); reusing the event queue's heap allocation and the
-/// warps' op buffers across runs removes the per-cell allocator storm that
-/// used to inflate parallel exec time. Purely host-side: recycled buffers
-/// are emptied before reuse, so simulated results are unchanged.
+/// sweep cell each); reusing the event queue's heap allocation and one op
+/// arena per GPU slot across runs removes the per-cell allocator storm
+/// that used to inflate parallel exec time. Purely host-side: recycled
+/// buffers are emptied before reuse, so simulated results are unchanged.
 #[derive(Default)]
 struct SimScratch {
-    ops_pool: Vec<Vec<WarpOp>>,
+    arenas: Vec<Vec<WarpOp>>,
     queue: Option<EventQueue<Ev>>,
 }
 
@@ -228,31 +234,34 @@ impl GpuSim {
     ) -> Result<KernelStats, LaunchError> {
         let spec = cluster.spec.gpu.clone();
         let n = cluster.num_gpus();
-        // Pull this host thread's recycled arenas: op-buffer free lists are
-        // dealt round-robin to the GPUs, and the event queue is emptied and
-        // reused.
-        let (mut ops_pool, recycled_queue) = SIM_SCRATCH.with(|s| {
+        // Pull this host thread's recycled arenas: one op arena per GPU
+        // slot, and the event queue, each emptied and reused.
+        let (mut arenas, recycled_queue) = SIM_SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
-            (std::mem::take(&mut s.ops_pool), s.queue.take())
+            (std::mem::take(&mut s.arenas), s.queue.take())
         });
+        arenas.resize_with(arenas.len().max(n), Vec::new);
         let mut gpus: Vec<GpuRt> = Vec::with_capacity(n);
-        for pe in 0..n {
+        for (pe, ops) in arenas.iter_mut().take(n).enumerate() {
             let launch = program.launch(pe);
             // Validate even for empty grids so misconfigurations surface.
             let _ = launch.max_resident_blocks(&spec)?;
-            let share = ops_pool.len() / (n - pe);
+            let mut ops = std::mem::take(ops);
+            ops.clear();
             gpus.push(GpuRt {
                 launch,
                 next_block: 0,
                 blocks: Vec::new(),
                 warps: Vec::new(),
+                ops,
+                live_ops: 0,
+                first_live_block: 0,
                 sms: (0..spec.num_sms).map(|_| SmRt::new(spec.schedulers_per_sm)).collect(),
                 finish_ns: 0,
                 sched_busy_ns: 0,
                 warps_done: 0,
                 blocks_done: 0,
                 halted: false,
-                scratch: ops_pool.split_off(ops_pool.len() - share),
             });
         }
 
@@ -339,12 +348,12 @@ impl GpuSim {
             });
         }
         // Return the arenas for the next run on this host thread.
+        for (arena, gpu) in arenas.iter_mut().zip(&mut gpus) {
+            *arena = std::mem::take(&mut gpu.ops);
+        }
         SIM_SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
-            for gpu in &mut gpus {
-                s.ops_pool.append(&mut gpu.scratch);
-            }
-            s.ops_pool.truncate(SCRATCH_OPS_CAP);
+            s.arenas = arenas;
             s.queue = Some(q);
         });
         Ok(stats)
@@ -365,8 +374,9 @@ fn halt_gpu(gpu: &mut GpuRt, death: SimTime, recovery: &mut RecoveryStats) {
         sm.ready.clear();
     }
     for warp in &mut gpu.warps {
-        warp.ops = Vec::new();
+        warp.pc = warp.end;
     }
+    gpu.live_ops = 0;
     gpu.next_block = gpu.launch.blocks;
     gpu.finish_ns = gpu.finish_ns.max(death);
     gpu.halted = true;
@@ -376,6 +386,9 @@ fn halt_gpu(gpu: &mut GpuRt, death: SimTime, recovery: &mut RecoveryStats) {
 fn admit_block(pe: usize, sm: usize, gpu: &mut GpuRt, program: &dyn KernelProgram, now: SimTime) {
     if gpu.next_block >= gpu.launch.blocks {
         return;
+    }
+    if gpu.ops.len() - gpu.live_ops > gpu.live_ops.max(COMPACT_MIN_OPS) {
+        compact_ops(gpu);
     }
     let block_id = gpu.next_block;
     gpu.next_block += 1;
@@ -387,12 +400,37 @@ fn admit_block(pe: usize, sm: usize, gpu: &mut GpuRt, program: &dyn KernelProgra
     gpu.sms[sm].resident_warps += wpb;
     gpu.sms[sm].active_warps += wpb;
     for w in 0..wpb {
-        let mut ops = gpu.scratch.pop().unwrap_or_default();
-        program.warp_ops_into(pe, block_id, w, &mut ops);
+        let pc = gpu.ops.len();
+        program.warp_ops(pe, block_id, w, &mut gpu.ops);
+        let end = u32::try_from(gpu.ops.len()).expect("op arena fits u32 indices");
+        gpu.live_ops += end as usize - pc;
         let idx = gpu.warps.len() as u32;
-        gpu.warps.push(WarpRt { ops, pc: 0, pending_remote: 0, block_slot });
+        gpu.warps.push(WarpRt { pc: pc as u32, end, block_slot, pending_remote: 0 });
         gpu.sms[sm].ready.push_back(idx);
     }
+}
+
+/// Reclaims the spent part of `gpu`'s op arena: the live warps' remaining
+/// ops move to the front, in warp order, and each live warp's `pc`/`end`
+/// follow them. Warps are admitted block by block, so block slot `b` owns
+/// warps `b * wpb ..` and the scan starts at the oldest live block.
+fn compact_ops(gpu: &mut GpuRt) {
+    while gpu.blocks.get(gpu.first_live_block).is_some_and(|b| b.live_warps == 0) {
+        gpu.first_live_block += 1;
+    }
+    let first_warp = gpu.first_live_block * gpu.launch.warps_per_block as usize;
+    let mut at = 0u32;
+    for warp in &mut gpu.warps[first_warp..] {
+        if warp.pc < warp.end {
+            let len = warp.end - warp.pc;
+            gpu.ops.copy_within(warp.pc as usize..warp.end as usize, at as usize);
+            warp.pc = at;
+            at += len;
+            warp.end = at;
+        }
+    }
+    gpu.ops.truncate(at as usize);
+    debug_assert_eq!(gpu.ops.len(), gpu.live_ops);
 }
 
 /// Issues operations for ready warps on `(pe, sm)` until the ready queue
@@ -437,12 +475,14 @@ fn issue(
     while let Some(&w) = gpu.sms[sm].ready.front() {
         // A warp at the head whose next op needs a scheduler slot blocks
         // the queue when none is free (issue-port contention).
-        let needs_sched = matches!(
-            gpu.warps[w as usize].ops.get(gpu.warps[w as usize].pc),
-            Some(WarpOp::Compute { .. })
-                | Some(WarpOp::RemoteGet { nbi: true, .. })
-                | Some(WarpOp::CacheHit { nbi: true, .. })
-        );
+        let head = &gpu.warps[w as usize];
+        let needs_sched = head.pc < head.end
+            && matches!(
+                gpu.ops[head.pc as usize],
+                WarpOp::Compute { .. }
+                    | WarpOp::RemoteGet { nbi: true, .. }
+                    | WarpOp::CacheHit { nbi: true, .. }
+            );
         if needs_sched && gpu.sms[sm].free_scheds == 0 {
             break;
         }
@@ -451,20 +491,11 @@ fn issue(
         // Execute ops of warp `w` until it blocks, takes a scheduler slot,
         // or retires. Posted operations (writes, puts) fall through.
         loop {
-            let next_op = {
-                let warp = &gpu.warps[w as usize];
-                warp.ops.get(warp.pc).copied()
-            };
-            let Some(op) = next_op else {
-                // Warp retires; its trace buffer goes back to the free
-                // list for the next admitted block.
-                let block_slot = {
-                    let warp = &mut gpu.warps[w as usize];
-                    let mut ops = std::mem::take(&mut warp.ops);
-                    ops.clear();
-                    gpu.scratch.push(ops);
-                    warp.block_slot as usize
-                };
+            let warp = &gpu.warps[w as usize];
+            if warp.pc == warp.end {
+                // Warp retires; its spent ops are reclaimed by the next
+                // compaction of the arena.
+                let block_slot = warp.block_slot as usize;
                 gpu.warps_done += 1;
                 gpu.finish_ns = gpu.finish_ns.max(now);
                 gpu.sms[sm].touch(now);
@@ -477,7 +508,8 @@ fn issue(
                     admit_block(pe, sm, gpu, program, now);
                 }
                 break;
-            };
+            }
+            let op = gpu.ops[warp.pc as usize];
             // A scheduler-consuming op can be reached mid-burst (after a
             // posted write or a satisfied WaitRemote fell through); if no
             // slot is free, requeue the warp at the head — the next
@@ -493,6 +525,7 @@ fn issue(
                 break;
             }
             gpu.warps[w as usize].pc += 1;
+            gpu.live_ops -= 1;
             match op {
                 WarpOp::Compute { cycles } => {
                     let mut dur = spec.cycles_to_ns(cycles as u64).max(1);
@@ -679,18 +712,15 @@ mod tests {
         fn launch(&self, _pe: usize) -> KernelLaunch {
             self.launch
         }
-        fn warp_ops(&self, pe: usize, _b: u32, _w: u32) -> Vec<WarpOp> {
+        fn warp_ops(&self, pe: usize, _b: u32, _w: u32, out: &mut Vec<WarpOp>) {
             // SPMD: every PE runs the trace; rewrite remote-get peers so a
             // PE never targets itself.
-            self.ops
-                .iter()
-                .map(|op| match *op {
-                    WarpOp::RemoteGet { peer, bytes, nbi } if peer as usize == pe => {
-                        WarpOp::RemoteGet { peer: (pe as u16 + 1) % 2, bytes, nbi }
-                    }
-                    other => other,
-                })
-                .collect()
+            out.extend(self.ops.iter().map(|op| match *op {
+                WarpOp::RemoteGet { peer, bytes, nbi } if peer as usize == pe => {
+                    WarpOp::RemoteGet { peer: (pe as u16 + 1) % 2, bytes, nbi }
+                }
+                other => other,
+            }));
         }
     }
 
@@ -1106,6 +1136,151 @@ mod tests {
         let t2 = GpuSim::run(&mut c, &mk(216), &mut NoPaging).unwrap().makespan_ns();
         assert!(t2 >= 2 * t1, "t2={t2} t1={t1}");
     }
+
+    /// Many waves of blocks with mixed traces: two blocks fit an SM (by
+    /// shared memory), so about ten waves pass through each SM and the op
+    /// arena is compacted many times over.
+    struct Waves;
+
+    impl KernelProgram for Waves {
+        fn launch(&self, pe: usize) -> KernelLaunch {
+            KernelLaunch {
+                blocks: 108 * 2 * 10 + 5 + pe as u32,
+                warps_per_block: 4,
+                smem_per_block: 80 * 1024,
+            }
+        }
+        fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
+            let mut h = ((pe as u64) << 40 | (block as u64) << 8 | warp as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let peer = (pe as u16 + 1) % 2;
+            for _ in 0..1 + (h >> 61) {
+                h = h.rotate_left(17).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                out.push(WarpOp::RemoteGet { peer, bytes: 256 << (h % 3), nbi: true });
+                if h & 8 != 0 {
+                    out.push(WarpOp::RemoteGet { peer, bytes: 512, nbi: true });
+                }
+                if h & 16 != 0 {
+                    out.push(WarpOp::CacheHit { bytes: 1_024, nbi: true });
+                }
+                out.push(WarpOp::GlobalRead { bytes: 2_048 });
+                out.push(WarpOp::compute(200 + (h >> 40) as u32 % 900));
+                out.push(WarpOp::GlobalWrite { bytes: 256 });
+                out.push(WarpOp::WaitRemote);
+                out.push(WarpOp::compute(150));
+                if h & 32 != 0 {
+                    out.push(WarpOp::CacheFill { bytes: 512 });
+                }
+                if h & 64 != 0 {
+                    out.push(WarpOp::RemoteGet { peer, bytes: 256, nbi: false });
+                }
+                if h & 128 != 0 {
+                    out.push(WarpOp::RemotePut { peer, bytes: 128 });
+                }
+                if h & 256 != 0 {
+                    out.push(WarpOp::CacheHit { bytes: 256, nbi: false });
+                }
+                out.push(WarpOp::GlobalWrite { bytes: 256 });
+            }
+        }
+    }
+
+    /// The `KernelStats` figures the multi-wave golden pins: per GPU
+    /// finish, residency, active-warp, SM-active and scheduler time, warps
+    /// and blocks; then the recovery counters; then fabric and HBM traffic.
+    fn wave_pins(s: &KernelStats) -> Vec<u64> {
+        let mut v = Vec::new();
+        for g in &s.per_gpu {
+            v.extend([
+                g.finish_ns,
+                g.warp_residency_ns,
+                g.active_warp_ns,
+                g.sm_active_ns,
+                g.sched_busy_ns,
+                g.warps,
+                g.blocks,
+            ]);
+        }
+        let r = &s.recovery;
+        v.extend([
+            r.retried_gets,
+            r.dropped_completions,
+            r.degraded_transfers,
+            r.halted_warps,
+            r.dead_peer_gets,
+            r.recovery_latency_ns,
+        ]);
+        v.extend([s.traffic.remote_bytes(), s.traffic.remote_requests()]);
+        v.extend(s.traffic.hbm.iter().flat_map(|c| [c.bytes, c.requests, c.busy_ns]));
+        v
+    }
+
+    #[test]
+    fn multi_wave_golden() {
+        use mgg_fault::{FaultSchedule, FaultSpec};
+        let run = |faults: Option<FaultSchedule>| {
+            let mut c = small_cluster();
+            if let Some(f) = faults {
+                c.install_faults(f);
+            }
+            wave_pins(&GpuSim::run(&mut c, &Waves, &mut NoPaging).unwrap())
+        };
+        assert_eq!(
+            run(None),
+            [
+                695_370, 363_385_057, 31_395_398, 22_103_255, 30_913_692, 8_660, 2_165, 694_511,
+                365_274_961, 31_311_300, 22_172_393, 30_957_230, 8_664, 2_166, 0, 0, 0, 0, 0, 0,
+                81_591_424, 195_001, 175_360_128, 272_618, 686_200, 175_733_760, 273_262, 687_789,
+            ]
+        );
+        // A straggler, degraded links and dropped GETs.
+        let spec = FaultSpec {
+            seed: 11,
+            straggler: 1.7,
+            link_degrade: 0.4,
+            drop_rate: 0.02,
+            ..FaultSpec::quiet()
+        };
+        assert_eq!(
+            run(Some(FaultSchedule::derive(&spec, 2))),
+            [
+                3_243_366, 1_718_076_078, 46_898_284, 34_886_448, 46_407_336, 8_660, 2_165,
+                3_239_289, 1_716_798_384, 31_284_545, 23_497_523, 30_957_230, 8_664, 2_166,
+                3_038, 2_335, 1_904, 0, 0, 9_545_771, 83_050_368, 198_039, 176_065_408, 274_077,
+                689_685, 176_487_424, 274_841, 691_552,
+            ]
+        );
+        // GPU 1 dies in its second wave; GPU 0 runs on against a dead peer.
+        assert_eq!(
+            run(Some(FaultSchedule::gpu_failure(2, 1, 40_000))),
+            [
+                1_843_518, 638_453_943, 31_192_485, 22_035_956, 30_913_692, 8_660, 2_165, 40_000,
+                29_420_640, 2_145_317, 1_474_645, 2_011_155, 306, 0, 0, 0, 0, 558, 72_918,
+                364_590_000, 4_996_096, 11_434, 137_308_544, 181_498, 473_372, 11_603_712,
+                17_142, 43_611,
+            ]
+        );
+    }
+
+    #[test]
+    fn multi_wave_arena_holds_only_resident_ops() {
+        // Spent ops are reclaimed as waves retire, so the arena this
+        // thread keeps after the run is far smaller than the whole
+        // kernel's trace.
+        let mut c = small_cluster();
+        GpuSim::run(&mut c, &Waves, &mut NoPaging).unwrap();
+        for pe in 0..2 {
+            let launch = Waves.launch(pe);
+            let mut ops = Vec::new();
+            for b in 0..launch.blocks {
+                for w in 0..launch.warps_per_block {
+                    Waves.warp_ops(pe, b, w, &mut ops);
+                }
+            }
+            let kept = SIM_SCRATCH.with(|s| s.borrow().arenas[pe].capacity());
+            assert!(kept < ops.len() / 2, "GPU {pe}: arena kept {kept} of {} ops", ops.len());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1126,24 +1301,19 @@ mod proptests {
         fn launch(&self, _pe: usize) -> KernelLaunch {
             self.launch
         }
-        fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+        fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
             let idx = (block * self.launch.warps_per_block + warp) as usize;
-            self.traces
-                .get(idx % self.traces.len().max(1))
-                .cloned()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|op| match op {
-                    // A PE never GETs from itself.
-                    WarpOp::RemoteGet { peer, bytes, nbi } if peer as usize == pe => {
-                        WarpOp::RemoteGet { peer: (peer + 1) % 3, bytes, nbi }
-                    }
-                    WarpOp::RemotePut { peer, bytes } if peer as usize == pe => {
-                        WarpOp::RemotePut { peer: (peer + 1) % 3, bytes }
-                    }
-                    other => other,
-                })
-                .collect()
+            let Some(trace) = self.traces.get(idx % self.traces.len().max(1)) else { return };
+            out.extend(trace.iter().map(|&op| match op {
+                // A PE never GETs from itself.
+                WarpOp::RemoteGet { peer, bytes, nbi } if peer as usize == pe => {
+                    WarpOp::RemoteGet { peer: (peer + 1) % 3, bytes, nbi }
+                }
+                WarpOp::RemotePut { peer, bytes } if peer as usize == pe => {
+                    WarpOp::RemotePut { peer: (peer + 1) % 3, bytes }
+                }
+                other => other,
+            }));
         }
     }
 

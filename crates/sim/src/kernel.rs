@@ -95,20 +95,12 @@ pub trait KernelProgram {
     /// Launch configuration on GPU `pe`.
     fn launch(&self, pe: usize) -> KernelLaunch;
 
-    /// Operation trace of warp `warp` (0-based within the block) of block
-    /// `block` on GPU `pe`. Called once, when the block becomes resident.
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp>;
-
-    /// Writes the operation trace of `(pe, block, warp)` into `out`
-    /// (cleared first), reusing `out`'s allocation. The simulator calls
-    /// this on its block-admission hot path with recycled buffers so
-    /// per-warp trace generation does not allocate; the default forwards
-    /// to [`KernelProgram::warp_ops`]. Implementations overriding it must
-    /// produce exactly the same trace as `warp_ops`.
-    fn warp_ops_into(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
-        out.clear();
-        out.extend(self.warp_ops(pe, block, warp));
-    }
+    /// Appends the operation trace of warp `warp` (0-based within the
+    /// block) of block `block` on GPU `pe` to `out`. Called once per warp,
+    /// when its block becomes resident. The simulator appends every
+    /// admitted warp's trace to one op arena per GPU, so an implementation
+    /// only pushes: what `out` already holds belongs to other warps.
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>);
 }
 
 /// Per-GPU result of simulating one kernel.

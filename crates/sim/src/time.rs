@@ -21,7 +21,10 @@ pub const US: u64 = NS_PER_US;
 pub fn cycles_to_ns(cycles: u64, clock_ghz: f64) -> u64 {
     debug_assert!(clock_ghz > 0.0, "clock must be positive");
     let ns = (cycles as f64) / clock_ghz;
-    ns.ceil() as u64
+    // `ceil` by truncation (`ns` is finite and non-negative), which keeps
+    // the libm call off the per-op path on the baseline target.
+    let whole = ns as u64;
+    whole + u64::from((whole as f64) < ns)
 }
 
 /// Converts nanoseconds to milliseconds as a float, for reporting.
@@ -46,6 +49,16 @@ mod tests {
         let one_k = cycles_to_ns(1_000, 1.0);
         assert_eq!(one_k, 1_000);
         assert_eq!(cycles_to_ns(2_000, 2.0), 1_000);
+    }
+
+    #[test]
+    fn truncating_ceil_matches_libm() {
+        for clock in [0.7, 1.0, 1.38, 1.41, 1.5, 2.0] {
+            for cycles in (0..200_000u64).step_by(7).chain([u32::MAX as u64, 1 << 60]) {
+                let ns = (cycles as f64) / clock;
+                assert_eq!(cycles_to_ns(cycles, clock), ns.ceil() as u64, "{cycles} @ {clock}");
+            }
+        }
     }
 
     #[test]

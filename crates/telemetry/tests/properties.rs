@@ -18,24 +18,19 @@ impl KernelProgram for FuzzKernel {
     fn launch(&self, _pe: usize) -> KernelLaunch {
         self.launch
     }
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let idx = (block * self.launch.warps_per_block + warp) as usize;
-        self.traces
-            .get(idx % self.traces.len().max(1))
-            .cloned()
-            .unwrap_or_default()
-            .into_iter()
-            .map(|op| match op {
-                // A PE never GETs from itself.
-                WarpOp::RemoteGet { peer, bytes, nbi } if peer as usize == pe => {
-                    WarpOp::RemoteGet { peer: (peer + 1) % 3, bytes, nbi }
-                }
-                WarpOp::RemotePut { peer, bytes } if peer as usize == pe => {
-                    WarpOp::RemotePut { peer: (peer + 1) % 3, bytes }
-                }
-                other => other,
-            })
-            .collect()
+        let Some(trace) = self.traces.get(idx % self.traces.len().max(1)) else { return };
+        out.extend(trace.iter().map(|&op| match op {
+            // A PE never GETs from itself.
+            WarpOp::RemoteGet { peer, bytes, nbi } if peer as usize == pe => {
+                WarpOp::RemoteGet { peer: (peer + 1) % 3, bytes, nbi }
+            }
+            WarpOp::RemotePut { peer, bytes } if peer as usize == pe => {
+                WarpOp::RemotePut { peer: (peer + 1) % 3, bytes }
+            }
+            other => other,
+        }));
     }
 }
 

@@ -34,24 +34,18 @@ impl KernelProgram for Kernel<'_> {
         }
     }
 
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32) -> Vec<WarpOp> {
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
         let nodes_per_gpu = self.graph.num_nodes().div_ceil(self.gpus);
         let i = pe * nodes_per_gpu + (block * WPB + warp) as usize;
         if i >= self.graph.num_nodes() || i >= (pe + 1) * nodes_per_gpu {
-            return Vec::new();
+            return;
         }
         let row_bytes = (self.dim * 4) as u32;
-        let mut ops: Vec<WarpOp> = self
-            .graph
-            .neighbors(i as u32)
-            .iter()
-            .map(|&u| WarpOp::PageAccess {
-                page: u as u64 * self.dim as u64 * 4 / self.page_bytes,
-                bytes: row_bytes,
-            })
-            .collect();
-        ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
-        ops
+        out.extend(self.graph.neighbors(i as u32).iter().map(|&u| WarpOp::PageAccess {
+            page: u as u64 * self.dim as u64 * 4 / self.page_bytes,
+            bytes: row_bytes,
+        }));
+        out.push(WarpOp::GlobalWrite { bytes: row_bytes });
     }
 }
 
