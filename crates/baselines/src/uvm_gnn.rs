@@ -1,11 +1,12 @@
 //! The UVM-based multi-GPU GNN design (§2.2, §5.1).
 //!
 //! Graph and embeddings live in one unified virtual address space; GPUs
-//! touch embedding rows by virtual address and the driver migrates 64 KiB
-//! pages on fault. Following the paper's baseline construction, the kernel
-//! keeps MGG's neighbor partitioning (a kernel-quality optimization) but
-//! has *no* hybrid placement and no locality split — every neighbor access
-//! goes through the paging path, local or not.
+//! touch embedding rows by virtual address and the driver migrates a
+//! 64 KiB region (four 16 KiB pages) from the page's home GPU on fault.
+//! Following the paper's baseline construction, the kernel keeps MGG's
+//! neighbor partitioning (a kernel-quality optimization) but has *no*
+//! hybrid placement and no locality split — every neighbor access goes
+//! through the paging path, local or not.
 //!
 //! Each measured iteration starts cold (residency reset): in end-to-end
 //! GNN execution the dense phases and other layers' working sets evict the
@@ -21,7 +22,7 @@ use mgg_sim::{
     Cluster, ClusterSpec, GpuSim, KernelLaunch, KernelProgram, KernelStats, TraceEvent, WarpOp,
 };
 use mgg_telemetry::{PipelineMetrics, Telemetry};
-use mgg_uvm::{UvmConfig, UvmSpace, UvmStats};
+use mgg_uvm::{UvmSpace, UvmStats};
 
 use mgg_core::kernel::aggregation_cycles;
 
@@ -80,11 +81,8 @@ impl UvmGnnEngine {
             row_base.push(base);
         }
         // Residency capacity: the whole table fits (modern 40 GB GPUs);
-        // the cost driver is cold faulting + fabric migration. Pages are
-        // GPU-resident and interleaved (the steady-state regime for data
-        // in aggregate device memory).
-        let cfg = UvmConfig::a100_resident(1 << 20);
-        let uvm = UvmSpace::new(num_gpus, cfg);
+        // the cost driver is cold faulting + fabric migration.
+        let uvm = UvmSpace::new(num_gpus, 1 << 20);
         let page_bytes = uvm.page_bytes();
         UvmGnnEngine {
             cluster: Cluster::new(spec),

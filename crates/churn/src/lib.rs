@@ -13,7 +13,9 @@
 //!   the affected cache rows instead of flushing.
 //! - [`ChurnSpec`] / [`ChurnSchedule`] — a seeded, `(time, seq)`-ordered
 //!   event stream of epoch **fences** (each carrying the deltas that
-//!   arrived since the previous fence) and scripted shard
+//!   arrived since the previous fence; one mean rate,
+//!   [`ChurnSpec::deltas_per_sec`], split across the delta kinds by fixed
+//!   shares) and scripted shard
 //!   [`MembershipEvent`]s (`Join`/`Drain`/`Leave`). The serving loop
 //!   merges this stream with query arrivals and timers; equal specs
 //!   derive bit-identical schedules at any host thread count.

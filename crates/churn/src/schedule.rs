@@ -13,6 +13,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::delta::GraphDelta;
 
+/// Each delta kind's share of [`ChurnSpec::deltas_per_sec`], in draw
+/// order: edge insert, edge remove, feature update, node insert, node
+/// remove.
+const KIND_SHARES: [f64; 5] = [0.40, 0.25, 0.25, 0.05, 0.05];
+
 /// How a shard's membership changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipChange {
@@ -49,7 +54,7 @@ pub struct MembershipEvent {
     pub change: MembershipChange,
 }
 
-/// Optional burst window: the delta rates are multiplied by `mult`
+/// Optional burst window: the delta rate is multiplied by `mult`
 /// inside `[start_ns, end_ns)` — the "mutation burst" of the churn
 /// drills.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,17 +78,11 @@ pub struct ChurnSpec {
     /// Epoch-fence cadence: deltas arriving in `((k-1)·f, k·f]` apply
     /// together at the fence instant `k·f`.
     pub fence_interval_ns: u64,
-    /// Mean undirected-edge insertions per simulated second.
-    pub edge_insert_rate: f64,
-    /// Mean undirected-edge removals per simulated second.
-    pub edge_remove_rate: f64,
-    /// Mean feature-row updates per simulated second.
-    pub feature_update_rate: f64,
-    /// Mean node insertions per simulated second.
-    pub node_insert_rate: f64,
-    /// Mean node tombstonings per simulated second.
-    pub node_remove_rate: f64,
-    /// Optional mutation-burst window multiplying all delta rates.
+    /// Mean graph deltas per simulated second, split across the delta
+    /// kinds 40% edge-insert / 25% edge-remove / 25% feature-update / 5%
+    /// node-insert / 5% node-remove.
+    pub deltas_per_sec: f64,
+    /// Optional mutation-burst window multiplying the delta rate.
     pub burst: Option<BurstWindow>,
     /// Scripted shard join/drain/leave events.
     pub membership: Vec<MembershipEvent>,
@@ -99,30 +98,17 @@ impl ChurnSpec {
             seed: 0,
             duration_ns,
             fence_interval_ns: 250_000,
-            edge_insert_rate: 0.0,
-            edge_remove_rate: 0.0,
-            feature_update_rate: 0.0,
-            node_insert_rate: 0.0,
-            node_remove_rate: 0.0,
+            deltas_per_sec: 0.0,
             burst: None,
             membership: Vec::new(),
             warmup_ns: 200_000,
         }
     }
 
-    /// A balanced mutation mix at `deltas_per_sec` total, split 40%
-    /// edge-insert / 25% edge-remove / 25% feature-update / 5% node-insert
-    /// / 5% node-remove — the base spec the CLI and bench drills mutate.
+    /// A mutation stream at `deltas_per_sec` — the base spec the CLI and
+    /// bench drills mutate.
     pub fn steady(seed: u64, duration_ns: u64, deltas_per_sec: f64) -> Self {
-        ChurnSpec {
-            seed,
-            edge_insert_rate: deltas_per_sec * 0.40,
-            edge_remove_rate: deltas_per_sec * 0.25,
-            feature_update_rate: deltas_per_sec * 0.25,
-            node_insert_rate: deltas_per_sec * 0.05,
-            node_remove_rate: deltas_per_sec * 0.05,
-            ..ChurnSpec::quiet(duration_ns)
-        }
+        ChurnSpec { seed, deltas_per_sec, ..ChurnSpec::quiet(duration_ns) }
     }
 
     /// True when the spec derives an empty schedule.
@@ -130,12 +116,13 @@ impl ChurnSpec {
         self.total_rate() <= 0.0 && self.membership.is_empty()
     }
 
+    /// Mean deltas per simulated second of delta kind `kind`.
+    fn kind_rate(&self, kind: usize) -> f64 {
+        self.deltas_per_sec * KIND_SHARES[kind]
+    }
+
     fn total_rate(&self) -> f64 {
-        self.edge_insert_rate
-            + self.edge_remove_rate
-            + self.feature_update_rate
-            + self.node_insert_rate
-            + self.node_remove_rate
+        (0..KIND_SHARES.len()).fold(0.0, |acc, kind| acc + self.kind_rate(kind))
     }
 
     fn burst_mult(&self, t_ns: u64) -> f64 {
@@ -186,7 +173,7 @@ impl ChurnSchedule {
     /// Delta timestamps come from a merged Poisson process at the summed
     /// rate (time-rescaled through the burst window, exactly like the
     /// workload generator's non-homogeneous arrivals); each event's kind
-    /// is then drawn proportionally to the per-kind rates and its node
+    /// is then drawn proportionally to the kind shares and its node
     /// targets uniformly over `0..num_nodes`. Deltas are batched into the
     /// next fence at `⌈t / fence⌉ · fence` (clamped to the duration) and
     /// merged with the scripted membership events into one ordered list.
@@ -288,33 +275,36 @@ fn uniform_node(rng: &mut StdRng, num_nodes: usize) -> u32 {
 }
 
 fn draw_delta(spec: &ChurnSpec, rng: &mut StdRng, num_nodes: usize) -> GraphDelta {
-    // Kind drawn proportionally to the per-kind rates; node targets drawn
+    // Kind drawn proportionally to the kind shares; node targets drawn
     // afterwards so the RNG consumption order is fixed per kind.
-    let total = spec.total_rate();
-    let pick = rng.random::<f64>() * total;
-    let mut acc = spec.edge_insert_rate;
-    if pick < acc {
-        let src = uniform_node(rng, num_nodes);
-        let dst = uniform_node(rng, num_nodes);
-        return GraphDelta::EdgeInsert { src, dst };
+    let pick = rng.random::<f64>() * spec.total_rate();
+    let mut acc = 0.0;
+    let last = KIND_SHARES.len() - 1;
+    let kind = (0..last)
+        .find(|&kind| {
+            acc += spec.kind_rate(kind);
+            pick < acc
+        })
+        .unwrap_or(last);
+    match kind {
+        0 => {
+            let src = uniform_node(rng, num_nodes);
+            let dst = uniform_node(rng, num_nodes);
+            GraphDelta::EdgeInsert { src, dst }
+        }
+        1 => {
+            let src = uniform_node(rng, num_nodes);
+            let dst = uniform_node(rng, num_nodes);
+            GraphDelta::EdgeRemove { src, dst }
+        }
+        2 => GraphDelta::FeatureUpdate { node: uniform_node(rng, num_nodes) },
+        3 => {
+            let fanout = 1 + (rng.random::<f64>() * 3.0) as usize;
+            let neighbors = (0..fanout).map(|_| uniform_node(rng, num_nodes)).collect();
+            GraphDelta::NodeInsert { neighbors }
+        }
+        _ => GraphDelta::NodeRemove { node: uniform_node(rng, num_nodes) },
     }
-    acc += spec.edge_remove_rate;
-    if pick < acc {
-        let src = uniform_node(rng, num_nodes);
-        let dst = uniform_node(rng, num_nodes);
-        return GraphDelta::EdgeRemove { src, dst };
-    }
-    acc += spec.feature_update_rate;
-    if pick < acc {
-        return GraphDelta::FeatureUpdate { node: uniform_node(rng, num_nodes) };
-    }
-    acc += spec.node_insert_rate;
-    if pick < acc {
-        let fanout = 1 + (rng.random::<f64>() * 3.0) as usize;
-        let neighbors = (0..fanout).map(|_| uniform_node(rng, num_nodes)).collect();
-        return GraphDelta::NodeInsert { neighbors };
-    }
-    GraphDelta::NodeRemove { node: uniform_node(rng, num_nodes) }
 }
 
 #[cfg(test)]
@@ -322,7 +312,7 @@ mod tests {
     use super::*;
 
     fn base(seed: u64) -> ChurnSpec {
-        ChurnSpec::steady(seed, 2_000_000, 5_000_000.0) // ~10 deltas over 2 ms
+        ChurnSpec::steady(seed, 2_000_000, 5_000_000.0) // ~10k deltas over 2 ms
     }
 
     #[test]
@@ -366,24 +356,40 @@ mod tests {
     fn delta_volume_tracks_the_rate() {
         let mut spec = base(5);
         spec.duration_ns = 10_000_000;
-        spec.edge_insert_rate = 2_000_000.0;
-        spec.edge_remove_rate = 0.0;
-        spec.feature_update_rate = 0.0;
-        spec.node_insert_rate = 0.0;
-        spec.node_remove_rate = 0.0;
+        spec.deltas_per_sec = 2_000_000.0;
         let sched = ChurnSchedule::derive(&spec, 256);
-        let expected = 2_000_000.0 * 10_000_000.0 / 1e9; // 20
+        let expected = 2_000_000.0 * 10_000_000.0 / 1e9; // 20k
         let got = sched.num_deltas() as f64;
         assert!(
             (got - expected).abs() / expected < 0.6,
             "got {got} deltas, expected ~{expected}"
         );
+    }
+
+    #[test]
+    fn delta_kinds_follow_the_shares() {
+        let mut spec = base(13);
+        spec.duration_ns = 10_000_000;
+        spec.deltas_per_sec = 2_000_000.0; // ~20k deltas
+        let sched = ChurnSchedule::derive(&spec, 4096);
+        let mut counts = [0u64; 5];
         for ev in sched.events() {
             if let ChurnEventKind::Fence { deltas } = &ev.kind {
-                assert!(deltas
-                    .iter()
-                    .all(|d| matches!(d, GraphDelta::EdgeInsert { .. })));
+                for d in deltas {
+                    counts[match d {
+                        GraphDelta::EdgeInsert { .. } => 0,
+                        GraphDelta::EdgeRemove { .. } => 1,
+                        GraphDelta::FeatureUpdate { .. } => 2,
+                        GraphDelta::NodeInsert { .. } => 3,
+                        GraphDelta::NodeRemove { .. } => 4,
+                    }] += 1;
+                }
             }
+        }
+        let total = sched.num_deltas() as f64;
+        for (kind, (&n, share)) in counts.iter().zip(KIND_SHARES).enumerate() {
+            let frac = n as f64 / total;
+            assert!((frac - share).abs() < 0.02, "kind {kind}: {frac:.3} of deltas, share {share}");
         }
     }
 

@@ -425,25 +425,35 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             .map(|v| v.parse::<f64>().map_err(|_| format!("--{k} expects a number")))
             .unwrap_or(Ok(default))
     };
-    let get_fault = |get_usize: &dyn Fn(&str, usize) -> Result<usize, String>,
-                     get_f64: &dyn Fn(&str, f64) -> Result<f64, String>|
-     -> Result<Option<FaultSpec>, String> {
-        let fault_flags =
-            ["fault-seed", "fault-link-degrade", "fault-straggler", "fault-drop-rate"];
-        if fault_flags.iter().any(|k| flags.contains_key(*k)) {
-            let spec = FaultSpec {
-                seed: get_usize("fault-seed", 0)? as u64,
-                link_degrade: get_f64("fault-link-degrade", 1.0)?,
-                straggler: get_f64("fault-straggler", 1.0)?,
-                drop_rate: get_f64("fault-drop-rate", 0.0)?,
-                ..FaultSpec::quiet()
+    // The fault scenario of `simulate` and `serve` on `gpus` GPUs: the
+    // seeded spec, if any fault flag is given, and the pinned permanent
+    // faults.
+    let get_fault_scenario =
+        |gpus: usize| -> Result<(Option<FaultSpec>, Vec<PermanentFault>), String> {
+            let fault_flags =
+                ["fault-seed", "fault-link-degrade", "fault-straggler", "fault-drop-rate"];
+            let fault = if fault_flags.iter().any(|k| flags.contains_key(*k)) {
+                let spec = FaultSpec {
+                    seed: get_usize("fault-seed", 0)? as u64,
+                    link_degrade: get_f64("fault-link-degrade", 1.0)?,
+                    straggler: get_f64("fault-straggler", 1.0)?,
+                    drop_rate: get_f64("fault-drop-rate", 0.0)?,
+                    ..FaultSpec::quiet()
+                };
+                spec.validate()?;
+                Some(spec)
+            } else {
+                None
             };
-            spec.validate()?;
-            Ok(Some(spec))
-        } else {
-            Ok(None)
-        }
-    };
+            let mut permanent = Vec::new();
+            if let Some(spec) = flags.get("fault-gpu-fail") {
+                permanent.extend(parse_gpu_fail(spec, gpus)?);
+            }
+            if let Some(spec) = flags.get("fault-link-down") {
+                permanent.extend(parse_link_down(spec, gpus)?);
+            }
+            Ok((fault, permanent))
+        };
     let graph_path = |positional: &[String]| -> Result<PathBuf, String> {
         positional.first().map(PathBuf::from).ok_or_else(|| "missing graph file".to_string())
     };
@@ -528,15 +538,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "simulate" => {
             let engine = get_engine(&flags)?;
             let platform = get_platform(&flags)?;
-            let fault = get_fault(&get_usize, &get_f64)?;
             let gpus = get_gpus(PLATFORM_MAX_GPUS)?;
-            let mut permanent = Vec::new();
-            if let Some(spec) = flags.get("fault-gpu-fail") {
-                permanent.extend(parse_gpu_fail(spec, gpus)?);
-            }
-            if let Some(spec) = flags.get("fault-link-down") {
-                permanent.extend(parse_link_down(spec, gpus)?);
-            }
+            let (fault, permanent) = get_fault_scenario(gpus)?;
             let cache = match flags.get("cache-mb") {
                 Some(v) => {
                     let mb = v
@@ -572,14 +575,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "serve" => {
             let gpus = get_gpus(PLATFORM_MAX_GPUS)?;
-            let fault = get_fault(&get_usize, &get_f64)?;
-            let mut permanent = Vec::new();
-            if let Some(spec) = flags.get("fault-gpu-fail") {
-                permanent.extend(parse_gpu_fail(spec, gpus)?);
-            }
-            if let Some(spec) = flags.get("fault-link-down") {
-                permanent.extend(parse_link_down(spec, gpus)?);
-            }
+            let (fault, permanent) = get_fault_scenario(gpus)?;
             let arrival = match flags.get("arrival").map(|s| s.as_str()).unwrap_or("poisson") {
                 "poisson" => ArrivalKind::Poisson,
                 "bursty" => ArrivalKind::Bursty { period_ns: 400_000, duty_pct: 25 },
@@ -751,6 +747,26 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
+/// The fault schedule of a `simulate` or `serve` run on `gpus` GPUs: the
+/// events `fault` derives, if given, plus every `permanent` fault.
+fn fault_schedule(
+    fault: &Option<FaultSpec>,
+    permanent: &[PermanentFault],
+    gpus: usize,
+) -> Result<FaultSchedule, String> {
+    let mut sched = match fault {
+        Some(fs) => {
+            fs.validate()?;
+            FaultSchedule::derive(fs, gpus)
+        }
+        None => FaultSchedule::quiet(gpus),
+    };
+    for f in permanent {
+        sched = sched.with_permanent(*f);
+    }
+    Ok(sched)
+}
+
 fn load_graph(path: &Path) -> Result<CsrGraph, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
     if path.extension().is_some_and(|e| e == "txt") {
@@ -905,17 +921,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     e.set_cache(*cache);
                     let mut note = String::new();
                     if fault.is_some() || !permanent.is_empty() {
-                        let mut sched = match fault {
-                            Some(fs) => {
-                                fs.validate()?;
-                                FaultSchedule::derive(fs, *gpus)
-                            }
-                            None => FaultSchedule::quiet(*gpus),
-                        };
-                        for f in permanent {
-                            sched = sched.with_permanent(*f);
-                        }
-                        e.install_fault_schedule(sched);
+                        e.install_fault_schedule(fault_schedule(fault, permanent, *gpus)?);
                         let action = match e.recovery_action() {
                             RecoveryAction::None => "absorb via retries",
                             RecoveryAction::Rebalance => "re-balance placement",
@@ -1083,13 +1089,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 num_nodes: g.num_nodes(),
                 mix: *mix,
             };
-            let mut sched = match fault {
-                Some(fs) => FaultSchedule::derive(fs, *gpus),
-                None => FaultSchedule::quiet(*gpus),
-            };
-            for f in permanent {
-                sched = sched.with_permanent(*f);
-            }
+            let sched = fault_schedule(fault, permanent, *gpus)?;
             let churn_sched = match churn {
                 Some(cs) => {
                     let mut cs = cs.clone();
@@ -2115,7 +2115,7 @@ mod tests {
                 assert_eq!(cs.seed, 11);
                 assert_eq!(cs.fence_interval_ns, 100_000);
                 assert_eq!(cs.warmup_ns, 300_000);
-                assert!(cs.edge_insert_rate > 0.0);
+                assert!(cs.deltas_per_sec > 0.0);
                 assert_eq!(cs.membership.len(), 3);
                 assert_eq!(cs.membership[0].shard, 1);
                 assert_eq!(cs.membership[0].at_ns, 500_000);
@@ -2131,7 +2131,7 @@ mod tests {
             Command::Serve { mix, churn, .. } => {
                 assert!(mix.is_gold_only());
                 let cs = churn.expect("churn spec");
-                assert_eq!(cs.edge_insert_rate, 0.0);
+                assert_eq!(cs.deltas_per_sec, 0.0);
                 assert_eq!(cs.membership.len(), 1);
             }
             other => panic!("parsed {other:?}"),

@@ -28,35 +28,35 @@ pub trait Aggregator {
     }
 }
 
+/// Sustained fp32 FLOPs per nanosecond per A100 (peak is ~19.5e3; real
+/// GEMMs at GNN sizes sustain far less).
+const FLOPS_PER_NS_PER_GPU: f64 = 9_000.0;
+/// Launch overhead per dense kernel, nanoseconds.
+const LAUNCH_NS: u64 = 6_000;
+
 /// Analytic timing for dense operations on the simulated platform.
 #[derive(Debug, Clone, Copy)]
 pub struct DenseCostModel {
-    /// Sustained fp32 FLOPs per nanosecond per GPU (A100 peak is ~19.5e3;
-    /// real GEMMs at GNN sizes sustain far less).
-    pub flops_per_ns_per_gpu: f64,
     /// GPUs sharing the (row-partitioned) dense work.
     pub num_gpus: usize,
-    /// Launch overhead per dense kernel, nanoseconds.
-    pub launch_ns: u64,
 }
 
 impl DenseCostModel {
     /// Default for `n` A100s.
     pub fn a100(num_gpus: usize) -> Self {
-        DenseCostModel { flops_per_ns_per_gpu: 9_000.0, num_gpus: num_gpus.max(1), launch_ns: 6_000 }
+        DenseCostModel { num_gpus: num_gpus.max(1) }
     }
 
     /// Simulated time of an `m x k @ k x n` GEMM row-partitioned over GPUs.
     pub fn gemm_ns(&self, m: usize, k: usize, n: usize) -> u64 {
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
-        (flops / (self.flops_per_ns_per_gpu * self.num_gpus as f64)) as u64 + self.launch_ns
+        (flops / (FLOPS_PER_NS_PER_GPU * self.num_gpus as f64)) as u64 + LAUNCH_NS
     }
 
     /// Simulated time of an elementwise op over `m x n`.
     pub fn elementwise_ns(&self, m: usize, n: usize) -> u64 {
         let elems = m as f64 * n as f64;
-        (elems / (self.flops_per_ns_per_gpu * 0.25 * self.num_gpus as f64)) as u64
-            + self.launch_ns
+        (elems / (FLOPS_PER_NS_PER_GPU * 0.25 * self.num_gpus as f64)) as u64 + LAUNCH_NS
     }
 }
 
@@ -267,7 +267,7 @@ mod tests {
         let big = c1.gemm_ns(4_000, 602, 64);
         // Compute scales 4x; the fixed launch overhead dampens the ratio.
         assert!(big > 2 * small, "big={big} small={small}");
-        let quad = 4 * (small - c1.launch_ns) + c1.launch_ns;
+        let quad = 4 * (small - LAUNCH_NS) + LAUNCH_NS;
         assert!((big as i64 - quad as i64).abs() <= 8, "big={big} quad={quad}");
         assert!(c4.gemm_ns(4_000, 602, 64) < big);
     }

@@ -19,19 +19,20 @@
 
 use mgg_graph::CsrGraph;
 
+use crate::models::ModelKind;
 use crate::reference::{aggregate, aggregate_adjoint, AggregateMode};
 use crate::sampling::{sample_neighbors, SamplingConfig};
 use crate::tensor::{accuracy, cross_entropy, Adam, Matrix};
 
-/// Training hyperparameters.
+/// Adam learning rate.
+const LR: f32 = 0.01;
+
+/// Training hyperparameters. The model is the paper's 2-layer GCN, so the
+/// hidden width is [`ModelKind::Gcn`]'s.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     /// Training epochs.
     pub epochs: usize,
-    /// Hidden width.
-    pub hidden: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Weight-init and sampling seed.
     pub seed: u64,
     /// When set, each epoch trains on a freshly sampled subgraph.
@@ -41,7 +42,7 @@ pub struct TrainConfig {
 impl TrainConfig {
     /// Paper-style defaults (2-layer GCN with 16 hidden dims).
     pub fn paper(epochs: usize, seed: u64) -> Self {
-        TrainConfig { epochs, hidden: 16, lr: 0.01, seed, sampling: None }
+        TrainConfig { epochs, seed, sampling: None }
     }
 
     /// Same, with neighbor sampling at the given fanout.
@@ -86,10 +87,11 @@ pub fn train_gcn(
     let n = graph.num_nodes();
     assert_eq!(x.rows(), n, "one feature row per node");
     assert_eq!(labels.len(), n, "one label per node");
-    let mut w1 = Matrix::glorot(x.cols(), cfg.hidden, cfg.seed);
-    let mut w2 = Matrix::glorot(cfg.hidden, classes, cfg.seed.wrapping_add(1));
-    let mut opt1 = Adam::new(w1.data().len(), cfg.lr);
-    let mut opt2 = Adam::new(w2.data().len(), cfg.lr);
+    let hidden = ModelKind::Gcn.hidden_dim();
+    let mut w1 = Matrix::glorot(x.cols(), hidden, cfg.seed);
+    let mut w2 = Matrix::glorot(hidden, classes, cfg.seed.wrapping_add(1));
+    let mut opt1 = Adam::new(w1.data().len(), LR);
+    let mut opt2 = Adam::new(w2.data().len(), LR);
     let batch = train_mask.iter().filter(|&&b| b).count().max(1);
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut edges_per_epoch = graph.num_edges();
@@ -317,11 +319,11 @@ pub fn train_gcn_on_engine(
     );
     let n = x.rows();
     assert_eq!(labels.len(), n, "one label per node");
-    let hidden = cfg.hidden;
+    let hidden = ModelKind::Gcn.hidden_dim();
     let mut w1 = Matrix::glorot(x.cols(), hidden, cfg.seed);
     let mut w2 = Matrix::glorot(hidden, classes, cfg.seed.wrapping_add(1));
-    let mut opt1 = Adam::new(w1.data().len(), cfg.lr);
-    let mut opt2 = Adam::new(w2.data().len(), cfg.lr);
+    let mut opt1 = Adam::new(w1.data().len(), LR);
+    let mut opt2 = Adam::new(w2.data().len(), LR);
     let batch = train_mask.iter().filter(|&&b| b).count().max(1);
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut agg_ns_epoch = 0u64;

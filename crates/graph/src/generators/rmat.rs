@@ -23,8 +23,6 @@ pub struct RmatConfig {
     pub c: f64,
     /// Noise added per recursion level to avoid exact self-similarity.
     pub noise: f64,
-    /// Mirror each sampled edge (undirected input graph).
-    pub symmetric: bool,
     /// RNG seed; same seed, same graph.
     pub seed: u64,
 }
@@ -32,19 +30,18 @@ pub struct RmatConfig {
 impl RmatConfig {
     /// Graph500-flavoured defaults at the given scale and edge count.
     pub fn graph500(scale: u32, edges: usize, seed: u64) -> Self {
-        RmatConfig { scale, edges, a: 0.57, b: 0.19, c: 0.19, noise: 0.05, symmetric: true, seed }
+        RmatConfig { scale, edges, a: 0.57, b: 0.19, c: 0.19, noise: 0.05, seed }
     }
 
     /// Milder skew (for graphs like ogbn-products with flatter degrees).
     pub fn mild(scale: u32, edges: usize, seed: u64) -> Self {
-        RmatConfig { scale, edges, a: 0.45, b: 0.22, c: 0.22, noise: 0.05, symmetric: true, seed }
+        RmatConfig { scale, edges, a: 0.45, b: 0.22, c: 0.22, noise: 0.05, seed }
     }
 }
 
-///
-/// Generates an R-MAT graph. Self-edges are dropped; duplicates are
-/// deduplicated, so the final edge count is slightly below `cfg.edges`
-/// (times two when symmetric).
+/// Generates an undirected R-MAT graph: each sampled edge is mirrored.
+/// Self-edges are dropped; duplicates are deduplicated, so the final
+/// edge count is slightly below twice `cfg.edges`.
 ///
 /// # Examples
 ///
@@ -62,7 +59,7 @@ pub fn rmat(cfg: &RmatConfig) -> CsrGraph {
     assert!(sum < 1.0 + 1e-9, "quadrant probabilities exceed 1");
     let n = 1usize << cfg.scale;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut b = GraphBuilder::new(n).symmetric(cfg.symmetric);
+    let mut b = GraphBuilder::new(n).symmetric(true);
     for _ in 0..cfg.edges {
         let (dst, src) = sample_edge(&mut rng, cfg);
         if dst != src {

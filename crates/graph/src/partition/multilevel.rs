@@ -25,19 +25,21 @@ use rand::SeedableRng;
 
 use crate::csr::{CsrGraph, NodeId};
 
+/// Coarsening stops once the graph has at most this many nodes per
+/// partition...
+const COARSEN_NODES_PER_PART: usize = 64;
+/// ...or after this many levels.
+const MAX_LEVELS: usize = 20;
+/// Allowed node-weight imbalance of a partition (5%).
+const BALANCE_SLACK: f64 = 0.05;
+
 /// Configuration of the multilevel partitioner.
 #[derive(Debug, Clone, Copy)]
 pub struct MultilevelConfig {
     /// Number of partitions (GPUs).
     pub parts: usize,
-    /// Stop coarsening when the graph has at most this many nodes...
-    pub coarsen_until: usize,
-    /// ...or after this many levels.
-    pub max_levels: usize,
     /// Refinement passes per level.
     pub refine_passes: usize,
-    /// Allowed node-weight imbalance, e.g. 0.05 for 5%.
-    pub balance_slack: f64,
     /// RNG seed for the coarsening matchings.
     pub seed: u64,
 }
@@ -45,14 +47,7 @@ pub struct MultilevelConfig {
 impl MultilevelConfig {
     /// Defaults tuned like a typical graph partitioner invocation.
     pub fn new(parts: usize) -> Self {
-        MultilevelConfig {
-            parts,
-            coarsen_until: 64 * parts.max(1),
-            max_levels: 20,
-            refine_passes: 4,
-            balance_slack: 0.05,
-            seed: 0x9e3779b9,
-        }
+        MultilevelConfig { parts, refine_passes: 4, seed: 0x9e3779b9 }
     }
 }
 
@@ -124,7 +119,8 @@ pub fn partition(graph: &CsrGraph, cfg: &MultilevelConfig) -> MultilevelPartitio
     // Coarsen.
     let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new(); // (coarse graph, fine->coarse map)
     let mut cur = WGraph::from_csr(graph);
-    while cur.num_nodes() > cfg.coarsen_until && levels.len() < cfg.max_levels {
+    let coarsen_until = COARSEN_NODES_PER_PART * cfg.parts.max(1);
+    while cur.num_nodes() > coarsen_until && levels.len() < MAX_LEVELS {
         let (coarse, map) = coarsen_once(&cur, &mut rng);
         // Stop if matching stalls (e.g. star graphs coarsen slowly).
         if coarse.num_nodes() as f64 > cur.num_nodes() as f64 * 0.95 {
@@ -270,7 +266,7 @@ fn initial_partition(g: &WGraph, cfg: &MultilevelConfig, rng: &mut StdRng) -> Ve
 fn refine(g: &WGraph, labels: &mut [u16], cfg: &MultilevelConfig, rng: &mut StdRng) {
     let n = g.num_nodes();
     let total_w: u64 = g.node_weight.iter().sum();
-    let max_w = ((total_w as f64 / cfg.parts as f64) * (1.0 + cfg.balance_slack)) as u64 + 1;
+    let max_w = ((total_w as f64 / cfg.parts as f64) * (1.0 + BALANCE_SLACK)) as u64 + 1;
     let mut part_w = vec![0u64; cfg.parts];
     for v in 0..n {
         part_w[labels[v] as usize] += g.node_weight[v];

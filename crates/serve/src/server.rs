@@ -649,8 +649,9 @@ impl<'a> Replay<'a> {
     }
 
     /// Loss-free departure of shard `s`: each pending query migrates to
-    /// the least-loaded in-rotation peer at the relay surcharge; with no
-    /// peer left it executes here before the shard goes.
+    /// the least-loaded in-rotation peer at the relay surcharge, or as
+    /// plain home work when that peer is its home shard; with no peer
+    /// left it executes here before the shard goes.
     fn leave(&mut self, s: usize, now: u64) {
         let orphans = std::mem::take(&mut self.shards[s].pending);
         self.shards[s].close_at = u64::MAX;
@@ -661,7 +662,11 @@ impl<'a> Replay<'a> {
         for (q, units, rerouted) in orphans {
             if let Some(p) = self.peer(s, now, false) {
                 migrated += 1;
-                self.enqueue(p, q, units + REROUTE_UNITS, true, now);
+                if p == self.server.shard_of(q.node) {
+                    self.enqueue(p, q, 1.0, false, now);
+                } else {
+                    self.enqueue(p, q, units + REROUTE_UNITS, true, now);
+                }
             } else {
                 self.shards[s].pending.push((q, units, rerouted));
             }
@@ -1473,6 +1478,37 @@ mod tests {
             }
             assert!(off_home > 0, "the drain must reroute shard 0's queries");
             assert_eq!(out.summary.rerouted, off_home);
+        }
+    }
+
+    #[test]
+    fn orphans_migrated_home_are_not_rerouted() {
+        // Shards 1 and 2 leave undrained; their pending queries include
+        // reroutes homed on the surviving peers, and one migrated back to
+        // its home shard runs there as home work.
+        let (s, nodes) = server(4, ServeConfig::default());
+        for seed in 31..=39 {
+            let spec = spec_at(&s, nodes, 1.5, seed);
+            let queries = generate(&spec);
+            let mut cspec = ChurnSpec::quiet(spec.duration_ns);
+            cspec.membership = vec![
+                MembershipEvent { shard: 1, at_ns: 510_000, change: MembershipChange::Leave },
+                MembershipEvent { shard: 2, at_ns: 1_010_000, change: MembershipChange::Leave },
+            ];
+            let churn = ChurnSchedule::derive(&cspec, nodes);
+            let out =
+                s.run_scenario(&spec, &FaultSchedule::quiet(4), &churn, &Telemetry::disabled());
+            assert!(out.summary.churn.migrated_queries > 0, "seed {seed}: the leaves must migrate");
+            let mut off_home = 0;
+            for r in out.records.iter().filter(|r| r.decision == Decision::Admitted) {
+                let home = s.shard_of(queries[r.id as usize].node) as u16;
+                if r.shard == Some(home) {
+                    assert!(!r.rerouted, "seed {seed}: query {} at home flagged rerouted", r.id);
+                } else {
+                    off_home += 1;
+                }
+            }
+            assert_eq!(out.summary.rerouted, off_home, "seed {seed}");
         }
     }
 

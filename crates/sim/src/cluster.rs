@@ -39,10 +39,10 @@ fn cube_mesh_relay(a: u16, b: u16) -> u16 {
 ///   port channel per GPU (any pair communicates, contending only on the
 ///   endpoints' ports — no NUMA effect, as on DGX-A100). With
 ///   [`Topology::NvLinkPairs`], one channel per unordered GPU pair.
-/// * One shared host (PCIe) channel used for UVM page migrations; it is
-///   shared because the CPU-side driver serializes migration servicing
-///   (§2.2's "relatively low-speed CPU processor for host data
-///   management").
+/// * One shared host (PCIe) channel for transfers staged through host
+///   memory (a dead link with no relay route, or the UVM degrade); it is
+///   shared because the CPU side serializes host data management (§2.2's
+///   "relatively low-speed CPU processor for host data management").
 #[derive(Debug)]
 pub struct Interconnect {
     topology: Topology,
@@ -263,11 +263,6 @@ impl Interconnect {
         let relay = cube_mesh_relay(from as u16, to as u16) as usize;
         let mid = self.pair_route(now, from, relay, bytes);
         self.pair_route(mid, relay, to, bytes)
-    }
-
-    /// Host↔GPU transfer over the shared PCIe path; returns completion.
-    pub fn host_transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.host.transfer(now, bytes)
     }
 
     /// Direct GPU↔GPU bulk copy (used by collectives); same path as

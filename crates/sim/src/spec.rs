@@ -31,8 +31,6 @@ pub struct GpuSpec {
     pub dram_bw_gbps: f64,
     /// Device-memory access latency in nanoseconds.
     pub dram_latency_ns: u64,
-    /// Latency of a shared-memory access in core cycles.
-    pub smem_latency_cycles: u32,
 }
 
 impl GpuSpec {
@@ -49,7 +47,6 @@ impl GpuSpec {
             dram_bytes: 40 * (1 << 30),
             dram_bw_gbps: 1555.0 * 0.8,
             dram_latency_ns: 400,
-            smem_latency_cycles: 25,
         }
     }
 
@@ -66,7 +63,6 @@ impl GpuSpec {
             dram_bytes: 16 * (1 << 30),
             dram_bw_gbps: 900.0 * 0.8,
             dram_latency_ns: 450,
-            smem_latency_cycles: 30,
         }
     }
 
@@ -105,7 +101,7 @@ impl LinkSpec {
         LinkSpec { bw_gbps: 50.0 * 0.85, latency_ns: 900, request_overhead_ns: 250 }
     }
 
-    /// Host PCIe 4.0 x16 path (shared by all GPUs for UVM migrations).
+    /// Host PCIe 4.0 x16 path (shared by all GPUs for host-staged transfers).
     pub fn pcie4_host() -> Self {
         LinkSpec { bw_gbps: 25.0 * 0.8, latency_ns: 1_500, request_overhead_ns: 0 }
     }
@@ -142,11 +138,6 @@ pub struct ClusterSpec {
     pub host_link: LinkSpec,
     /// Host-side kernel launch overhead in nanoseconds (per launch).
     pub kernel_launch_ns: u64,
-    /// GPU page-fault handling overhead in nanoseconds (per fault, on top
-    /// of the migration transfer itself). Covers the driver round trip.
-    pub page_fault_ns: u64,
-    /// Number of page faults a GPU can have in flight simultaneously.
-    pub fault_concurrency: u32,
 }
 
 impl ClusterSpec {
@@ -160,8 +151,6 @@ impl ClusterSpec {
             link: LinkSpec::nvswitch_a100(),
             host_link: LinkSpec::pcie4_host(),
             kernel_launch_ns: 6_000,
-            page_fault_ns: 25_000,
-            fault_concurrency: 8,
         }
     }
 
@@ -181,8 +170,6 @@ impl ClusterSpec {
             link: LinkSpec::nvlink_v100(),
             host_link: LinkSpec::pcie4_host(),
             kernel_launch_ns: 6_500,
-            page_fault_ns: 30_000,
-            fault_concurrency: 6,
         }
     }
 }
@@ -236,8 +223,6 @@ impl ClusterSpec {
             link: LinkSpec { bw_gbps: 12.0, latency_ns: 1_900, request_overhead_ns: 400 },
             host_link: LinkSpec::pcie4_host(),
             kernel_launch_ns: 6_000,
-            page_fault_ns: 25_000,
-            fault_concurrency: 8,
         }
     }
 }
@@ -273,7 +258,6 @@ impl GpuSpec {
             dram_bytes: 256 * (1 << 30),
             dram_bw_gbps: 180.0,
             dram_latency_ns: 90,
-            smem_latency_cycles: 12,
         }
     }
 }
@@ -293,8 +277,6 @@ impl ClusterSpec {
             link: LinkSpec { bw_gbps: 24.0, latency_ns: 2_500, request_overhead_ns: 600 },
             host_link: LinkSpec::pcie4_host(),
             kernel_launch_ns: 2_000,
-            page_fault_ns: 4_000,
-            fault_concurrency: 16,
         }
     }
 }

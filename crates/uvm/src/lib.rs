@@ -1,20 +1,26 @@
 //! Unified Virtual Memory (UVM) substrate.
 //!
-//! Models the CUDA UVM behaviour the paper profiles in §2.2 and competes
-//! against in §5.1:
+//! Models the CUDA UVM behaviour the paper competes against in §5.1, in
+//! the regime of data that fits in aggregate device memory:
 //!
-//! * A single virtual address space backed by host memory; data becomes
-//!   resident on a GPU only by **page migration** triggered by a GPU-side
-//!   **page fault**.
-//! * Pages are large (64 KiB migration granularity on modern drivers)
-//!   while a node embedding is small (≤ 2.4 KiB for dim-602 floats), so
-//!   fault-driven migration wastes most of each page — one of the two UVM
-//!   pathologies the paper measures.
-//! * Fault servicing has a long fixed latency and limited concurrency, and
-//!   the migration itself crosses the *shared* host PCIe path, so fault
-//!   pressure grows with GPU count (Figure 3).
+//! * One virtual address space whose pages are interleaved round-robin
+//!   across the GPUs. A page's home GPU always holds it; another GPU gets
+//!   a read-duplicated copy only by **page migration** over the GPU
+//!   fabric, triggered by a GPU-side **page fault**.
+//! * Pages are large (16 KiB, scaled so that the page-to-embedding-table
+//!   ratio of the full-size datasets holds at the benchmark scale) while a
+//!   node embedding is small (≤ 2.4 KiB for dim-602 floats), so
+//!   fault-driven migration wastes most of each page.
+//! * Fault servicing has a long fixed driver latency (25 µs) and bounded
+//!   concurrency (16 faults in flight per GPU), and each fault migrates a
+//!   4-page (64 KiB) region, as CUDA's tree prefetcher does. With more
+//!   GPUs, more of each GPU's pages are remote, so fault pressure grows
+//!   with GPU count (Figure 3).
 //! * Per-GPU residency is capacity-limited with LRU eviction; re-fetching
 //!   an evicted page is counted as **thrash**.
+//!
+//! These costs apply unchanged on every `mgg_sim::ClusterSpec` preset;
+//! the preset's links price only the migration transfer itself.
 //!
 //! The model implements [`mgg_sim::PageHandler`], so any kernel trace
 //! containing [`mgg_sim::WarpOp::PageAccess`] operations runs against it.
@@ -26,68 +32,14 @@ use std::collections::HashMap;
 use mgg_sim::{Interconnect, MultiServerQueue, PageAccessOutcome, PageHandler, SimTime};
 use serde::Serialize;
 
-/// Where a faulted page migrates from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationSource {
-    /// Pages are staged in host memory; every migration crosses the
-    /// shared PCIe path (the §2.2 CPU-to-GPU regime, Figure 3).
-    Host,
-    /// Pages are GPU-resident, interleaved round-robin across devices;
-    /// migrations (read-duplications) cross the GPU fabric, with the
-    /// page's home GPU always holding it. This is the steady-state regime
-    /// for data that fits in aggregate device memory.
-    PeerInterleaved,
-}
-
-/// Configuration of the UVM model.
-#[derive(Debug, Clone, Copy)]
-pub struct UvmConfig {
-    /// Migration granularity in bytes (CUDA migrates 64 KiB blocks).
-    pub page_bytes: u64,
-    /// Resident-page capacity per GPU.
-    pub capacity_pages: usize,
-    /// Fixed driver latency per fault, in nanoseconds.
-    pub fault_latency_ns: u64,
-    /// Faults a GPU can service concurrently (the driver batches fault
-    /// groups, so this can exceed a handful).
-    pub fault_concurrency: u32,
-    /// Consecutive pages fetched per fault (batch prefetching, the
-    /// ASPLOS'20-style optimization the paper cites; 1 disables it).
-    pub prefetch_batch: u32,
-    /// Migration path.
-    pub source: MigrationSource,
-}
-
-impl UvmConfig {
-    /// Defaults matching the DGX-A100 model in `mgg-sim`, host staging.
-    pub fn a100(capacity_pages: usize) -> Self {
-        UvmConfig {
-            page_bytes: 64 * 1024,
-            capacity_pages,
-            fault_latency_ns: 25_000,
-            fault_concurrency: 8,
-            prefetch_batch: 1,
-            source: MigrationSource::Host,
-        }
-    }
-
-    /// GPU-resident configuration for data that fits in aggregate device
-    /// memory: peer-to-peer migration and deeper fault batching. The page
-    /// size is scaled to 16 KiB so that the page-to-embedding-table ratio
-    /// of the full-size datasets is preserved at the benchmark scale, and
-    /// the driver's tree prefetcher pulls 4-page (64 KiB) regions per
-    /// fault, as CUDA's heuristic does.
-    pub fn a100_resident(capacity_pages: usize) -> Self {
-        UvmConfig {
-            page_bytes: 16 * 1024,
-            capacity_pages,
-            fault_latency_ns: 25_000,
-            fault_concurrency: 16,
-            prefetch_batch: 4,
-            source: MigrationSource::PeerInterleaved,
-        }
-    }
-}
+/// Migration granularity in bytes.
+const PAGE_BYTES: u64 = 16 * 1024;
+/// Fixed driver latency per fault, in nanoseconds.
+const FAULT_LATENCY_NS: u64 = 25_000;
+/// Faults a GPU services concurrently (the driver batches fault groups).
+const FAULT_CONCURRENCY: u32 = 16;
+/// Consecutive pages migrated per fault.
+const PREFETCH_PAGES: u64 = 4;
 
 /// Counters reported per GPU.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -98,7 +50,7 @@ pub struct UvmGpuStats {
     pub hits: u64,
     /// Total nanoseconds spent inside fault handling (service + wait).
     pub fault_duration_ns: u64,
-    /// Bytes migrated from host to this GPU.
+    /// Bytes migrated to this GPU from the pages' home GPUs.
     pub migrated_bytes: u64,
     /// Pages evicted.
     pub evictions: u64,
@@ -150,12 +102,13 @@ impl PageCache {
 ///
 /// ```
 /// use mgg_sim::{Cluster, ClusterSpec, PageHandler};
-/// use mgg_uvm::{UvmConfig, UvmSpace};
+/// use mgg_uvm::UvmSpace;
 ///
 /// let mut cluster = Cluster::new(ClusterSpec::dgx_a100(2));
-/// let mut uvm = UvmSpace::new(2, UvmConfig::a100(64));
+/// let mut uvm = UvmSpace::new(2, 64);
 ///
-/// // First touch faults (driver latency + migration)...
+/// // Page 7 lives on GPU 1, so GPU 0's first touch faults (driver
+/// // latency + migration)...
 /// let miss = uvm.access(0, 0, 7, &mut cluster.ic);
 /// assert!(!miss.hit);
 /// // ...after which the page is resident.
@@ -164,30 +117,28 @@ impl PageCache {
 /// ```
 #[derive(Debug)]
 pub struct UvmSpace {
-    cfg: UvmConfig,
+    capacity_pages: usize,
     caches: Vec<PageCache>,
     fault_queues: Vec<MultiServerQueue>,
     stats: UvmStats,
 }
 
 impl UvmSpace {
-    /// Creates the space for `num_gpus` GPUs.
-    pub fn new(num_gpus: usize, cfg: UvmConfig) -> Self {
-        assert!(cfg.page_bytes > 0, "page size must be positive");
-        assert!(cfg.capacity_pages > 0, "capacity must be positive");
+    /// Creates the space for `num_gpus` GPUs, each holding at most
+    /// `capacity_pages` migrated pages.
+    pub fn new(num_gpus: usize, capacity_pages: usize) -> Self {
+        assert!(capacity_pages > 0, "capacity must be positive");
         UvmSpace {
-            cfg,
+            capacity_pages,
             caches: (0..num_gpus).map(|_| PageCache::new()).collect(),
-            fault_queues: (0..num_gpus)
-                .map(|_| MultiServerQueue::new(cfg.fault_concurrency))
-                .collect(),
+            fault_queues: (0..num_gpus).map(|_| MultiServerQueue::new(FAULT_CONCURRENCY)).collect(),
             stats: UvmStats { per_gpu: vec![UvmGpuStats::default(); num_gpus] },
         }
     }
 
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
-        self.cfg.page_bytes
+        PAGE_BYTES
     }
 
     /// Accumulated statistics.
@@ -212,12 +163,13 @@ impl UvmSpace {
 
     fn evict_if_needed(&mut self, gpu: usize) {
         let cache = &mut self.caches[gpu];
-        while cache.resident.len() > self.cfg.capacity_pages {
-            // Evict the least recently used page.
+        while cache.resident.len() > self.capacity_pages {
+            // Evict the least recently used page; pages migrated by the
+            // same fault share a tick, so the lower page goes first.
             let (&victim, _) = cache
                 .resident
                 .iter()
-                .min_by_key(|(_, &(_, tick))| tick)
+                .min_by_key(|(&page, &(_, tick))| (tick, page))
                 .expect("non-empty cache");
             cache.resident.remove(&victim);
             *cache.evicted_once.entry(victim).or_insert(0) += 1;
@@ -239,12 +191,9 @@ impl PageHandler for UvmSpace {
             cache.tick += 1;
             cache.tick
         };
-        // With interleaved residency, a page's home GPU always holds it.
-        let home = match self.cfg.source {
-            MigrationSource::Host => None,
-            MigrationSource::PeerInterleaved => Some((page % self.caches.len() as u64) as usize),
-        };
-        if home == Some(gpu) {
+        // A page's home GPU always holds it.
+        let home = (page % self.caches.len() as u64) as usize;
+        if home == gpu {
             self.stats.per_gpu[gpu].hits += 1;
             return PageAccessOutcome { ready_at: now, hit: true };
         }
@@ -254,14 +203,10 @@ impl PageHandler for UvmSpace {
             return PageAccessOutcome { ready_at: ready.max(now), hit: true };
         }
         // Fault: driver servicing with bounded concurrency, then migration
-        // of `prefetch_batch` consecutive pages from the source.
-        let service_done = self.fault_queues[gpu].submit(now, self.cfg.fault_latency_ns);
-        let batch = self.cfg.prefetch_batch.max(1) as u64;
-        let bytes = self.cfg.page_bytes * batch;
-        let ready = match home {
-            None => ic.host_transfer(service_done, bytes),
-            Some(h) => ic.remote_transfer(service_done, h, gpu, bytes),
-        };
+        // of `PREFETCH_PAGES` consecutive pages from the home GPU.
+        let service_done = self.fault_queues[gpu].submit(now, FAULT_LATENCY_NS);
+        let bytes = PAGE_BYTES * PREFETCH_PAGES;
+        let ready = ic.remote_transfer(service_done, home, gpu, bytes);
         {
             let s = &mut self.stats.per_gpu[gpu];
             s.faults += 1;
@@ -271,7 +216,7 @@ impl PageHandler for UvmSpace {
                 s.thrash_refetches += 1;
             }
         }
-        for p in page..page + batch {
+        for p in page..page + PREFETCH_PAGES {
             self.caches[gpu].resident.insert(p, (ready, tick));
         }
         self.evict_if_needed(gpu);
@@ -286,12 +231,13 @@ mod tests {
 
     fn setup(gpus: usize, capacity: usize) -> (Cluster, UvmSpace) {
         let cluster = Cluster::new(ClusterSpec::dgx_a100(gpus));
-        let uvm = UvmSpace::new(gpus, UvmConfig::a100(capacity));
+        let uvm = UvmSpace::new(gpus, capacity);
         (cluster, uvm)
     }
 
     #[test]
     fn first_touch_faults_then_hits() {
+        // Page 7 is homed on GPU 1.
         let (mut c, mut uvm) = setup(2, 16);
         let miss = uvm.access(0, 0, 7, &mut c.ic);
         assert!(!miss.hit);
@@ -304,74 +250,87 @@ mod tests {
     }
 
     #[test]
+    fn home_gpu_always_hits() {
+        let (mut c, mut uvm) = setup(4, 16);
+        for page in 0..16u64 {
+            let home = (page % 4) as usize;
+            let out = uvm.access(100, home, page, &mut c.ic);
+            assert!(out.hit);
+            assert_eq!(out.ready_at, 100, "a home page costs no migration");
+        }
+        assert_eq!(uvm.stats().total_faults(), 0);
+    }
+
+    #[test]
     fn residency_is_per_gpu() {
-        let (mut c, mut uvm) = setup(2, 16);
+        // Page 7 is homed on GPU 1; GPUs 0 and 2 each migrate their own copy.
+        let (mut c, mut uvm) = setup(3, 16);
         let _ = uvm.access(0, 0, 7, &mut c.ic);
-        let other = uvm.access(0, 1, 7, &mut c.ic);
-        assert!(!other.hit, "GPU 1 must fault independently");
+        let other = uvm.access(0, 2, 7, &mut c.ic);
+        assert!(!other.hit, "GPU 2 must fault independently");
         assert_eq!(uvm.total_faults_for_test(), 2);
     }
 
     #[test]
     fn capacity_eviction_and_thrash() {
-        let (mut c, mut uvm) = setup(1, 2);
-        let mut t = 0;
-        for p in 0..3u64 {
-            t = uvm.access(t, 0, p, &mut c.ic).ready_at;
-        }
-        assert_eq!(uvm.stats().per_gpu[0].evictions, 1);
-        // Page 0 was evicted; touching it again is thrash.
-        let out = uvm.access(t, 0, 0, &mut c.ic);
+        // Room for one fault's four pages: the fault on page 5 evicts
+        // pages 1-4, migrated by the fault on page 1.
+        let (mut c, mut uvm) = setup(2, 4);
+        let t = uvm.access(0, 0, 1, &mut c.ic).ready_at;
+        let t = uvm.access(t, 0, 5, &mut c.ic).ready_at;
+        assert_eq!(uvm.stats().per_gpu[0].evictions, 4);
+        // Page 1 was evicted; touching it again is thrash.
+        let out = uvm.access(t, 0, 1, &mut c.ic);
         assert!(!out.hit);
         assert_eq!(uvm.stats().per_gpu[0].thrash_refetches, 1);
     }
 
     #[test]
     fn lru_keeps_recent_pages() {
-        let (mut c, mut uvm) = setup(1, 2);
-        let t1 = uvm.access(0, 0, 0, &mut c.ic).ready_at;
-        let t2 = uvm.access(t1, 0, 1, &mut c.ic).ready_at;
-        // Touch page 0 so page 1 becomes the LRU victim.
-        let t3 = uvm.access(t2, 0, 0, &mut c.ic).ready_at;
-        let t4 = uvm.access(t3, 0, 2, &mut c.ic).ready_at; // evicts 1
-        let again = uvm.access(t4, 0, 0, &mut c.ic);
-        assert!(again.hit, "page 0 must have survived LRU");
+        // The faults on pages 1 and 5 fill the cache with pages 1-8;
+        // touching page 1 again leaves pages 2-4 as the LRU victims of
+        // the fault on page 9 (with page 5, the oldest of its fault).
+        let (mut c, mut uvm) = setup(2, 8);
+        let t1 = uvm.access(0, 0, 1, &mut c.ic).ready_at;
+        let t2 = uvm.access(t1, 0, 5, &mut c.ic).ready_at;
+        let t3 = uvm.access(t2, 0, 1, &mut c.ic).ready_at;
+        let t4 = uvm.access(t3, 0, 9, &mut c.ic).ready_at;
+        assert!(uvm.access(t4, 0, 1, &mut c.ic).hit, "page 1 must have survived LRU");
+        assert!(!uvm.access(t4, 0, 3, &mut c.ic).hit, "page 3 must have been evicted");
     }
 
     #[test]
-    fn host_path_is_shared_across_gpus() {
-        // Concurrent faults from many GPUs must queue on the host channel:
-        // the last completion with 8 GPUs exceeds the one with 2.
-        let last_ready = |gpus: usize| {
-            let (mut c, mut uvm) = setup(gpus, 1024);
-            (0..gpus as u64 * 4)
-                .map(|i| uvm.access(0, (i % gpus as u64) as usize, i, &mut c.ic).ready_at)
-                .max()
-                .unwrap()
-        };
-        assert!(last_ready(8) > last_ready(2));
-    }
-
-    #[test]
-    fn prefetch_batch_cuts_faults() {
-        let faults = |batch| {
-            let cluster = Cluster::new(ClusterSpec::dgx_a100(1));
-            let mut c = cluster;
-            let mut uvm =
-                UvmSpace::new(1, UvmConfig { prefetch_batch: batch, ..UvmConfig::a100(1024) });
+    fn eviction_is_deterministic() {
+        // Every fault migrates four pages at one tick, so eviction breaks
+        // ties; two spaces replaying the same accesses must agree.
+        let replay = || {
+            let (mut c, mut uvm) = setup(2, 6);
             let mut t = 0;
-            for p in 0..64u64 {
-                t = uvm.access(t, 0, p, &mut c.ic).ready_at;
+            for i in 0..200u64 {
+                t = uvm.access(t, 0, (i * 7919) % 97, &mut c.ic).ready_at;
             }
-            uvm.stats().per_gpu[0].faults
+            (t, uvm.stats().per_gpu[0])
         };
-        assert_eq!(faults(1), 64);
-        assert_eq!(faults(8), 8);
+        assert_eq!(replay(), replay());
+    }
+
+    #[test]
+    fn each_fault_migrates_four_pages() {
+        // GPU 0 walks pages 0..64; its odd pages live on GPU 1, and each
+        // fault brings in the next four pages.
+        let (mut c, mut uvm) = setup(2, 1024);
+        let mut t = 0;
+        for p in 0..64u64 {
+            t = uvm.access(t, 0, p, &mut c.ic).ready_at;
+        }
+        let s = uvm.stats().per_gpu[0];
+        assert_eq!(s.faults, 16);
+        assert_eq!(s.migrated_bytes, 16 * 4 * 16 * 1024);
     }
 
     #[test]
     fn reset_clears_state() {
-        let (mut c, mut uvm) = setup(1, 8);
+        let (mut c, mut uvm) = setup(2, 8);
         let _ = uvm.access(0, 0, 3, &mut c.ic);
         uvm.reset();
         assert_eq!(uvm.stats().total_faults(), 0);
@@ -402,7 +361,7 @@ mod proptests {
             capacity in 1usize..64,
         ) {
             let mut cluster = Cluster::new(ClusterSpec::dgx_a100(4));
-            let mut uvm = UvmSpace::new(4, UvmConfig::a100(capacity));
+            let mut uvm = UvmSpace::new(4, capacity);
             let mut now = 0;
             for &(gpu, page) in &accesses {
                 let out = uvm.access(now, gpu, page, &mut cluster.ic);
@@ -425,17 +384,25 @@ mod proptests {
         }
 
         #[test]
-        fn unbounded_capacity_faults_once_per_page(
+        fn unbounded_capacity_faults_once_per_region(
             pages in proptest::collection::vec(0u64..32, 1..80),
         ) {
+            // GPU 0 of 2: odd pages live on GPU 1. Without eviction, a
+            // remote page faults only if no earlier fault's four-page
+            // region covered it.
             let mut cluster = Cluster::new(ClusterSpec::dgx_a100(2));
-            let mut uvm = UvmSpace::new(2, UvmConfig::a100(1 << 20));
+            let mut uvm = UvmSpace::new(2, 1 << 20);
             let mut now = 0;
+            let mut resident = std::collections::HashSet::new();
+            let mut faults = 0u64;
             for &p in &pages {
+                if p % 2 == 1 && !resident.contains(&p) {
+                    faults += 1;
+                    resident.extend(p..p + 4);
+                }
                 now = uvm.access(now, 0, p, &mut cluster.ic).ready_at;
             }
-            let distinct: std::collections::HashSet<_> = pages.iter().collect();
-            prop_assert_eq!(uvm.stats().per_gpu[0].faults, distinct.len() as u64);
+            prop_assert_eq!(uvm.stats().per_gpu[0].faults, faults);
             prop_assert_eq!(uvm.stats().per_gpu[0].evictions, 0);
         }
     }

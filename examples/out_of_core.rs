@@ -12,7 +12,7 @@
 
 use mgg::graph::datasets::DatasetSpec;
 use mgg::sim::{Cluster, ClusterSpec, GpuSim, KernelLaunch, KernelProgram, WarpOp};
-use mgg::uvm::{MigrationSource, UvmConfig, UvmSpace};
+use mgg::uvm::UvmSpace;
 
 /// Minimal per-node UVM aggregation kernel over the whole graph.
 struct Kernel<'a> {
@@ -54,14 +54,14 @@ fn main() {
     let dim = d.spec.dim;
     let gpus = 4;
     let table_bytes = d.graph.num_nodes() as u64 * dim as u64 * 4;
-    let base_cfg = UvmConfig::a100_resident(1);
-    let table_pages = table_bytes.div_ceil(base_cfg.page_bytes) as usize;
+    let page_bytes = UvmSpace::new(gpus, 1).page_bytes();
+    let table_pages = table_bytes.div_ceil(page_bytes) as usize;
     println!(
         "com-orkut stand-in: {} nodes, {} edges, dim {dim}; table = {} pages of {} KiB\n",
         d.graph.num_nodes(),
         d.graph.num_edges(),
         table_pages,
-        base_cfg.page_bytes / 1024
+        page_bytes / 1024
     );
     println!(
         "{:>10} {:>10} {:>10} {:>10} {:>12}",
@@ -69,16 +69,9 @@ fn main() {
     );
     for frac in [1.0f64, 0.5, 0.25, 0.125] {
         let capacity = ((table_pages as f64 * frac) as usize).max(4);
-        let mut uvm = UvmSpace::new(
-            gpus,
-            UvmConfig {
-                capacity_pages: capacity,
-                source: MigrationSource::PeerInterleaved,
-                ..base_cfg
-            },
-        );
+        let mut uvm = UvmSpace::new(gpus, capacity);
         let mut cluster = Cluster::new(ClusterSpec::dgx_a100(gpus));
-        let kernel = Kernel { graph: &d.graph, dim, page_bytes: base_cfg.page_bytes, gpus };
+        let kernel = Kernel { graph: &d.graph, dim, page_bytes, gpus };
         let stats = GpuSim::run(&mut cluster, &kernel, &mut uvm).expect("valid launch");
         let u = uvm.stats();
         let thrash: u64 = u.per_gpu.iter().map(|g| g.thrash_refetches).sum();

@@ -8,12 +8,19 @@
 //! `UPDATE_GOLDEN=1 cargo test --test golden -- --nocapture` and paste the
 //! printed values.
 
-use mgg::baselines::{DirectNvshmemEngine, UvmGnnEngine};
+use mgg::baselines::{DgclEngine, DirectNvshmemEngine, UvmGnnEngine};
+use mgg::churn::{
+    BurstWindow, ChurnEventKind, ChurnSchedule, ChurnSpec, GraphDelta, MembershipChange,
+    MembershipEvent,
+};
 use mgg::core::{CacheConfig, CachePolicy, MggConfig, MggEngine};
 use mgg::fault::FaultSpec;
+use mgg::gnn::features::{label_features, split_masks};
 use mgg::gnn::gat::GatBackend;
 use mgg::gnn::reference::AggregateMode;
+use mgg::gnn::train::{train_gcn, TrainConfig};
 use mgg::gnn::Matrix;
+use mgg::graph::generators::random::{sbm, SbmConfig};
 use mgg::graph::generators::rmat::{rmat, RmatConfig};
 use mgg::sim::ClusterSpec;
 
@@ -175,4 +182,115 @@ fn golden_ordering_is_the_paper_ordering() {
     let t_direct = direct.simulate_aggregation_ns(128);
     assert!(t_mgg < t_uvm, "mgg {t_mgg} vs uvm {t_uvm}");
     assert!(t_uvm < t_direct, "uvm {t_uvm} vs direct {t_direct}");
+}
+
+/// The UVM baseline's fault accounting on the golden scenario: faults,
+/// hits, fault-handling time and migrated bytes of every GPU, folded
+/// into one digest, beside the total fault count.
+#[test]
+fn golden_uvm_fault_stats() {
+    let g = scenario();
+    let mut uvm = UvmGnnEngine::new(&g, ClusterSpec::dgx_a100(4), AggregateMode::Sum);
+    uvm.simulate_aggregation(128);
+    let stats = uvm.last_uvm_stats.clone().expect("stats recorded");
+    let per_gpu = fnv1a(
+        stats
+            .per_gpu
+            .iter()
+            .flat_map(|s| [s.faults, s.hits, s.fault_duration_ns, s.migrated_bytes]),
+    );
+    check(&[
+        Golden { name: "uvm_total_faults", got: stats.total_faults(), want: 41 },
+        Golden { name: "uvm_per_gpu_digest", got: per_gpu, want: 17_422_336_457_166_164_966 },
+    ]);
+}
+
+/// DGCL's preprocessing result: the multilevel partitioner's edge cut
+/// and every node's label.
+#[test]
+fn golden_dgcl_partition() {
+    let g = scenario();
+    let (dgcl, report) = DgclEngine::new(&g, ClusterSpec::dgx_a100(4), AggregateMode::Sum);
+    let labels = fnv1a(dgcl.labels().iter().map(|&l| u64::from(l)));
+    check(&[
+        Golden { name: "dgcl_edge_cut", got: report.dgcl_edge_cut, want: 8_162 },
+        Golden { name: "dgcl_labels", got: labels, want: 9_265_945_465_360_276_998 },
+    ]);
+}
+
+/// Table 5's trainer, bit for bit: every epoch's loss and the bits of
+/// both accuracies of one full-graph and one sampled run on a small
+/// two-community task.
+#[test]
+fn golden_train_gcn() {
+    let task = sbm(&SbmConfig {
+        block_sizes: vec![100, 100],
+        avg_degree_in: 8.0,
+        avg_degree_out: 1.0,
+        seed: 51,
+    });
+    let x = label_features(&task.labels, 2, 16, 0.7, 52);
+    let (tr, va, te) = split_masks(task.graph.num_nodes(), 0.4, 0.2, 53);
+    let run = |cfg: &TrainConfig| {
+        let r = train_gcn(&task.graph, &x, &task.labels, 2, &tr, &va, &te, cfg);
+        let losses = fnv1a(bits(&r.train_losses));
+        (losses, r.val_accuracy.to_bits(), r.test_accuracy.to_bits())
+    };
+    let (full_loss, full_val, full_test) = run(&TrainConfig::paper(20, 54));
+    let (samp_loss, samp_val, samp_test) = run(&TrainConfig::paper_sampled(20, 54, 3));
+    check(&[
+        Golden { name: "train_full_losses", got: full_loss, want: 17_651_622_371_581_315_583 },
+        Golden { name: "train_full_val_acc", got: full_val, want: 4_607_182_418_800_017_408 },
+        Golden { name: "train_full_test_acc", got: full_test, want: 4_606_967_961_674_904_527 },
+        Golden { name: "train_sampled_losses", got: samp_loss, want: 5_784_964_660_830_589_923 },
+        Golden { name: "train_sampled_val_acc", got: samp_val, want: 4_607_182_418_800_017_408 },
+        Golden { name: "train_sampled_test_acc", got: samp_test, want: 4_606_967_961_674_904_527 },
+    ]);
+}
+
+/// A steady churn stream with a burst window and scripted membership,
+/// event by event: every fence instant, every delta and its targets.
+#[test]
+fn golden_churn_schedule() {
+    let mut spec = ChurnSpec::steady(61, 3_000_000, 20_000_000.0);
+    spec.burst = Some(BurstWindow { start_ns: 1_000_000, end_ns: 1_500_000, mult: 4.0 });
+    spec.membership = vec![
+        MembershipEvent { shard: 1, at_ns: 750_000, change: MembershipChange::Drain },
+        MembershipEvent { shard: 1, at_ns: 1_250_000, change: MembershipChange::Leave },
+        MembershipEvent { shard: 1, at_ns: 2_000_000, change: MembershipChange::Join },
+    ];
+    let sched = ChurnSchedule::derive(&spec, 2_048);
+    let mut words = Vec::new();
+    for ev in sched.events() {
+        words.extend([ev.at_ns, ev.seq]);
+        match &ev.kind {
+            ChurnEventKind::Membership(m) => {
+                words.extend([0, u64::from(m.shard), m.at_ns, m.change as u64]);
+            }
+            ChurnEventKind::Fence { deltas } => {
+                words.extend([1, deltas.len() as u64]);
+                for d in deltas {
+                    match d {
+                        GraphDelta::EdgeInsert { src, dst } => {
+                            words.extend([10, u64::from(*src), u64::from(*dst)]);
+                        }
+                        GraphDelta::EdgeRemove { src, dst } => {
+                            words.extend([11, u64::from(*src), u64::from(*dst)]);
+                        }
+                        GraphDelta::FeatureUpdate { node } => words.extend([12, u64::from(*node)]),
+                        GraphDelta::NodeInsert { neighbors } => {
+                            words.push(13);
+                            words.extend(neighbors.iter().map(|&u| u64::from(u)));
+                        }
+                        GraphDelta::NodeRemove { node } => words.extend([14, u64::from(*node)]),
+                    }
+                }
+            }
+        }
+    }
+    check(&[
+        Golden { name: "churn_deltas", got: sched.num_deltas(), want: 87_921 },
+        Golden { name: "churn_events", got: sched.events().len() as u64, want: 15 },
+        Golden { name: "churn_event_digest", got: fnv1a(words), want: 17_327_083_744_325_612_923 },
+    ]);
 }
