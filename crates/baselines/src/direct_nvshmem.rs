@@ -9,9 +9,6 @@
 //! thousands of GETs on a single warp, and (iii) warps flip between
 //! computation and communication, defeating the SM scheduler.
 
-use mgg_gnn::models::Aggregator;
-use mgg_gnn::reference::{aggregate, AggregateMode};
-use mgg_gnn::Matrix;
 use mgg_graph::partition::locality::{self, LocalityPartition};
 use mgg_graph::{CsrGraph, NodeSplit};
 use mgg_sim::{
@@ -30,15 +27,11 @@ const WPB: u32 = 8;
 /// communication warm-up costs)".
 const GET_SW_CYCLES: u32 = 280;
 
-/// The direct-NVSHMEM aggregation engine.
+/// The direct-NVSHMEM aggregation engine, a timing model.
 pub struct DirectNvshmemEngine {
     /// The simulated platform the engine runs on.
     pub cluster: Cluster,
-    graph: CsrGraph,
     parts: Vec<LocalityPartition>,
-    mode: AggregateMode,
-    /// Statistics of the most recent simulated kernel.
-    pub last_stats: Option<KernelStats>,
 }
 
 struct DirectKernel<'a> {
@@ -48,26 +41,18 @@ struct DirectKernel<'a> {
 
 impl DirectNvshmemEngine {
     /// Builds the engine with a uniform node split.
-    pub fn new(graph: &CsrGraph, spec: ClusterSpec, mode: AggregateMode) -> Self {
+    pub fn new(graph: &CsrGraph, spec: ClusterSpec) -> Self {
         let split = NodeSplit::uniform(graph.num_nodes(), spec.num_gpus);
         let parts = locality::build(graph, &split);
-        DirectNvshmemEngine {
-            cluster: Cluster::new(spec),
-            graph: graph.clone(),
-            parts,
-            mode,
-            last_stats: None,
-        }
+        DirectNvshmemEngine { cluster: Cluster::new(spec), parts }
     }
 
     /// Simulates one aggregation pass at dimension `dim`.
     pub fn simulate_aggregation(&mut self, dim: usize) -> KernelStats {
         self.cluster.reset();
         let kernel = DirectKernel { parts: &self.parts, dim };
-        let stats = GpuSim::run(&mut self.cluster, &kernel, &mut NoPaging)
-            .expect("direct kernel launch is valid");
-        self.last_stats = Some(stats.clone());
-        stats
+        GpuSim::run(&mut self.cluster, &kernel, &mut NoPaging)
+            .expect("direct kernel launch is valid")
     }
 
     /// Simulated end-to-end duration (kernel + launch overhead).
@@ -118,21 +103,6 @@ impl KernelProgram for DirectKernel<'_> {
     }
 }
 
-impl Aggregator for DirectNvshmemEngine {
-    fn aggregate(&mut self, x: &Matrix) -> (Matrix, u64) {
-        let ns = self.simulate_aggregation_ns(x.cols());
-        (aggregate(&self.graph, x, self.mode), ns)
-    }
-
-    fn aggregate_only(&mut self, x: &Matrix) -> Matrix {
-        aggregate(&self.graph, x, self.mode)
-    }
-
-    fn mode(&self) -> AggregateMode {
-        self.mode
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,21 +115,11 @@ mod tests {
     #[test]
     fn runs_and_times() {
         let g = graph();
-        let mut e = DirectNvshmemEngine::new(&g, ClusterSpec::dgx_a100(4), AggregateMode::Sum);
+        let mut e = DirectNvshmemEngine::new(&g, ClusterSpec::dgx_a100(4));
         let ns = e.simulate_aggregation_ns(64);
         assert!(ns > 0);
-        let stats = e.last_stats.as_ref().unwrap();
+        let stats = e.simulate_aggregation(64);
         assert!(stats.traffic.remote_bytes() > 0);
-    }
-
-    #[test]
-    fn values_match_reference() {
-        let g = graph();
-        let x = Matrix::glorot(g.num_nodes(), 6, 9);
-        let mut e = DirectNvshmemEngine::new(&g, ClusterSpec::dgx_a100(2), AggregateMode::Mean);
-        let (vals, _) = e.aggregate(&x);
-        let want = aggregate(&g, &x, AggregateMode::Mean);
-        assert!(vals.max_abs_diff(&want) < 1e-6);
     }
 
     #[test]
@@ -167,10 +127,10 @@ mod tests {
         // The hub's warp serializes its remote gets, so the direct design
         // must be far slower than MGG on the same skewed graph.
         use mgg_core::{MggConfig, MggEngine};
+        use mgg_gnn::reference::AggregateMode;
         let g = mgg_graph::generators::regular::star(3_000);
         let dim = 128;
-        let mut direct =
-            DirectNvshmemEngine::new(&g, ClusterSpec::dgx_a100(4), AggregateMode::Sum);
+        let mut direct = DirectNvshmemEngine::new(&g, ClusterSpec::dgx_a100(4));
         let t_direct = direct.simulate_aggregation_ns(dim);
         let mut mgg = MggEngine::new(
             &g,

@@ -12,11 +12,9 @@
 use mgg_collective::COLLECTIVE_LAUNCH_NS;
 use mgg_graph::partition::neighbor::{partition_rows, PartitionKind};
 use mgg_graph::{CsrGraph, NodeSplit};
-use mgg_sim::{
-    Cluster, ClusterSpec, GpuSim, KernelLaunch, KernelProgram, NoPaging, WarpOp,
-};
+use mgg_sim::{Cluster, ClusterSpec, GpuSim, NoPaging};
 
-use mgg_core::kernel::aggregation_cycles;
+use mgg_core::kernel::LocalAggKernel;
 
 /// Outcome of the ring study.
 #[derive(Debug, Clone, Copy)]
@@ -42,41 +40,6 @@ impl NcclRingReport {
 /// forwarding pays this per message.
 pub const NCCL_PER_MSG_NS: u64 = 350;
 
-/// A plain local aggregation kernel over all edges, neighbor-partitioned,
-/// used to cost the compute side of each ring step.
-struct LocalAggKernel<'a> {
-    parts: Vec<Vec<mgg_graph::partition::neighbor::NeighborPartition>>,
-    graph: &'a CsrGraph,
-    dim: usize,
-}
-
-const WPB: u32 = 4;
-
-impl KernelProgram for LocalAggKernel<'_> {
-    fn launch(&self, pe: usize) -> KernelLaunch {
-        let warps = self.parts[pe].len() as u32;
-        KernelLaunch {
-            blocks: warps.div_ceil(WPB).max(1),
-            warps_per_block: WPB,
-            smem_per_block: 2 * (self.dim as u32) * 4,
-        }
-    }
-
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
-        let w = (block * WPB + warp) as usize;
-        let Some(p) = self.parts[pe].get(w) else {
-            return;
-        };
-        let row_bytes = (self.dim * 4) as u32;
-        let _ = self.graph;
-        out.extend([
-            WarpOp::GlobalRead { bytes: p.len * row_bytes },
-            WarpOp::Compute { cycles: aggregation_cycles(p.len, self.dim) },
-            WarpOp::GlobalWrite { bytes: row_bytes },
-        ]);
-    }
-}
-
 /// Runs the 1-layer ring-forwarding GNN and reports the comm/comp split.
 pub fn nccl_ring_study(graph: &CsrGraph, spec: ClusterSpec, dim: usize) -> NcclRingReport {
     let n = spec.num_gpus;
@@ -98,7 +61,7 @@ pub fn nccl_ring_study(graph: &CsrGraph, spec: ClusterSpec, dim: usize) -> NcclR
             partition_rows(&local_ptr, 16, PartitionKind::Local)
         })
         .collect();
-    let kernel = LocalAggKernel { parts, graph, dim };
+    let kernel = LocalAggKernel { parts: &parts, dim, poll_cycles: 0 };
     let stats = GpuSim::run(&mut cluster, &kernel, &mut NoPaging)
         .expect("ring aggregation kernel is valid");
     // Each of the n-1 steps launches its own aggregation kernel.

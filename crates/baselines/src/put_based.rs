@@ -4,8 +4,8 @@
 //! employ a complex receiver-side synchronization mechanism to
 //! consistently check the local memory buffer for making sure that the
 //! required node embedding arrives before its aggregation begins",
-//! costing extra computation. This engine implements that alternative so
-//! the claim is measurable:
+//! costing extra computation. This engine models that alternative's time
+//! so the claim is measurable:
 //!
 //! 1. **Push phase**: every GPU walks its *outgoing* adjacency (the
 //!    transpose of its consumers' remote lists) and PUTs each needed row
@@ -18,19 +18,15 @@
 //! Same wire volume as GET, but the phases serialize at the barrier and
 //! the receiver pays polling overhead — which is exactly why GET wins.
 
-use mgg_gnn::models::Aggregator;
-use mgg_gnn::reference::{aggregate, AggregateMode};
-use mgg_gnn::Matrix;
-use mgg_graph::partition::locality::{self, LocalityPartition};
+use mgg_graph::partition::locality;
 use mgg_graph::partition::neighbor::{partition_rows, NeighborPartition, PartitionKind};
 use mgg_graph::{CsrGraph, NodeSplit};
 use mgg_shmem::barrier_all;
 use mgg_sim::{
-    Cluster, ClusterSpec, GpuSim, KernelLaunch, KernelProgram, KernelStats, NoPaging, SimTime,
-    WarpOp,
+    Cluster, ClusterSpec, GpuSim, KernelLaunch, KernelProgram, NoPaging, SimTime, WarpOp,
 };
 
-use mgg_core::kernel::aggregation_cycles;
+use mgg_core::kernel::LocalAggKernel;
 
 const WPB: u32 = 4;
 
@@ -38,20 +34,15 @@ const WPB: u32 = 4;
 /// receiver-side synchronization the paper wants to avoid).
 const POLL_CYCLES_PER_PARTITION: u32 = 180;
 
-/// The PUT-based aggregation engine.
+/// The PUT-based aggregation engine, a timing model.
 pub struct PutBasedEngine {
     /// The simulated platform the engine runs on.
     pub cluster: Cluster,
-    graph: CsrGraph,
-    parts: Vec<LocalityPartition>,
     /// Per GPU: outgoing pushes (destination GPU, rows) — one per remote
     /// edge whose source this GPU owns, grouped into warp-sized batches.
     push_batches: Vec<Vec<(u16, u32)>>,
     /// Per GPU: neighbor partitions over local + staged (all-local) data.
     agg_parts: Vec<Vec<NeighborPartition>>,
-    mode: AggregateMode,
-    /// Statistics of the most recent simulated kernel.
-    pub last_stats: Option<KernelStats>,
     /// Simulated duration of the inter-phase barrier.
     pub last_barrier_ns: SimTime,
 }
@@ -61,14 +52,9 @@ struct PushKernel<'a> {
     dim: usize,
 }
 
-struct AggKernel<'a> {
-    parts: &'a [Vec<NeighborPartition>],
-    dim: usize,
-}
-
 impl PutBasedEngine {
     /// Builds the engine (edge-balanced split, same as MGG's placement).
-    pub fn new(graph: &CsrGraph, spec: ClusterSpec, mode: AggregateMode) -> Self {
+    pub fn new(graph: &CsrGraph, spec: ClusterSpec) -> Self {
         let split = NodeSplit::edge_balanced(graph, spec.num_gpus);
         let parts = locality::build(graph, &split);
         // Outgoing pushes: invert each consumer's remote list. A push of
@@ -110,16 +96,7 @@ impl PutBasedEngine {
                 partition_rows(&row_ptr, 16, PartitionKind::Local)
             })
             .collect();
-        PutBasedEngine {
-            cluster: Cluster::new(spec),
-            graph: graph.clone(),
-            parts,
-            push_batches,
-            agg_parts,
-            mode,
-            last_stats: None,
-            last_barrier_ns: 0,
-        }
+        PutBasedEngine { cluster: Cluster::new(spec), push_batches, agg_parts, last_barrier_ns: 0 }
     }
 
     /// Simulates one aggregation: push, barrier, aggregate.
@@ -138,24 +115,12 @@ impl PutBasedEngine {
         self.last_barrier_ns = barrier_all(&mut self.cluster);
         let comm_done = push_ns.max(self.last_barrier_ns);
         // Phase 3: all-local aggregation with flag polling.
-        let agg = AggKernel { parts: &self.agg_parts, dim };
-        let agg_stats = GpuSim::run(&mut self.cluster, &agg, &mut NoPaging)
-            .expect("aggregate kernel launch is valid");
-        let agg_ns = agg_stats.makespan_ns();
-        self.last_stats = Some(agg_stats);
+        let agg =
+            LocalAggKernel { parts: &self.agg_parts, dim, poll_cycles: POLL_CYCLES_PER_PARTITION };
+        let agg_ns = GpuSim::run(&mut self.cluster, &agg, &mut NoPaging)
+            .expect("aggregate kernel launch is valid")
+            .makespan_ns();
         comm_done + agg_ns + 2 * self.cluster.spec.kernel_launch_ns
-    }
-
-    /// Fraction of edges staged through PUTs.
-    pub fn remote_fraction(&self) -> f64 {
-        let total: usize =
-            self.parts.iter().map(|p| p.local.num_entries() + p.remote.num_entries()).sum();
-        let remote: usize = self.parts.iter().map(|p| p.remote.num_entries()).sum();
-        if total == 0 {
-            0.0
-        } else {
-            remote as f64 / total as f64
-        }
     }
 }
 
@@ -185,51 +150,11 @@ impl KernelProgram for PushKernel<'_> {
     }
 }
 
-impl KernelProgram for AggKernel<'_> {
-    fn launch(&self, pe: usize) -> KernelLaunch {
-        let warps = self.parts[pe].len() as u32;
-        KernelLaunch {
-            blocks: warps.div_ceil(WPB).max(1),
-            warps_per_block: WPB,
-            smem_per_block: 2 * (self.dim as u32) * 4,
-        }
-    }
-
-    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
-        let i = (block * WPB + warp) as usize;
-        let Some(p) = self.parts[pe].get(i) else {
-            return;
-        };
-        let row_bytes = (self.dim * 4) as u32;
-        out.extend([
-            // Receiver-side synchronization: poll the arrival flags.
-            WarpOp::Compute { cycles: POLL_CYCLES_PER_PARTITION },
-            WarpOp::GlobalRead { bytes: p.len * row_bytes },
-            WarpOp::Compute { cycles: aggregation_cycles(p.len, self.dim) },
-            WarpOp::GlobalWrite { bytes: row_bytes },
-        ]);
-    }
-}
-
-impl Aggregator for PutBasedEngine {
-    fn aggregate(&mut self, x: &Matrix) -> (Matrix, u64) {
-        let ns = self.simulate_aggregation_ns(x.cols());
-        (aggregate(&self.graph, x, self.mode), ns)
-    }
-
-    fn mode(&self) -> AggregateMode {
-        self.mode
-    }
-
-    fn aggregate_only(&mut self, x: &Matrix) -> Matrix {
-        aggregate(&self.graph, x, self.mode)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mgg_core::{MggConfig, MggEngine};
+    use mgg_gnn::reference::AggregateMode;
     use mgg_graph::generators::rmat::{rmat, RmatConfig};
 
     fn graph() -> CsrGraph {
@@ -239,34 +164,23 @@ mod tests {
     #[test]
     fn push_batches_cover_all_remote_edges() {
         let g = graph();
-        let e = PutBasedEngine::new(&g, ClusterSpec::dgx_a100(4), AggregateMode::Sum);
+        let e = PutBasedEngine::new(&g, ClusterSpec::dgx_a100(4));
         let pushed: u64 = e
             .push_batches
             .iter()
             .flatten()
             .map(|&(_, rows)| rows as u64)
             .sum();
-        let remote: u64 = e.parts.iter().map(|p| p.remote.num_entries() as u64).sum();
+        let parts = locality::build(&g, &NodeSplit::edge_balanced(&g, 4));
+        let remote: u64 = parts.iter().map(|p| p.remote.num_entries() as u64).sum();
         assert_eq!(pushed, remote);
-    }
-
-    #[test]
-    fn values_match_reference() {
-        let g = graph();
-        let x = Matrix::glorot(g.num_nodes(), 7, 5);
-        let mut e = PutBasedEngine::new(&g, ClusterSpec::dgx_a100(4), AggregateMode::Sum);
-        let (vals, ns) = e.aggregate(&x);
-        assert!(ns > 0);
-        assert!(e.last_barrier_ns > 0);
-        let want = aggregate(&g, &x, AggregateMode::Sum);
-        assert!(vals.max_abs_diff(&want) < 1e-6);
     }
 
     #[test]
     fn get_beats_put_as_the_paper_argues() {
         let g = graph();
         let dim = 64;
-        let mut put = PutBasedEngine::new(&g, ClusterSpec::dgx_a100(8), AggregateMode::Sum);
+        let mut put = PutBasedEngine::new(&g, ClusterSpec::dgx_a100(8));
         let t_put = put.simulate_aggregation_ns(dim);
         let mut get = MggEngine::new(
             &g,

@@ -49,8 +49,6 @@ pub struct UvmGnnEngine {
     workload: UvmWorkload,
     uvm: UvmSpace,
     mode: AggregateMode,
-    /// Statistics of the most recent simulated kernel.
-    pub last_stats: Option<KernelStats>,
     /// UVM fault statistics of the most recent simulated kernel.
     pub last_uvm_stats: Option<UvmStats>,
     telemetry: Telemetry,
@@ -89,7 +87,6 @@ impl UvmGnnEngine {
             workload: UvmWorkload { graph: graph.clone(), parts, row_base, page_bytes },
             uvm,
             mode,
-            last_stats: None,
             last_uvm_stats: None,
             telemetry: Telemetry::disabled(),
         }
@@ -148,7 +145,6 @@ impl UvmGnnEngine {
             tel.add_trace_events(events);
             tel.set_pipeline(PipelineMetrics::derive(&stats, events));
         }
-        self.last_stats = Some(stats.clone());
         self.last_uvm_stats = Some(self.uvm.stats().clone());
         (stats, trace)
     }

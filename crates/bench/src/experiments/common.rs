@@ -1,6 +1,6 @@
 //! Shared experiment plumbing.
 
-use mgg_baselines::{DgclEngine, DirectNvshmemEngine, UvmGnnEngine};
+use mgg_baselines::UvmGnnEngine;
 use mgg_core::MggEngine;
 use mgg_gnn::models::{DenseCostModel, ModelKind};
 use mgg_graph::datasets::{Dataset, DatasetSpec};
@@ -24,18 +24,6 @@ impl SimAggregator for MggEngine {
 }
 
 impl SimAggregator for UvmGnnEngine {
-    fn sim_ns(&mut self, dim: usize) -> u64 {
-        self.simulate_aggregation_ns(dim)
-    }
-}
-
-impl SimAggregator for DirectNvshmemEngine {
-    fn sim_ns(&mut self, dim: usize) -> u64 {
-        self.simulate_aggregation_ns(dim)
-    }
-}
-
-impl SimAggregator for DgclEngine {
     fn sim_ns(&mut self, dim: usize) -> u64 {
         self.simulate_aggregation_ns(dim)
     }

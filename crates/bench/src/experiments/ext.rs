@@ -188,7 +188,7 @@ pub fn run_replicated(scale: f64, gpus: usize) -> ReplicatedReport {
             let n = d.graph.num_nodes() as u64;
             let mut mgg = MggEngine::new(&d.graph, spec.clone(), cfg, AggregateMode::Sum);
             let t_mgg = mgg.simulate_aggregation_ns(dim).expect("valid launch");
-            let mut rep = ReplicatedEngine::new(&d.graph, spec, cfg.ps, AggregateMode::Sum);
+            let mut rep = ReplicatedEngine::new(&d.graph, spec, cfg.ps);
             let t_rep = rep.simulate_aggregation_ns(dim);
             rows.push(ReplicatedRow {
                 dataset: d.spec.name,
@@ -600,7 +600,7 @@ pub fn run_putget(scale: f64, gpus: usize) -> PutGetReport {
                 AggregateMode::Sum,
             );
             let t_get = get.simulate_aggregation_ns(dim).expect("valid launch");
-            let mut put = PutBasedEngine::new(&d.graph, spec, AggregateMode::Sum);
+            let mut put = PutBasedEngine::new(&d.graph, spec);
             let t_put = put.simulate_aggregation_ns(dim);
             PutGetRow {
                 dataset: d.spec.name,

@@ -45,7 +45,7 @@ pub fn run(scale: f64, gpus: usize) -> Tab1Report {
         let spec = ClusterSpec::dgx_a100(gpus);
         let mut uvm = UvmGnnEngine::new(&d.graph, spec.clone(), AggregateMode::Sum);
         let uvm_ns = uvm.simulate_aggregation_ns(d.spec.dim);
-        let mut direct = DirectNvshmemEngine::new(&d.graph, spec, AggregateMode::Sum);
+        let mut direct = DirectNvshmemEngine::new(&d.graph, spec);
         let direct_ns = direct.simulate_aggregation_ns(d.spec.dim);
         Tab1Row {
             dataset: d.spec.name,

@@ -6,7 +6,6 @@
 //! partitioner vs MGG's binary-search split); GCN columns are simulated.
 
 use mgg_baselines::DgclEngine;
-use mgg_core::MggConfig;
 use mgg_gnn::models::DenseCostModel;
 use mgg_gnn::reference::AggregateMode;
 use mgg_sim::ClusterSpec;
@@ -65,8 +64,7 @@ pub fn run(scale: f64, gpus: usize) -> Tab4Report {
         // narrow embedding (see `Gcn::forward`); both systems do.
         let agg_dim = hidden.min(d.spec.dim);
 
-        let (mut dgcl, prep) =
-            DgclEngine::new(&d.graph, spec.clone(), AggregateMode::GcnNorm);
+        let (mut dgcl, prep) = DgclEngine::new(&d.graph, spec.clone());
         let dgcl_ns = dgcl.simulate_aggregation_ns(agg_dim) + dense;
 
         let mut mgg = crate::experiments::fig8::tuned_engine(
@@ -76,10 +74,6 @@ pub fn run(scale: f64, gpus: usize) -> Tab4Report {
             agg_dim,
         );
         let mgg_ns = mgg.simulate_aggregation_ns(agg_dim).expect("valid launch") + dense;
-        // MGG's preprocessing wall-clock includes tuning-time plan
-        // rebuilds in practice; the prep report's measurement covers
-        // the split pipeline, as in the paper.
-        let _ = MggConfig::default_fixed();
 
         Tab4Row {
             dataset: d.spec.name,

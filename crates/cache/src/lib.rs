@@ -54,10 +54,10 @@ mod hash;
 pub use cache::{EmbedCache, Lookup};
 pub use coalesce::WarpCoalescer;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Replacement policy of an [`EmbedCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CachePolicy {
     /// Evict the least-recently-used key. A stack algorithm: the hit rate
     /// is monotone non-decreasing in capacity (no Belady anomaly), which
@@ -97,7 +97,7 @@ impl std::str::FromStr for CachePolicy {
 }
 
 /// Sizing and policy of the per-GPU embedding cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheConfig {
     /// HBM budget carved out for cached remote rows, in bytes.
     pub capacity_bytes: u64,
@@ -155,7 +155,7 @@ impl CacheKey {
 /// — when caching is disabled, so embedding this in `KernelStats` does not
 /// perturb equality comparisons between uncached runs (the same invariant
 /// `RecoveryStats` keeps for healthy runs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Remote-row requests served from the local cache (HBM latency).
     pub hits: u64,

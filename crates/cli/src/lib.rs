@@ -1016,11 +1016,11 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     ("UVM", ns, format!("{faults} page faults\n"))
                 }
                 Engine::Direct => {
-                    let mut e = DirectNvshmemEngine::new(&g, spec, mode);
+                    let mut e = DirectNvshmemEngine::new(&g, spec);
                     ("direct NVSHMEM", e.simulate_aggregation_ns(*dim), String::new())
                 }
                 Engine::Dgcl => {
-                    let (mut e, prep) = DgclEngine::new(&g, spec, mode);
+                    let (mut e, prep) = DgclEngine::new(&g, spec);
                     let ns = e.simulate_aggregation_ns(*dim);
                     (
                         "DGCL-like",
@@ -1029,7 +1029,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     )
                 }
                 Engine::Replicated => {
-                    let mut e = ReplicatedEngine::new(&g, spec, 16, mode);
+                    let mut e = ReplicatedEngine::new(&g, spec, 16);
                     ("replicated", e.simulate_aggregation_ns(*dim), String::new())
                 }
             };

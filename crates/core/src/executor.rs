@@ -179,8 +179,6 @@ pub struct MggEngine {
     checkpoint_restores: u64,
     /// Analytic host-link cost of those restores, in nanoseconds.
     pending_restore_ns: u64,
-    /// Statistics of the most recent simulated kernel.
-    pub last_stats: Option<KernelStats>,
     /// Telemetry sink for engine phases and counters (disabled by default,
     /// in which case every recording call is a no-op).
     telemetry: Telemetry,
@@ -279,7 +277,6 @@ impl MggEngine {
             row_versions: Vec::new(),
             checkpoint_restores: 0,
             pending_restore_ns: 0,
-            last_stats: None,
             telemetry: Telemetry::disabled(),
         })
     }
@@ -742,7 +739,6 @@ impl MggEngine {
             tel.add_trace_events(events);
             tel.set_pipeline(PipelineMetrics::derive(&stats, events));
         }
-        self.last_stats = Some(stats.clone());
         Ok((stats, trace))
     }
 

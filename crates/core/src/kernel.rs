@@ -16,6 +16,7 @@
 //! overlap — kept for the intra-warp pipelining ablation.
 
 use mgg_cache::{CacheKey, CacheStats, EmbedCache, WarpCoalescer};
+use mgg_graph::partition::neighbor::NeighborPartition;
 use mgg_sim::{KernelLaunch, KernelProgram, WarpOp};
 
 use crate::config::MggConfig;
@@ -45,6 +46,51 @@ pub enum KernelVariant {
 pub fn aggregation_cycles(len: u32, dim: usize) -> u32 {
     let chunks = dim.div_ceil(32) as u32;
     len * chunks * CYCLES_PER_DIM_CHUNK + PARTITION_OVERHEAD_CYCLES
+}
+
+/// Warps per block of [`LocalAggKernel`].
+const LOCAL_WPB: u32 = 4;
+
+/// The all-local aggregation kernel of the comparison designs that move
+/// every neighbor row into device memory before aggregating (the NCCL
+/// ring study, the PUT variant's aggregate phase, replicated execution):
+/// one warp per neighbor partition reads the partition's rows, aggregates
+/// them and writes one row back. With `poll_cycles` non-zero each warp
+/// first polls arrival flags for that long (the PUT variant's
+/// receiver-side synchronization).
+pub struct LocalAggKernel<'a> {
+    /// Per GPU: the neighbor partitions its warps aggregate.
+    pub parts: &'a [Vec<NeighborPartition>],
+    /// Embedding dimension.
+    pub dim: usize,
+    /// Flag-polling cycles per warp before its reads; 0 polls nothing.
+    pub poll_cycles: u32,
+}
+
+impl KernelProgram for LocalAggKernel<'_> {
+    fn launch(&self, pe: usize) -> KernelLaunch {
+        let warps = self.parts[pe].len() as u32;
+        KernelLaunch {
+            blocks: warps.div_ceil(LOCAL_WPB).max(1),
+            warps_per_block: LOCAL_WPB,
+            smem_per_block: 2 * (self.dim as u32) * 4,
+        }
+    }
+
+    fn warp_ops(&self, pe: usize, block: u32, warp: u32, out: &mut Vec<WarpOp>) {
+        let Some(p) = self.parts[pe].get((block * LOCAL_WPB + warp) as usize) else {
+            return;
+        };
+        if self.poll_cycles > 0 {
+            out.push(WarpOp::Compute { cycles: self.poll_cycles });
+        }
+        let row_bytes = (self.dim * 4) as u32;
+        out.extend([
+            WarpOp::GlobalRead { bytes: p.len * row_bytes },
+            WarpOp::Compute { cycles: aggregation_cycles(p.len, self.dim) },
+            WarpOp::GlobalWrite { bytes: row_bytes },
+        ]);
+    }
 }
 
 /// Precomputed cache outcome for one warp's (LNP, RNP) pair: which remote

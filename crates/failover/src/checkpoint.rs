@@ -8,10 +8,10 @@
 //! fails validation is treated as "no checkpoint" rather than silently
 //! resuming from bad state.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One epoch-boundary snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Checkpoint {
     /// Epoch this snapshot closes (resume starts at `epoch + 1`).
     pub epoch: u64,

@@ -20,7 +20,7 @@
 
 #![deny(missing_docs)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Backoff charged before re-issuing a dropped one-sided GET, in
 /// nanoseconds. Models the detection + re-issue path of a resilient
@@ -45,7 +45,7 @@ pub const PEER_DEATH_TIMEOUT_NS: u64 = 5_000;
 /// User-facing fault knobs. All default to the "quiet" values, under which
 /// the derived schedule injects nothing and the simulation is bit-identical
 /// to a run without any fault layer installed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultSpec {
     /// Seed from which every schedule decision is derived.
     pub seed: u64,
@@ -114,7 +114,7 @@ impl FaultSpec {
 
 /// One interval during which a link's bandwidth is degraded and its
 /// latency jitters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinkFaultWindow {
     /// Window start (inclusive), in simulated nanoseconds.
     pub start_ns: u64,
@@ -151,53 +151,6 @@ pub enum PermanentFault {
         /// Simulated time the link drops, in nanoseconds.
         at_ns: u64,
     },
-}
-
-// Manual impls: the in-tree serde shim derives only named-field structs and
-// unit-variant enums, so the data-carrying variants use a tagged object.
-impl Serialize for PermanentFault {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        match *self {
-            PermanentFault::GpuFailure { gpu, at_ns } => Value::Object(vec![
-                ("kind".into(), Value::Str("gpu_failure".into())),
-                ("gpu".into(), Value::UInt(gpu as u64)),
-                ("at_ns".into(), Value::UInt(at_ns)),
-            ]),
-            PermanentFault::LinkDown { src, dst, at_ns } => Value::Object(vec![
-                ("kind".into(), Value::Str("link_down".into())),
-                ("src".into(), Value::UInt(src as u64)),
-                ("dst".into(), Value::UInt(dst as u64)),
-                ("at_ns".into(), Value::UInt(at_ns)),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for PermanentFault {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| serde::Error::missing_field(name))
-        };
-        let kind = v
-            .get("kind")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| serde::Error::missing_field("kind"))?;
-        match kind {
-            "gpu_failure" => Ok(PermanentFault::GpuFailure {
-                gpu: field("gpu")? as usize,
-                at_ns: field("at_ns")?,
-            }),
-            "link_down" => Ok(PermanentFault::LinkDown {
-                src: field("src")? as usize,
-                dst: field("dst")? as usize,
-                at_ns: field("at_ns")?,
-            }),
-            other => Err(serde::Error::unknown_variant(other, "PermanentFault")),
-        }
-    }
 }
 
 impl PermanentFault {

@@ -1,6 +1,6 @@
 //! Compressed-sparse-row graph storage.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Node identifier. The paper's largest input (enwiki-2013) has 4.2M nodes,
 /// comfortably within `u32`.
@@ -13,7 +13,7 @@ pub type NodeId = u32;
 /// `(v, u)` means "u contributes to v's aggregation", i.e. the neighbor
 /// lists are *in*-neighbors of the destination node, matching how the
 /// paper's kernels iterate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CsrGraph {
     row_ptr: Vec<u64>,
     col_idx: Vec<NodeId>,

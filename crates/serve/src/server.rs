@@ -135,6 +135,16 @@ impl Calibration {
 /// the calibration prices at about one extra query of work.
 const REROUTE_UNITS: f64 = 0.5;
 
+/// Cost of one pending query in query-units: 1.0 on its home shard, plus
+/// the relay surcharge once when it runs elsewhere.
+fn query_units(rerouted: bool) -> f64 {
+    if rerouted {
+        1.0 + REROUTE_UNITS
+    } else {
+        1.0
+    }
+}
+
 /// Token-bucket reserve per priority class, indexed by [`Priority::code`].
 /// A class admits only while at least this many tokens remain, so as the
 /// bucket drains under a capacity dip bronze stops admitting first, then
@@ -374,7 +384,7 @@ pub struct Server {
 /// Per-shard mutable serving state.
 struct ShardState {
     /// Open batch, in admission order.
-    pending: Vec<(Query, f64, bool)>, // (query, cost units, rerouted)
+    pending: Vec<(Query, bool)>, // (query, rerouted)
     /// Arrival instant of the open batch's first member (linger anchor).
     open_at: u64,
     /// Scheduled close instant of the open batch (`u64::MAX` when empty).
@@ -649,9 +659,10 @@ impl<'a> Replay<'a> {
     }
 
     /// Loss-free departure of shard `s`: each pending query migrates to
-    /// the least-loaded in-rotation peer at the relay surcharge, or as
-    /// plain home work when that peer is its home shard; with no peer
-    /// left it executes here before the shard goes.
+    /// the least-loaded in-rotation peer at one relay surcharge (however
+    /// often it has moved, it pulls its rows from home once), or as plain
+    /// home work when that peer is its home shard; with no peer left it
+    /// executes here before the shard goes.
     fn leave(&mut self, s: usize, now: u64) {
         let orphans = std::mem::take(&mut self.shards[s].pending);
         self.shards[s].close_at = u64::MAX;
@@ -659,16 +670,12 @@ impl<'a> Replay<'a> {
         self.churn_stats.leaves += 1;
         self.telemetry.counter_add("serve.churn.leaves", 1);
         let mut migrated = 0;
-        for (q, units, rerouted) in orphans {
+        for (q, rerouted) in orphans {
             if let Some(p) = self.peer(s, now, false) {
                 migrated += 1;
-                if p == self.server.shard_of(q.node) {
-                    self.enqueue(p, q, 1.0, false, now);
-                } else {
-                    self.enqueue(p, q, units + REROUTE_UNITS, true, now);
-                }
+                self.enqueue(p, q, p != self.server.shard_of(q.node), now);
             } else {
-                self.shards[s].pending.push((q, units, rerouted));
+                self.shards[s].pending.push((q, rerouted));
             }
         }
         if !self.shards[s].pending.is_empty() {
@@ -707,9 +714,9 @@ impl<'a> Replay<'a> {
         }
         self.refill(now);
         match self.admit(q, now) {
-            Ok((shard, units, rerouted)) => {
+            Ok((shard, rerouted)) => {
                 self.telemetry.counter_add("serve.admitted", 1);
-                self.enqueue(shard, q, units, rerouted, now);
+                self.enqueue(shard, q, rerouted, now);
             }
             Err(err) => {
                 self.telemetry.counter_add(&format!("serve.shed.{}", err.name()), 1);
@@ -737,14 +744,14 @@ impl<'a> Replay<'a> {
 
     /// Admission pipeline: class-weighted token bucket → class-weighted
     /// queue bound → breaker-guarded routing over in-rotation members →
-    /// deadline feasibility. Returns the target shard, the query's cost
-    /// units, and whether it was rerouted.
+    /// deadline feasibility. Returns the target shard and whether the
+    /// query was rerouted off its home shard.
     ///
     /// The class weighting is a reserve, not a price: bronze admits only
     /// while the bucket holds ≥ 4 tokens (silver ≥ 2) and may fill only
     /// half the queue bound, but an admitted query of any class spends
     /// exactly one token. Gold's gates are the legacy single-class gates.
-    fn admit(&mut self, q: Query, now: u64) -> Result<(usize, f64, bool), ServeError> {
+    fn admit(&mut self, q: Query, now: u64) -> Result<(usize, bool), ServeError> {
         let class = q.class.code() as usize;
         if self.tokens < TOKEN_FLOOR[class] {
             return Err(ServeError::RateLimited);
@@ -768,21 +775,21 @@ impl<'a> Replay<'a> {
         // or UVM degrade — outside the serving fast path.)
         let home = self.server.shard_of(q.node);
         let n = self.shards.len();
-        let mut best: Option<(u64, usize, f64)> = None;
+        let mut best: Option<(u64, usize)> = None;
         for step in 0..n {
             let s = (home + step) % n;
             if !in_rotation(self.shards[s].phase) || !self.poll(s, now) {
                 continue;
             }
-            let units = if step == 0 { 1.0 } else { 1.0 + REROUTE_UNITS };
+            let units = query_units(step != 0);
             let service =
                 self.server.cal.service_ns(self.pending_units(s) + units, self.scale(s, now));
             let est = now.max(self.shards[s].busy_until) + service;
-            if best.is_none_or(|(b, ..)| est < b) {
-                best = Some((est, s, units));
+            if best.is_none_or(|(b, _)| est < b) {
+                best = Some((est, s));
             }
         }
-        let Some((earliest_done, shard, units)) = best else {
+        let Some((earliest_done, shard)) = best else {
             return Err(ServeError::Unavailable);
         };
         // Feasibility: joining the best shard's open batch must still make
@@ -792,18 +799,18 @@ impl<'a> Replay<'a> {
             return Err(ServeError::DeadlineInfeasible);
         }
         self.tokens -= 1.0;
-        Ok((shard, units, shard != home))
+        Ok((shard, shard != home))
     }
 
-    /// Adds `q` at `units` to shard `s`'s open batch, opening the batch at
-    /// `now` if it was empty. A full batch dispatches at once; otherwise
-    /// its close is rescheduled for the new size.
-    fn enqueue(&mut self, s: usize, q: Query, units: f64, rerouted: bool, now: u64) {
+    /// Adds `q` to shard `s`'s open batch, opening the batch at `now` if
+    /// it was empty. A full batch dispatches at once; otherwise its close
+    /// is rescheduled for the new size.
+    fn enqueue(&mut self, s: usize, q: Query, rerouted: bool, now: u64) {
         let st = &mut self.shards[s];
         if st.pending.is_empty() {
             st.open_at = now;
         }
-        st.pending.push((q, units, rerouted));
+        st.pending.push((q, rerouted));
         if st.pending.len() >= self.server.cfg.batch_cap {
             self.dispatch(s, now);
         } else {
@@ -842,7 +849,7 @@ impl<'a> Replay<'a> {
             return;
         }
         let cal = self.server.cal;
-        let units: f64 = batch.iter().map(|(_, u, _)| *u).sum();
+        let units: f64 = batch.iter().map(|&(_, r)| query_units(r)).sum();
         let scale = self.scale(s, now);
         let start = now.max(self.shards[s].busy_until);
         let mut completion = start + cal.service_ns(units, scale);
@@ -862,7 +869,7 @@ impl<'a> Replay<'a> {
         self.batches += 1;
         self.batched_queries += batch.len() as u64;
         self.telemetry.histogram_record("serve.batch_size", batch.len() as f64);
-        for (q, _, rerouted) in &batch {
+        for (q, rerouted) in &batch {
             self.telemetry
                 .histogram_record("serve.latency_us", (completion - q.arrival_ns) as f64 / 1e3);
             self.completions.push(Reverse(completion));
@@ -917,7 +924,7 @@ impl<'a> Replay<'a> {
 
     /// Query-units waiting in shard `s`'s open batch.
     fn pending_units(&self, s: usize) -> f64 {
-        self.shards[s].pending.iter().map(|(_, u, _)| *u).sum()
+        self.shards[s].pending.iter().map(|&(_, r)| query_units(r)).sum()
     }
 
     fn summarize(&self, spec: &WorkloadSpec) -> ServeSummary {
@@ -1510,6 +1517,26 @@ mod tests {
             }
             assert_eq!(out.summary.rerouted, off_home, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_rerouted_orphan_pays_the_relay_surcharge_once() {
+        // Shard 0 is out of rotation, so its query waits on shard 1 as a
+        // reroute; shard 1 then leaves undrained and the only peer left,
+        // shard 2, is not the query's home either.
+        let (s, _) = server(3, ServeConfig::default());
+        let sched = FaultSchedule::quiet(3);
+        let churn = ChurnSchedule::quiet(1_000_000);
+        let tel = Telemetry::disabled();
+        let mut replay = Replay::new(&s, &sched, &churn, &tel);
+        replay.shards[0].phase = MemberPhase::Left;
+        let q =
+            Query { id: 0, arrival_ns: 0, node: 0, deadline_ns: 1_000_000, class: Priority::Gold };
+        assert_eq!(s.shard_of(q.node), 0);
+        replay.enqueue(1, q, true, 0);
+        assert_eq!(replay.pending_units(1), 1.5);
+        replay.leave(1, 10);
+        assert_eq!(replay.pending_units(2), 1.5);
     }
 
     #[test]

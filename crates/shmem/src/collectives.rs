@@ -2,13 +2,10 @@
 //!
 //! These are the `nvshmem_barrier_all` / `nvshmem_float_sum_reduce`
 //! operations the paper uses between kernels (Listing 1) and proposes for
-//! workload-driven partition replicas (§6). Both plane roles are covered:
-//! the functional effect acts on a [`SymmetricRegion`], and the simulated
-//! duration is derived from the cluster's channels.
+//! workload-driven partition replicas (§6). Both are timing models: their
+//! simulated duration is derived from the cluster's channels.
 
 use mgg_sim::{Cluster, SimTime};
-
-use crate::region::SymmetricRegion;
 
 /// Software overhead of one barrier round on the host+driver path.
 const BARRIER_SW_NS: u64 = 4_000;
@@ -36,36 +33,16 @@ pub fn barrier_all(cluster: &mut Cluster) -> SimTime {
     t + BARRIER_SW_NS
 }
 
-/// All-reduce (sum) over every PE's copy of a replicated region:
-/// functionally sums the per-PE buffers element-wise and writes the result
-/// back to all PEs; returns the simulated duration of a ring all-reduce on
-/// the same byte volume.
-///
-/// All PEs must hold the same number of rows (a replicated buffer, the §6
-/// "workload-driven partitioning" consistency case).
-pub fn sum_reduce_all(cluster: &mut Cluster, region: &mut SymmetricRegion) -> SimTime {
-    let n = region.num_pes();
-    assert_eq!(n, cluster.num_gpus(), "region PEs must match the cluster");
-    let rows = region.rows_on(0);
-    for pe in 1..n {
-        assert_eq!(region.rows_on(pe), rows, "sum_reduce_all needs a replicated region");
-    }
-    // Functional: elementwise sum, broadcast back.
-    let len = rows * region.dim();
-    let mut acc = vec![0.0f32; len];
-    for pe in 0..n {
-        for (a, &x) in acc.iter_mut().zip(region.pe_buf(pe)) {
-            *a += x;
-        }
-    }
-    for pe in 0..n {
-        region.pe_buf_mut(pe).copy_from_slice(&acc);
-    }
+/// Simulated duration of a ring all-reduce (sum) over a buffer of `bytes`
+/// replicated on every PE: 2(n-1) steps, each moving a `bytes / n` shard
+/// to the next PE, plus one barrier's software overhead. This is the §6
+/// "workload-driven partitioning" consistency case, where every GPU holds
+/// a replica of the output.
+pub fn sum_reduce_all(cluster: &mut Cluster, bytes: u64) -> SimTime {
+    let n = cluster.num_gpus();
     if n <= 1 {
         return BARRIER_SW_NS;
     }
-    // Timing: ring all-reduce, 2(n-1) steps of `len/n` elements each.
-    let bytes = (len * std::mem::size_of::<f32>()) as u64;
     let shard = bytes.div_ceil(n as u64);
     let mut t = 0;
     for _step in 0..(2 * (n - 1)) {
@@ -100,25 +77,14 @@ mod tests {
     }
 
     #[test]
-    fn sum_reduce_sums_and_broadcasts() {
-        let mut c = Cluster::new(ClusterSpec::dgx_a100(3));
-        let mut r = SymmetricRegion::zeros(&[2, 2, 2], 2);
-        for pe in 0..3 {
-            r.row_mut(pe, 0)[0] = (pe + 1) as f32;
-        }
-        let t = sum_reduce_all(&mut c, &mut r);
-        assert!(t > 0);
-        for pe in 0..3 {
-            assert_eq!(r.row(pe, 0)[0], 6.0);
-            assert_eq!(r.row(pe, 1)[1], 0.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "replicated region")]
-    fn sum_reduce_rejects_uneven_regions() {
-        let mut c = Cluster::new(ClusterSpec::dgx_a100(2));
-        let mut r = SymmetricRegion::zeros(&[2, 3], 2);
-        let _ = sum_reduce_all(&mut c, &mut r);
+    fn sum_reduce_is_priced_on_bytes() {
+        let mut c1 = Cluster::new(ClusterSpec::dgx_a100(1));
+        assert_eq!(sum_reduce_all(&mut c1, 1 << 20), BARRIER_SW_NS);
+        let mut c4 = Cluster::new(ClusterSpec::dgx_a100(4));
+        let small = sum_reduce_all(&mut c4, 1 << 10);
+        c4.reset();
+        let big = sum_reduce_all(&mut c4, 1 << 24);
+        assert!(small > BARRIER_SW_NS, "a ring step costs fabric time: {small}");
+        assert!(big > small, "more bytes take longer: big={big} small={small}");
     }
 }

@@ -6,13 +6,14 @@
 //! addressable from kernels on any GPU by `(PE id, offset)`. This crate
 //! reproduces that model in two planes:
 //!
-//! * **Data plane** — [`SymmetricRegion`] holds real `f32` rows per PE and
-//!   implements `get`/`put` functionally, so GNN engines produce real
-//!   embedding values.
+//! * **Data plane** — [`SymmetricRegion`] holds real `f32` rows per PE,
+//!   read by `(PE, row)`. It is what MGG's value plane aggregates from, so
+//!   MGG produces real embedding values.
 //! * **Timing plane** — remote accesses are *charged* by emitting
 //!   [`mgg_sim::WarpOp::RemoteGet`] operations inside kernel traces (done
-//!   by the engine crates) or, for host-initiated operations such as
-//!   [`barrier_all`], by advancing the cluster channels directly.
+//!   by the engine crates) or, for the host-initiated collectives
+//!   [`barrier_all`] and [`sum_reduce_all`] (a ring priced on a byte
+//!   count), by advancing the cluster channels directly.
 //!
 //! The split keeps values exact and timing deterministic without simulating
 //! data movement byte by byte. Injected faults follow the same split:

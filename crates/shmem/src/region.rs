@@ -3,8 +3,8 @@
 /// A symmetric allocation of `f32` row vectors across PEs, mirroring
 /// `nvshmem_malloc` for a partitioned embedding matrix.
 ///
-/// Each PE owns `rows_per_pe[pe]` rows of `dim` floats. A row anywhere in
-/// the cluster is addressed by `(pe, local_row)` — exactly the Figure-5
+/// Each PE owns a block of rows of `dim` floats. A row anywhere in the
+/// cluster is addressed by `(pe, local_row)` — exactly the Figure-5
 /// addressing after MGG's global→local index conversion.
 ///
 /// # Examples
@@ -14,31 +14,24 @@
 ///
 /// // Scatter a 4x2 matrix across two PEs, two rows each.
 /// let matrix: Vec<f32> = (0..8).map(|x| x as f32).collect();
-/// let mut region = SymmetricRegion::scatter_rows(&matrix, &[2, 2], 2);
+/// let region = SymmetricRegion::scatter_rows(&matrix, &[2, 2], 2);
 ///
-/// // A one-sided GET reads PE 1's first row from anywhere.
-/// let mut dst = [0.0f32; 2];
-/// region.get(&mut dst, 1, 0);
-/// assert_eq!(dst, [4.0, 5.0]);
-///
-/// // A one-sided PUT writes it back.
-/// region.put(&[9.0, 9.0], 1, 0);
-/// assert_eq!(region.row(1, 0), &[9.0, 9.0]);
+/// // Global row 2 is PE 1's first row, readable from any PE.
+/// assert_eq!(region.row(1, 0), &[4.0, 5.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymmetricRegion {
     dim: usize,
-    rows_per_pe: Vec<usize>,
     bufs: Vec<Vec<f32>>,
 }
 
 impl SymmetricRegion {
     /// Allocates `rows_per_pe[pe] x dim` zeros on every PE.
-    pub fn zeros(rows_per_pe: &[usize], dim: usize) -> Self {
+    fn zeros(rows_per_pe: &[usize], dim: usize) -> Self {
         assert!(!rows_per_pe.is_empty(), "need at least one PE");
         assert!(dim > 0, "dim must be positive");
         let bufs = rows_per_pe.iter().map(|&r| vec![0.0f32; r * dim]).collect();
-        SymmetricRegion { dim, rows_per_pe: rows_per_pe.to_vec(), bufs }
+        SymmetricRegion { dim, bufs }
     }
 
     /// Allocates and fills from a dense `rows x dim` matrix, scattering
@@ -57,73 +50,11 @@ impl SymmetricRegion {
         region
     }
 
-    /// Number of PEs.
-    pub fn num_pes(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// Row-vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Rows owned by `pe`.
-    pub fn rows_on(&self, pe: usize) -> usize {
-        self.rows_per_pe[pe]
-    }
-
     /// Immutable view of row `(pe, local_row)`.
     #[inline]
     pub fn row(&self, pe: usize, local_row: u32) -> &[f32] {
         let start = local_row as usize * self.dim;
         &self.bufs[pe][start..start + self.dim]
-    }
-
-    /// Mutable view of row `(pe, local_row)` — only the owning PE writes
-    /// its rows in MGG, but the API does not enforce that (NVSHMEM does
-    /// not either).
-    #[inline]
-    pub fn row_mut(&mut self, pe: usize, local_row: u32) -> &mut [f32] {
-        let start = local_row as usize * self.dim;
-        &mut self.bufs[pe][start..start + self.dim]
-    }
-
-    /// Functional one-sided GET: copies row `(src_pe, src_row)` into `dst`
-    /// (mirrors `nvshmem_float_get` at warp scope).
-    #[inline]
-    pub fn get(&self, dst: &mut [f32], src_pe: usize, src_row: u32) {
-        dst.copy_from_slice(self.row(src_pe, src_row));
-    }
-
-    /// Functional one-sided PUT: writes `src` into row `(dst_pe, dst_row)`.
-    #[inline]
-    pub fn put(&mut self, src: &[f32], dst_pe: usize, dst_row: u32) {
-        self.row_mut(dst_pe, dst_row).copy_from_slice(src);
-    }
-
-    /// Gathers all PEs' rows back into one dense matrix, in PE order.
-    pub fn gather_rows(&self) -> Vec<f32> {
-        let total: usize = self.rows_per_pe.iter().sum();
-        let mut out = Vec::with_capacity(total * self.dim);
-        for buf in &self.bufs {
-            out.extend_from_slice(buf);
-        }
-        out
-    }
-
-    /// Raw per-PE buffer (read-only), for bulk operations.
-    pub fn pe_buf(&self, pe: usize) -> &[f32] {
-        &self.bufs[pe]
-    }
-
-    /// Raw per-PE buffer (mutable), for bulk operations.
-    pub fn pe_buf_mut(&mut self, pe: usize) -> &mut [f32] {
-        &mut self.bufs[pe]
-    }
-
-    /// Bytes of one row, as they travel on the wire.
-    pub fn row_bytes(&self) -> u32 {
-        (self.dim * std::mem::size_of::<f32>()) as u32
     }
 }
 
@@ -132,36 +63,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scatter_and_gather_roundtrip() {
+    fn scatter_places_row_blocks_in_pe_order() {
         let matrix: Vec<f32> = (0..12).map(|x| x as f32).collect(); // 6 rows x dim 2
         let region = SymmetricRegion::scatter_rows(&matrix, &[2, 3, 1], 2);
         assert_eq!(region.row(0, 1), &[2.0, 3.0]);
         assert_eq!(region.row(1, 0), &[4.0, 5.0]);
         assert_eq!(region.row(2, 0), &[10.0, 11.0]);
-        assert_eq!(region.gather_rows(), matrix);
-    }
-
-    #[test]
-    fn get_copies_remote_row() {
-        let matrix: Vec<f32> = (0..8).map(|x| x as f32).collect();
-        let region = SymmetricRegion::scatter_rows(&matrix, &[2, 2], 2);
-        let mut dst = [0.0f32; 2];
-        region.get(&mut dst, 1, 1);
-        assert_eq!(dst, [6.0, 7.0]);
-    }
-
-    #[test]
-    fn put_overwrites() {
-        let mut region = SymmetricRegion::zeros(&[1, 1], 3);
-        region.put(&[1.0, 2.0, 3.0], 1, 0);
-        assert_eq!(region.row(1, 0), &[1.0, 2.0, 3.0]);
-        assert_eq!(region.row(0, 0), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn row_bytes_matches_dim() {
-        let region = SymmetricRegion::zeros(&[1], 602);
-        assert_eq!(region.row_bytes(), 602 * 4);
     }
 
     #[test]
@@ -186,41 +93,21 @@ mod proptests {
 
     proptest! {
         #[test]
-        fn scatter_gather_roundtrip(
+        fn scatter_then_row_reads_every_row(
             rows_per_pe in proptest::collection::vec(0usize..20, 1..6),
             dim in 1usize..16,
         ) {
             let total: usize = rows_per_pe.iter().sum();
             let matrix: Vec<f32> = (0..total * dim).map(|i| i as f32 * 0.5).collect();
             let region = SymmetricRegion::scatter_rows(&matrix, &rows_per_pe, dim);
-            prop_assert_eq!(region.gather_rows(), matrix);
-        }
-
-        #[test]
-        fn put_then_get_roundtrips(
-            rows in 1u32..30,
-            pes in 1usize..5,
-            dim in 1usize..12,
-            target_pe_raw in 0usize..5,
-            target_row_raw in 0u32..30,
-            value in -100.0f32..100.0,
-        ) {
-            let target_pe = target_pe_raw % pes;
-            let target_row = target_row_raw % rows;
-            let mut region = SymmetricRegion::zeros(&vec![rows as usize; pes], dim);
-            let payload = vec![value; dim];
-            region.put(&payload, target_pe, target_row);
-            let mut back = vec![0.0f32; dim];
-            region.get(&mut back, target_pe, target_row);
-            prop_assert_eq!(back, payload);
-            // Everything else stayed zero.
-            let nonzero: usize = (0..pes)
-                .flat_map(|pe| (0..rows).map(move |r| (pe, r)))
-                .filter(|&(pe, r)| {
-                    region.row(pe, r).iter().any(|&x| x != 0.0)
-                })
-                .count();
-            prop_assert!(nonzero <= 1);
+            let mut global = 0usize;
+            for (pe, &rows) in rows_per_pe.iter().enumerate() {
+                for r in 0..rows {
+                    let want = &matrix[global * dim..(global + 1) * dim];
+                    prop_assert_eq!(region.row(pe, r as u32), want);
+                    global += 1;
+                }
+            }
         }
     }
 }

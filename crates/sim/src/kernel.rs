@@ -1,6 +1,6 @@
 //! Kernel launch descriptors, program traits and run statistics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::metrics::TrafficStats;
 use crate::spec::GpuSpec;
@@ -10,7 +10,7 @@ use crate::warp::WarpOp;
 /// Launch configuration of one GPU's grid, mirroring
 /// `kernel<<<grid, block, smem>>>` (Listing 2 of the paper computes exactly
 /// these three quantities on the host).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct KernelLaunch {
     /// Number of thread blocks in the grid.
     pub blocks: u32,
@@ -104,7 +104,7 @@ pub trait KernelProgram {
 }
 
 /// Per-GPU result of simulating one kernel.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct GpuKernelStats {
     /// Time the last warp on this GPU retired.
     pub finish_ns: SimTime,
@@ -128,7 +128,7 @@ pub struct GpuKernelStats {
 /// Fault-recovery events observed while simulating one kernel. All-zero —
 /// the `Default` — on a fault-free run, so adding this to [`KernelStats`]
 /// does not perturb equality comparisons between healthy runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RecoveryStats {
     /// One-sided GETs that were transiently dropped and re-issued.
     pub retried_gets: u64,
@@ -162,7 +162,7 @@ pub struct RecoveryStats {
 }
 
 /// Result of simulating one multi-GPU kernel.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct KernelStats {
     /// Per-GPU timing and occupancy breakdown, indexed by PE.
     pub per_gpu: Vec<GpuKernelStats>,

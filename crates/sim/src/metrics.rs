@@ -1,11 +1,11 @@
 //! Counters and snapshots reported by simulation runs.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::channel::BandwidthChannel;
 
 /// Snapshot of one channel's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ChannelStats {
     /// Total payload bytes moved.
     pub bytes: u64,
@@ -27,7 +27,7 @@ impl ChannelStats {
 }
 
 /// Fabric traffic between one ordered `(source, destination)` GPU pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PairStats {
     /// Source GPU of the transfers.
     pub src: u16,
@@ -40,7 +40,7 @@ pub struct PairStats {
 }
 
 /// Aggregate traffic snapshot across the cluster's resources.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TrafficStats {
     /// Per-GPU HBM traffic.
     pub hbm: Vec<ChannelStats>,

@@ -6,7 +6,7 @@
 //! bandwidths are derated from peak the way sustained achievable bandwidth
 //! usually is (~80% of peak for HBM, ~85% for NVLink-class links).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-GPU microarchitectural and memory parameters.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -74,7 +74,7 @@ impl GpuSpec {
 }
 
 /// Parameters of one inter-GPU (or GPU-host) link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinkSpec {
     /// Sustained bandwidth in GB/s (== bytes per nanosecond).
     pub bw_gbps: f64,
@@ -108,7 +108,7 @@ impl LinkSpec {
 }
 
 /// Inter-GPU wiring of the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Topology {
     /// All-to-all through a switch: each GPU has one ingress and one egress
     /// port; any pair communicates at full port bandwidth with no NUMA

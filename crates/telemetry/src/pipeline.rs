@@ -7,13 +7,13 @@
 //! utilization (§5.1), per-GPU-pair fabric traffic, and recovery overhead.
 
 use mgg_sim::{KernelStats, RecoveryStats, TraceEvent, TraceKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 pub use mgg_sim::PairStats as PairTraffic;
 
 /// One simulated kernel reduced to its headline pipeline numbers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct PipelineMetrics {
     /// End-to-end kernel time (max over GPUs).
     pub makespan_ns: u64,

@@ -93,7 +93,7 @@ fn main() {
     let t_mgg = mgg.simulate_aggregation_ns(dim).expect("valid launch");
 
     // Naive: one warp per query, blocking gets row by row.
-    let mut naive = DirectNvshmemEngine::new(&g, ClusterSpec::dgx_a100(gpus), AggregateMode::Sum);
+    let mut naive = DirectNvshmemEngine::new(&g, ClusterSpec::dgx_a100(gpus));
     let t_naive = naive.simulate_aggregation_ns(dim);
 
     // Correctness: pooled embeddings equal the reference.

@@ -24,7 +24,7 @@
 //! | [`gnn`] | `mgg-gnn` | tensors, GCN/GIN models, reference aggregation, training |
 //! | [`core`] | `mgg-core` | **the MGG system**: workload management, placement, pipelined kernel, model, tuner |
 //! | [`telemetry`] | `mgg-telemetry` | spans/counters/histograms, derived pipeline metrics, Chrome-trace export |
-//! | [`baselines`] | `mgg-baselines` | UVM / direct-NVSHMEM / DGCL / NCCL-ring comparison engines |
+//! | [`baselines`] | `mgg-baselines` | UVM / direct-NVSHMEM / DGCL / PUT / NCCL-ring comparison engines (timing models) |
 //!
 //! # Quickstart
 //!

@@ -8,12 +8,14 @@
 //! `UPDATE_GOLDEN=1 cargo test --test golden -- --nocapture` and paste the
 //! printed values.
 
-use mgg::baselines::{DgclEngine, DirectNvshmemEngine, UvmGnnEngine};
+use mgg::baselines::{
+    nccl_ring_study, DgclEngine, DirectNvshmemEngine, PutBasedEngine, UvmGnnEngine,
+};
 use mgg::churn::{
     BurstWindow, ChurnEventKind, ChurnSchedule, ChurnSpec, GraphDelta, MembershipChange,
     MembershipEvent,
 };
-use mgg::core::{CacheConfig, CachePolicy, MggConfig, MggEngine};
+use mgg::core::{CacheConfig, CachePolicy, MggConfig, MggEngine, ReplicatedEngine};
 use mgg::fault::FaultSpec;
 use mgg::gnn::features::{label_features, split_masks};
 use mgg::gnn::gat::GatBackend;
@@ -68,7 +70,7 @@ fn golden_engine_timings() {
     let mut uvm = UvmGnnEngine::new(&g, spec.clone(), AggregateMode::Sum);
     let uvm_128 = uvm.simulate_aggregation_ns(128);
 
-    let mut direct = DirectNvshmemEngine::new(&g, spec, AggregateMode::Sum);
+    let mut direct = DirectNvshmemEngine::new(&g, spec);
     let direct_128 = direct.simulate_aggregation_ns(128);
 
     check(&[
@@ -79,6 +81,53 @@ fn golden_engine_timings() {
         Golden { name: "mgg_dim128_ns", got: mgg_128, want: 16_931 },
         Golden { name: "uvm_dim128_ns", got: uvm_128, want: 79_443 },
         Golden { name: "direct_dim128_ns", got: direct_128, want: 308_511 },
+    ]);
+}
+
+/// The other comparison engines' timing models on the golden scenario:
+/// each one's total and its exposed phase (DGCL's allgather, the PUT
+/// variant's barrier, the replicated engine's sum-reduce) at dims 16 and
+/// 128, and both sides of the Figure-2 ring study at dim 64.
+#[test]
+fn golden_comparison_timings() {
+    let g = scenario();
+    let spec = ClusterSpec::dgx_a100(4);
+
+    let (mut dgcl, _) = DgclEngine::new(&g, spec.clone());
+    let dgcl_16 = dgcl.simulate_aggregation_ns(16);
+    let dgcl_gather_16 = dgcl.last_allgather_ns;
+    let dgcl_128 = dgcl.simulate_aggregation_ns(128);
+    let dgcl_gather_128 = dgcl.last_allgather_ns;
+
+    let mut put = PutBasedEngine::new(&g, spec.clone());
+    let put_16 = put.simulate_aggregation_ns(16);
+    let put_barrier_16 = put.last_barrier_ns;
+    let put_128 = put.simulate_aggregation_ns(128);
+    let put_barrier_128 = put.last_barrier_ns;
+
+    let mut rep = ReplicatedEngine::new(&g, spec.clone(), 16);
+    let rep_16 = rep.simulate_aggregation_ns(16);
+    let rep_reduce_16 = rep.last_reduce_ns;
+    let rep_128 = rep.simulate_aggregation_ns(128);
+    let rep_reduce_128 = rep.last_reduce_ns;
+
+    let ring = nccl_ring_study(&g, spec, 64);
+
+    check(&[
+        Golden { name: "dgcl_dim16_ns", got: dgcl_16, want: 176_699 },
+        Golden { name: "dgcl_allgather_dim16_ns", got: dgcl_gather_16, want: 16_423 },
+        Golden { name: "dgcl_dim128_ns", got: dgcl_128, want: 183_876 },
+        Golden { name: "dgcl_allgather_dim128_ns", got: dgcl_gather_128, want: 18_679 },
+        Golden { name: "put_dim16_ns", got: put_16, want: 33_093 },
+        Golden { name: "put_barrier_dim16_ns", got: put_barrier_16, want: 12_658 },
+        Golden { name: "put_dim128_ns", got: put_128, want: 43_186 },
+        Golden { name: "put_barrier_dim128_ns", got: put_barrier_128, want: 19_322 },
+        Golden { name: "replicated_dim16_ns", got: rep_16, want: 15_943 },
+        Golden { name: "replicated_reduce_dim16_ns", got: rep_reduce_16, want: 8_588 },
+        Golden { name: "replicated_dim128_ns", got: rep_128, want: 20_174 },
+        Golden { name: "replicated_reduce_dim128_ns", got: rep_reduce_128, want: 11_287 },
+        Golden { name: "ring_comm_dim64_ns", got: ring.comm_ns, want: 312_905 },
+        Golden { name: "ring_comp_dim64_ns", got: ring.comp_ns, want: 21_317 },
     ]);
 }
 
@@ -178,7 +227,7 @@ fn golden_ordering_is_the_paper_ordering() {
     let t_mgg = mgg.simulate_aggregation_ns(128).unwrap();
     let mut uvm = UvmGnnEngine::new(&g, spec.clone(), AggregateMode::Sum);
     let t_uvm = uvm.simulate_aggregation_ns(128);
-    let mut direct = DirectNvshmemEngine::new(&g, spec, AggregateMode::Sum);
+    let mut direct = DirectNvshmemEngine::new(&g, spec);
     let t_direct = direct.simulate_aggregation_ns(128);
     assert!(t_mgg < t_uvm, "mgg {t_mgg} vs uvm {t_uvm}");
     assert!(t_uvm < t_direct, "uvm {t_uvm} vs direct {t_direct}");
@@ -210,7 +259,7 @@ fn golden_uvm_fault_stats() {
 #[test]
 fn golden_dgcl_partition() {
     let g = scenario();
-    let (dgcl, report) = DgclEngine::new(&g, ClusterSpec::dgx_a100(4), AggregateMode::Sum);
+    let (dgcl, report) = DgclEngine::new(&g, ClusterSpec::dgx_a100(4));
     let labels = fnv1a(dgcl.labels().iter().map(|&l| u64::from(l)));
     check(&[
         Golden { name: "dgcl_edge_cut", got: report.dgcl_edge_cut, want: 8_162 },
