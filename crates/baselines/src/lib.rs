@@ -3,7 +3,7 @@
 //! The comparison systems of the paper's evaluation, each built on the
 //! same substrates as MGG so differences come from the *designs*. They
 //! are timing models: the paper compares them with MGG on time, and only
-//! MGG's symmetric-heap data plane computes values. The UVM engine alone
+//! MGG's value plane computes values. The UVM engine alone
 //! also implements `Aggregator`, returning the reference aggregation (one
 //! address space computes exactly that), so GNN models and the trainer
 //! can run on it.

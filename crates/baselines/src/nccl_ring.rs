@@ -9,9 +9,9 @@
 //! phases add up, and the paper's observation is that the transfer side
 //! costs >5× the aggregation side.
 
-use mgg_collective::COLLECTIVE_LAUNCH_NS;
 use mgg_graph::partition::neighbor::{partition_rows, PartitionKind};
 use mgg_graph::{CsrGraph, NodeSplit};
+use mgg_shmem::COLLECTIVE_LAUNCH_NS;
 use mgg_sim::{Cluster, ClusterSpec, GpuSim, NoPaging};
 
 use mgg_core::kernel::LocalAggKernel;

@@ -386,7 +386,7 @@ pub fn run_train(scale: f64, gpus: usize) -> TrainReport {
     let grad_bytes = (x.cols() * 16 + 16 * 10) as u64 * 4;
     let allreduce_ns = {
         let mut c = mgg_sim::Cluster::new(spec.clone());
-        mgg_collective::ring_allreduce(&mut c, grad_bytes)
+        mgg_shmem::ring_allreduce(&mut c, grad_bytes)
     };
 
     let mut rows = Vec::new();

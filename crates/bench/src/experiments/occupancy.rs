@@ -5,13 +5,14 @@
 //! behind Figure 8's speedups.
 //!
 //! Extended with the pipeline view: overlap efficiency (the fraction of
-//! remote-wire time hidden under the same warp's compute) derived from the
-//! warp traces, the quantity Figure 7(b)'s interleaving exists to raise.
+//! remote-wire time hidden under the same warp's compute), which each
+//! engine's attached telemetry derives from the warp traces — the quantity
+//! Figure 7(b)'s interleaving exists to raise.
 
 use mgg_baselines::UvmGnnEngine;
 use mgg_gnn::reference::AggregateMode;
 use mgg_sim::ClusterSpec;
-use mgg_telemetry::overlap_efficiency;
+use mgg_telemetry::Telemetry;
 use serde::Serialize;
 
 use crate::experiments::common::datasets;
@@ -65,18 +66,25 @@ pub fn run(scale: f64, gpus: usize) -> OccupancyReport {
             AggregateMode::Sum,
             d.spec.dim,
         );
-        let (mgg_stats, mgg_trace) =
-            mgg.simulate_aggregation_traced(d.spec.dim).expect("valid launch");
+        // Attached after tuning, so only the measured run is traced.
+        let mgg_tel = Telemetry::enabled();
+        mgg.set_telemetry(mgg_tel.clone());
+        let mgg_stats = mgg.simulate_aggregation(d.spec.dim).expect("valid launch");
         let mut uvm = UvmGnnEngine::new(&d.graph, spec, AggregateMode::Sum);
-        let (uvm_stats, uvm_trace) = uvm.simulate_aggregation_traced(d.spec.dim);
+        let uvm_tel = Telemetry::enabled();
+        uvm.set_telemetry(uvm_tel.clone());
+        let uvm_stats = uvm.simulate_aggregation(d.spec.dim);
+        let overlap = |tel: &Telemetry| {
+            tel.snapshot().pipeline.expect("telemetry derives the pipeline").overlap_efficiency
+        };
         OccupancyRow {
             dataset: d.spec.name,
             mgg_occupancy: mgg_stats.achieved_occupancy(),
             uvm_occupancy: uvm_stats.achieved_occupancy(),
             mgg_sm_util: mgg_stats.sm_utilization(),
             uvm_sm_util: uvm_stats.sm_utilization(),
-            mgg_overlap: overlap_efficiency(&mgg_trace),
-            uvm_overlap: overlap_efficiency(&uvm_trace),
+            mgg_overlap: overlap(&mgg_tel),
+            uvm_overlap: overlap(&uvm_tel),
         }
     });
     let avg_occupancy_gain = rows

@@ -25,7 +25,7 @@
 //!
 //! The cache is an *address* cache: it decides which fetches touch the
 //! fabric. Only the engine's kernel planner consults it; the functional
-//! data plane reads the symmetric heap directly, so cached and uncached
+//! data plane reads the feature matrix in place, so cached and uncached
 //! runs produce bit-identical aggregation outputs (pinned by the
 //! `cache_consistency` test suite).
 //!

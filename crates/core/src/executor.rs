@@ -15,7 +15,6 @@ use mgg_gnn::reference::AggregateMode;
 use mgg_gnn::Matrix;
 use mgg_graph::partition::locality::{LocalRef, LocalityPartition, RemoteRef};
 use mgg_graph::{CsrGraph, NodeSplit};
-use mgg_shmem::SymmetricRegion;
 use mgg_sim::{Cluster, ClusterSpec, GpuSim, KernelStats, NoPaging, SimTime, TraceEvent};
 use mgg_telemetry::{PipelineMetrics, Telemetry};
 
@@ -658,31 +657,15 @@ impl MggEngine {
     /// under permanent failures), and the kernel is re-run on the recovered
     /// placement. The returned statistics are those of the recovered run,
     /// with the detection pass charged to `recovery.recovery_latency_ns`.
+    ///
+    /// With telemetry attached the per-warp trace is captured end-to-end
+    /// (the recovery re-run's trace replaces the detection pass's, matching
+    /// the returned statistics) and recorded with the derived
+    /// [`PipelineMetrics`]; tracing never changes the simulation outcome
+    /// (the sim crate's tests pin that equivalence).
     pub fn simulate_aggregation(&mut self, dim: usize) -> Result<KernelStats, MggError> {
-        Ok(self.simulate_aggregation_impl(dim, false)?.0)
-    }
-
-    /// [`MggEngine::simulate_aggregation`] with the per-warp trace captured
-    /// end-to-end — including the recovery re-run, whose trace replaces the
-    /// detection pass's, matching the returned statistics.
-    pub fn simulate_aggregation_traced(
-        &mut self,
-        dim: usize,
-    ) -> Result<(KernelStats, Vec<TraceEvent>), MggError> {
-        let (stats, trace) = self.simulate_aggregation_impl(dim, true)?;
-        Ok((stats, trace.expect("trace was requested")))
-    }
-
-    fn simulate_aggregation_impl(
-        &mut self,
-        dim: usize,
-        want_trace: bool,
-    ) -> Result<(KernelStats, Option<Vec<TraceEvent>>), MggError> {
         let tel = self.telemetry.clone();
-        // With telemetry attached, always capture the trace: the derived
-        // pipeline metrics need it, and tracing never changes the
-        // simulation outcome (the sim crate's tests pin that equivalence).
-        let want_trace = want_trace || tel.is_enabled();
+        let want_trace = tel.is_enabled();
         let (mut stats, mut trace) = self.run_kernel(dim, want_trace)?;
         if self.recovery_action() != RecoveryAction::None && !self.replanned {
             // The first run is the detection pass (under a permanent
@@ -739,7 +722,7 @@ impl MggEngine {
             tel.add_trace_events(events);
             tel.set_pipeline(PipelineMetrics::derive(&stats, events));
         }
-        Ok((stats, trace))
+        Ok(stats)
     }
 
     /// One raw kernel simulation on the current placement (no recovery).
@@ -820,8 +803,10 @@ impl MggEngine {
     }
 
     /// Functional aggregation: computes the same values the simulated
-    /// kernel would produce, using the locality-split virtual CSRs and the
-    /// symmetric-heap addressing.
+    /// kernel would produce, walking the locality-split virtual CSRs and
+    /// translating each `(PE, row)` address back to its row of `x`.
+    ///
+    /// Panics unless `x` has exactly one row per node.
     pub fn aggregate_values(&self, x: &Matrix) -> Matrix {
         let label = "engine.aggregate";
         // One instance per weight rule, so the unit-weight loop is
@@ -839,6 +824,8 @@ impl MggEngine {
     /// Aggregates `x` with per-edge weights indexed by the input graph's
     /// flat adjacency (see `mgg_graph::partition::locality`'s edge ids).
     /// Pure edge-weighted aggregation, with no mode finish: used by GAT.
+    ///
+    /// Panics unless `x` has exactly one row per node.
     pub fn aggregate_values_weighted(&self, x: &Matrix, w: &[f32]) -> Matrix {
         let weight = |_, nb: Neighbor| w[nb.edge as usize];
         self.aggregate_direct(x, AggregateMode::Sum, weight, "engine.aggregate_weighted")
@@ -857,8 +844,9 @@ impl MggEngine {
         weight: impl Fn(usize, Neighbor) -> f32 + Sync,
         label: &'static str,
     ) -> Matrix {
+        let nodes = *self.placement.split.bounds().last().expect("a split has bounds") as usize;
+        assert_eq!(x.rows(), nodes, "feature matrix shape mismatch: one row per node");
         let dim = x.cols();
-        let region = self.placement.place_embeddings(x);
         let mut out = Matrix::zeros(x.rows(), dim);
         if x.rows() == 0 || dim == 0 {
             return out;
@@ -869,7 +857,7 @@ impl MggEngine {
         mgg_runtime::par_slices_mut(slices, |ci, out_chunk| {
             for (k, dst) in out_chunk.chunks_mut(dim).enumerate() {
                 let v = ci * chunk_rows + k;
-                self.aggregate_row(v, x, mode, &region, &weight, dst);
+                self.aggregate_row(v, x, mode, &weight, dst);
             }
         });
         out
@@ -884,7 +872,6 @@ impl MggEngine {
         v: usize,
         x: &Matrix,
         mode: AggregateMode,
-        region: &SymmetricRegion,
         weight: impl Fn(usize, Neighbor) -> f32,
         dst: &mut [f32],
     ) {
@@ -892,7 +879,7 @@ impl MggEngine {
         let r = (v - part.node_range.start as usize) as u32;
         walk_neighbors(part, r, |nb| {
             let w = weight(v, nb);
-            for (d, &s) in dst.iter_mut().zip(region.row(nb.pe, nb.row)) {
+            for (d, &s) in dst.iter_mut().zip(x.row(self.global(nb))) {
                 *d += w * s;
             }
         });
@@ -1036,6 +1023,24 @@ mod tests {
                 got.max_abs_diff(&want)
             );
         }
+    }
+
+    fn sum_engine(g: &CsrGraph) -> MggEngine {
+        MggEngine::new(g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), AggregateMode::Sum)
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn values_reject_a_matrix_one_row_short() {
+        let g = graph();
+        let _ = sum_engine(&g).aggregate_values(&features(g.num_nodes() - 1, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn values_reject_a_matrix_one_row_long() {
+        let g = graph();
+        let _ = sum_engine(&g).aggregate_values(&features(g.num_nodes() + 1, 8));
     }
 
     #[test]
@@ -1273,8 +1278,11 @@ mod tests {
         };
         let plain = mk().simulate_aggregation(64).unwrap();
         let mut traced_engine = mk();
-        let (traced, events) = traced_engine.simulate_aggregation_traced(64).unwrap();
+        let tel = Telemetry::enabled();
+        traced_engine.set_telemetry(tel.clone());
+        let traced = traced_engine.simulate_aggregation(64).unwrap();
         assert_eq!(plain, traced);
+        let events = tel.trace_events();
         assert!(!events.is_empty());
         // Every GPU contributed events.
         for g in 0..4u16 {

@@ -313,132 +313,61 @@ impl KernelProgram for MggKernel<'_> {
         let remote_adj = self.placement.parts[pe].remote.adj();
         let pe_plan = self.cache_plans.as_ref().map(|p| &p[pe]);
         let first_pair = pe_plan.map_or(0, |p| p.warp_start[w] as usize);
+        // Figure 7(b) launches its GETs non-blocking and aggregates the local
+        // partition while they fly; 7(a) aggregates it first, then blocks
+        // on each GET in turn.
+        let nbi = self.variant == KernelVariant::AsyncPipelined;
+        let local = |ops: &mut Vec<WarpOp>, lnp: &Option<NeighborPartition>| {
+            if let Some(l) = lnp {
+                ops.extend([
+                    WarpOp::GlobalRead { bytes: l.len * row_bytes },
+                    WarpOp::Compute { cycles: aggregation_cycles(l.len, self.dim) },
+                    WarpOp::GlobalWrite { bytes: row_bytes },
+                ]);
+            }
+        };
+        let get = |peer| WarpOp::RemoteGet { peer, bytes: row_bytes, nbi };
         for (pair, (lnp, rnp)) in assignment.pairs.iter().enumerate() {
+            if !nbi || rnp.is_none() {
+                local(ops, lnp);
+            }
+            let Some(r) = rnp else { continue };
+            // With a cache plan only the misses cross the fabric; hits are
+            // one batched HBM read and coalesced duplicates cost nothing.
             let plan = pe_plan.map(|p| {
                 let pp = p.pairs[first_pair + pair];
                 (pp, &p.miss_peers[pp.miss_start as usize..pp.miss_end as usize])
             });
-            match self.variant {
-                KernelVariant::AsyncPipelined => {
-                    // (1) Launch non-blocking gets for the remote rows.
-                    // With a cache plan only the misses hit the fabric;
-                    // hits become one batched HBM read below, coalesced
-                    // duplicates cost nothing.
-                    if let Some(r) = rnp {
-                        match plan {
-                            Some((p, miss_peers)) => {
-                                for &peer in miss_peers {
-                                    ops.push(WarpOp::RemoteGet {
-                                        peer,
-                                        bytes: row_bytes,
-                                        nbi: true,
-                                    });
-                                }
-                                if p.hits > 0 {
-                                    // Hits launch here too: an async
-                                    // local HBM read that overlaps the
-                                    // local partition below and joins the
-                                    // same WaitRemote. A blocking read
-                                    // instead would stall through the HBM
-                                    // FIFO, which under GET-source load
-                                    // queues deeper than the fabric.
-                                    ops.push(WarpOp::CacheHit {
-                                        bytes: p.hits * row_bytes,
-                                        nbi: true,
-                                    });
-                                }
-                            }
-                            None => {
-                                for rr in &remote_adj
-                                    [r.start as usize..(r.start + r.len as u64) as usize]
-                                {
-                                    ops.push(WarpOp::RemoteGet {
-                                        peer: rr.owner,
-                                        bytes: row_bytes,
-                                        nbi: true,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    // (2) Aggregate the local partition while data flies.
-                    if let Some(l) = lnp {
-                        ops.push(WarpOp::GlobalRead { bytes: l.len * row_bytes });
-                        ops.push(WarpOp::Compute {
-                            cycles: aggregation_cycles(l.len, self.dim),
-                        });
-                        ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
-                    }
-
-                    // (3) Join the gets (and the async hit read), aggregate
-                    // the landed rows.
-                    if let Some(r) = rnp {
-                        ops.push(WarpOp::WaitRemote);
-                        ops.push(WarpOp::Compute {
-                            cycles: aggregation_cycles(r.len, self.dim),
-                        });
-                        if let Some((p, _)) = plan {
-                            if p.admitted > 0 {
-                                // Landed misses gain residency: a posted
-                                // HBM write, off the critical path.
-                                // Thrash-bypassed misses fill nothing.
-                                ops.push(WarpOp::CacheFill { bytes: p.admitted * row_bytes });
-                            }
-                        }
-                        ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
-                    }
-                }
-                KernelVariant::SyncRemote => {
-                    if let Some(l) = lnp {
-                        ops.push(WarpOp::GlobalRead { bytes: l.len * row_bytes });
-                        ops.push(WarpOp::Compute {
-                            cycles: aggregation_cycles(l.len, self.dim),
-                        });
-                        ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
-                    }
-                    if let Some(r) = rnp {
-                        match plan {
-                            Some((p, miss_peers)) => {
-                                if p.hits > 0 {
-                                    // Blocking ablation: the cached read
-                                    // stalls through the HBM queue.
-                                    ops.push(WarpOp::CacheHit {
-                                        bytes: p.hits * row_bytes,
-                                        nbi: false,
-                                    });
-                                }
-                                for &peer in miss_peers {
-                                    ops.push(WarpOp::RemoteGet {
-                                        peer,
-                                        bytes: row_bytes,
-                                        nbi: false,
-                                    });
-                                }
-                            }
-                            None => {
-                                for rr in &remote_adj
-                                    [r.start as usize..(r.start + r.len as u64) as usize]
-                                {
-                                    ops.push(WarpOp::RemoteGet {
-                                        peer: rr.owner,
-                                        bytes: row_bytes,
-                                        nbi: false,
-                                    });
-                                }
-                            }
-                        }
-                        ops.push(WarpOp::Compute {
-                            cycles: aggregation_cycles(r.len, self.dim),
-                        });
-                        if let Some((p, _)) = plan {
-                            if p.admitted > 0 {
-                                ops.push(WarpOp::CacheFill { bytes: p.admitted * row_bytes });
-                            }
-                        }
-                        ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
-                    }
-                }
+            let (hits, admitted) = plan.map_or((0, 0), |(p, _)| (p.hits, p.admitted));
+            if hits > 0 && !nbi {
+                ops.push(WarpOp::GlobalRead { bytes: hits * row_bytes });
             }
+            match plan {
+                Some((_, miss_peers)) => ops.extend(miss_peers.iter().map(|&peer| get(peer))),
+                None => ops.extend(
+                    remote_adj[r.start as usize..(r.start + r.len as u64) as usize]
+                        .iter()
+                        .map(|rr| get(rr.owner)),
+                ),
+            }
+            if nbi {
+                // The hit read launches with the GETs: an async local copy
+                // that overlaps the local partition and joins the same
+                // WaitRemote, instead of stalling through the HBM FIFO,
+                // which under GET-source load queues deeper than the fabric.
+                if hits > 0 {
+                    ops.push(WarpOp::CacheHit { bytes: hits * row_bytes });
+                }
+                local(ops, lnp);
+                ops.push(WarpOp::WaitRemote);
+            }
+            ops.push(WarpOp::Compute { cycles: aggregation_cycles(r.len, self.dim) });
+            // Landed misses gain residency: a posted HBM fill write.
+            // Thrash-bypassed misses fill nothing.
+            if admitted > 0 {
+                ops.push(WarpOp::GlobalWrite { bytes: admitted * row_bytes });
+            }
+            ops.push(WarpOp::GlobalWrite { bytes: row_bytes });
         }
     }
 }

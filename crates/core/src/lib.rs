@@ -8,9 +8,9 @@
 //!   interleaving distance `dist`, warps per block `wpb`, with the paper's
 //!   search bounds (`ps ∈ [1,32]`, `dist ∈ [1,16]`, `wpb ∈ [1,16]`).
 //! * [`placement`] — **hybrid GNN data placement** (§3.2): node embeddings
-//!   in the NVSHMEM symmetric heap partitioned by the edge-balanced node
-//!   split; graph topology in per-GPU private memory with remote ids
-//!   pre-translated to `(owner, offset)`.
+//!   in the NVSHMEM symmetric heap, one contiguous row range per GPU from
+//!   the edge-balanced node split; graph topology in per-GPU private memory
+//!   with remote ids pre-translated to `(owner, offset)`.
 //! * [`workload`] — **pipeline-aware workload management** (§3.1):
 //!   composes the node split, locality split and neighbor split into
 //!   per-GPU lists of local/remote neighbor partitions.

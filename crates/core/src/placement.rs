@@ -2,15 +2,16 @@
 //!
 //! Node embeddings (large, remotely accessed) go into the NVSHMEM
 //! symmetric heap, partitioned across GPUs by the edge-balanced node
-//! split. Graph topology (small, scalar, locally accessed) goes into each
-//! GPU's private memory, with remote neighbor ids pre-translated from
-//! global node ids to `(owner GPU, local offset)` pairs — the Figure-5
-//! conversion that makes symmetric-heap addressing work.
+//! split: each GPU owns one contiguous range of rows. Graph topology
+//! (small, scalar, locally accessed) goes into each GPU's private memory,
+//! with remote neighbor ids pre-translated from global node ids to
+//! `(owner GPU, local offset)` pairs — the Figure-5 conversion that makes
+//! symmetric-heap addressing work. Because the ranges tile the node ids in
+//! order, `(PE, row)` is global row `split.bounds()[PE] + row`, which is
+//! how the value plane reads the feature matrix in place.
 
 use mgg_graph::partition::locality::{self, LocalityPartition};
 use mgg_graph::{CsrGraph, NodeSplit};
-use mgg_gnn::Matrix;
-use mgg_shmem::SymmetricRegion;
 
 /// The placed input of one multi-GPU aggregation.
 #[derive(Debug, Clone)]
@@ -19,8 +20,6 @@ pub struct HybridPlacement {
     pub split: NodeSplit,
     /// Per-GPU local/remote virtual CSRs ("private" graph memory).
     pub parts: Vec<LocalityPartition>,
-    /// Rows owned per GPU, for symmetric-heap allocation.
-    pub rows_per_pe: Vec<usize>,
 }
 
 impl HybridPlacement {
@@ -35,8 +34,7 @@ impl HybridPlacement {
     /// baselines or ablations).
     pub fn from_split(graph: &CsrGraph, split: NodeSplit) -> Self {
         let parts = locality::build(graph, &split);
-        let rows_per_pe = (0..split.num_parts()).map(|g| split.part_nodes(g)).collect();
-        HybridPlacement { split, parts, rows_per_pe }
+        HybridPlacement { split, parts }
     }
 
     /// Number of GPUs planned for.
@@ -44,16 +42,12 @@ impl HybridPlacement {
         self.parts.len()
     }
 
-    /// Scatters a dense feature matrix into the symmetric heap according
-    /// to the node split (the `nvshmem_malloc` + partition step).
-    pub fn place_embeddings(&self, x: &Matrix) -> SymmetricRegion {
-        SymmetricRegion::scatter_rows(x.data(), &self.rows_per_pe, x.cols())
-    }
-
     /// Bytes of embedding storage each GPU's symmetric-heap partition
     /// needs at dimension `dim` (rows x dim x 4).
     pub fn embedding_bytes_per_gpu(&self, dim: usize) -> Vec<u64> {
-        self.rows_per_pe.iter().map(|&r| r as u64 * dim as u64 * 4).collect()
+        (0..self.split.num_parts())
+            .map(|g| self.split.part_nodes(g) as u64 * dim as u64 * 4)
+            .collect()
     }
 
     /// Checks that every GPU's embedding partition (plus the private graph
@@ -99,7 +93,6 @@ impl HybridPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgg_graph::generators::regular::ring;
     use mgg_graph::generators::rmat::{rmat, RmatConfig};
 
     #[test]
@@ -107,25 +100,11 @@ mod tests {
         let g = rmat(&RmatConfig::graph500(10, 8_000, 3));
         let p = HybridPlacement::plan(&g, 4);
         assert_eq!(p.num_gpus(), 4);
-        let nodes: usize = p.rows_per_pe.iter().sum();
+        let nodes: usize = (0..4).map(|g| p.split.part_nodes(g)).sum();
         assert_eq!(nodes, g.num_nodes());
         let edges: usize =
             p.parts.iter().map(|lp| lp.local.num_entries() + lp.remote.num_entries()).sum();
         assert_eq!(edges, g.num_edges());
-    }
-
-    #[test]
-    fn placed_rows_follow_the_split() {
-        let g = ring(10);
-        let p = HybridPlacement::plan(&g, 3);
-        let x = Matrix::glorot(10, 4, 7);
-        let region = p.place_embeddings(&x);
-        for pe in 0..3 {
-            let range = p.split.range(pe);
-            for v in range.clone() {
-                assert_eq!(region.row(pe, v - range.start), x.row(v as usize));
-            }
-        }
     }
 
     #[test]

@@ -1,29 +1,25 @@
-//! NVSHMEM-like partitioned global address space (PGAS) over the simulated
-//! cluster.
+//! Host-initiated collectives over the simulated cluster.
 //!
 //! NVSHMEM (paper §2.3, Listing 1) exposes a *symmetric heap*: the same
 //! allocation call on every PE yields one region per GPU, any of which is
-//! addressable from kernels on any GPU by `(PE id, offset)`. This crate
-//! reproduces that model in two planes:
+//! addressable from kernels on any GPU by `(PE id, offset)`. MGG's device
+//! side of that model lives with its kernel: `mgg-core` places embeddings
+//! by `(PE, row)` and charges each remote access as a
+//! [`mgg_sim::WarpOp::RemoteGet`] in the warp traces, while its value plane
+//! translates the same addresses back to rows of the feature matrix.
 //!
-//! * **Data plane** — [`SymmetricRegion`] holds real `f32` rows per PE,
-//!   read by `(PE, row)`. It is what MGG's value plane aggregates from, so
-//!   MGG produces real embedding values.
-//! * **Timing plane** — remote accesses are *charged* by emitting
-//!   [`mgg_sim::WarpOp::RemoteGet`] operations inside kernel traces (done
-//!   by the engine crates) or, for the host-initiated collectives
-//!   [`barrier_all`] and [`sum_reduce_all`] (a ring priced on a byte
-//!   count), by advancing the cluster channels directly.
+//! What remains here is the host side, priced by advancing the cluster
+//! channels directly on a byte count:
 //!
-//! The split keeps values exact and timing deterministic without simulating
-//! data movement byte by byte. Injected faults follow the same split:
-//! `mgg-sim` prices their retries and timeouts into the kernel's recovery
-//! counters, and the data plane never sees them.
+//! * NVSHMEM's [`barrier_all`] and [`sum_reduce_all`], run between kernels;
+//! * NCCL's [`ring_allreduce`] and [`ring_allgather`], which the
+//!   comparison engines launch as their own kernels, each paying
+//!   [`COLLECTIVE_LAUNCH_NS`].
 
 #![deny(missing_docs)]
 
 pub mod collectives;
-pub mod region;
 
-pub use collectives::{barrier_all, sum_reduce_all};
-pub use region::SymmetricRegion;
+pub use collectives::{
+    barrier_all, ring_allgather, ring_allreduce, sum_reduce_all, COLLECTIVE_LAUNCH_NS,
+};

@@ -481,7 +481,7 @@ fn issue(
                 gpu.ops[head.pc as usize],
                 WarpOp::Compute { .. }
                     | WarpOp::RemoteGet { nbi: true, .. }
-                    | WarpOp::CacheHit { nbi: true, .. }
+                    | WarpOp::CacheHit { .. }
             );
         if needs_sched && gpu.sms[sm].free_scheds == 0 {
             break;
@@ -518,7 +518,7 @@ fn issue(
                 op,
                 WarpOp::Compute { .. }
                     | WarpOp::RemoteGet { nbi: true, .. }
-                    | WarpOp::CacheHit { nbi: true, .. }
+                    | WarpOp::CacheHit { .. }
             ) && gpu.sms[sm].free_scheds == 0
             {
                 gpu.sms[sm].ready.push_front(w);
@@ -557,38 +557,25 @@ fn issue(
                     // Posted: charge the channel, keep executing.
                     let _ = cluster.ic.hbm_transfer(now, pe, bytes as u64);
                 }
-                WarpOp::CacheHit { bytes, nbi } => {
+                WarpOp::CacheHit { bytes } => {
                     // A cached remote row: local HBM read instead of a
-                    // fabric round trip.
+                    // fabric round trip. The LSU posts an async local copy
+                    // and the read joins the pair's WaitRemote, exactly
+                    // like a GET that happens to be local. Blocking here
+                    // instead would stall the warp through the HBM FIFO
+                    // queue, which under GET-source-read load runs far
+                    // deeper than a fabric round trip.
                     let done = cluster.ic.hbm_transfer(now, pe, bytes as u64);
                     record!(w, TraceKind::CacheHit, now, done);
-                    if nbi {
-                        // Pipelined form: the LSU posts an async local copy
-                        // and the read joins the pair's WaitRemote, exactly
-                        // like a GET that happens to be local. Blocking here
-                        // instead would stall the warp through the HBM FIFO
-                        // queue, which under GET-source-read load runs far
-                        // deeper than a fabric round trip.
-                        let warp = &mut gpu.warps[w as usize];
-                        warp.pending_remote = warp.pending_remote.max(done);
-                        gpu.sms[sm].free_scheds -= 1;
-                        gpu.sched_busy_ns += 1;
-                        q.push(
-                            now + 1,
-                            Ev { gpu: pe as u16, sm: sm as u16, warp: w, kind: EvKind::SchedFree },
-                        );
-                        break;
-                    }
-                    q.push(done, Ev { gpu: pe as u16, sm: sm as u16, warp: w, kind: EvKind::Wake });
-                    gpu.sms[sm].touch(now);
-                    gpu.sms[sm].active_warps -= 1;
+                    let warp = &mut gpu.warps[w as usize];
+                    warp.pending_remote = warp.pending_remote.max(done);
+                    gpu.sms[sm].free_scheds -= 1;
+                    gpu.sched_busy_ns += 1;
+                    q.push(
+                        now + 1,
+                        Ev { gpu: pe as u16, sm: sm as u16, warp: w, kind: EvKind::SchedFree },
+                    );
                     break;
-                }
-                WarpOp::CacheFill { bytes } => {
-                    // Filling the cache with landed rows (and writing over
-                    // evicted ones) is posted HBM traffic: the eviction
-                    // bandwidth is charged, the warp does not stall.
-                    let _ = cluster.ic.hbm_transfer(now, pe, bytes as u64);
                 }
                 WarpOp::RemoteGet { peer, bytes, nbi } => {
                     if faults.is_dead(peer as usize, now) {
@@ -1061,22 +1048,26 @@ mod tests {
 
     #[test]
     fn cache_hit_is_cheaper_than_the_fabric() {
-        // The same bytes as a blocking HBM read vs a blocking remote GET:
-        // the hit must be strictly faster (no request overhead, higher
-        // bandwidth) and must leave the fabric untouched.
+        // The same bytes as a hit joined by WaitRemote vs a GET joined the
+        // same way: the hit must be strictly faster (no request overhead,
+        // higher bandwidth) and must leave the fabric untouched.
         let bytes = 64 * 512;
         let mk = |ops: Vec<WarpOp>| Uniform {
             launch: KernelLaunch { blocks: 1, warps_per_block: 1, smem_per_block: 0 },
             ops,
         };
         let mut c = small_cluster();
-        let hit = GpuSim::run(&mut c, &mk(vec![WarpOp::CacheHit { bytes, nbi: false }]), &mut NoPaging)
-            .unwrap();
+        let hit = GpuSim::run(
+            &mut c,
+            &mk(vec![WarpOp::CacheHit { bytes }, WarpOp::WaitRemote]),
+            &mut NoPaging,
+        )
+        .unwrap();
         assert_eq!(hit.traffic.remote_bytes(), 0, "a hit must not touch the fabric");
         let mut c2 = small_cluster();
         let miss = GpuSim::run(
             &mut c2,
-            &mk(vec![WarpOp::RemoteGet { peer: 1, bytes, nbi: false }]),
+            &mk(vec![WarpOp::RemoteGet { peer: 1, bytes, nbi: true }, WarpOp::WaitRemote]),
             &mut NoPaging,
         )
         .unwrap();
@@ -1089,9 +1080,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_fill_is_posted() {
-        // A fill charges the HBM channel but must not stall the warp: a
-        // compute op after the fill starts immediately.
+    fn global_write_is_posted() {
+        // A write charges the HBM channel but must not stall the warp: a
+        // compute op after the write starts immediately.
         let mk = |ops: Vec<WarpOp>| Uniform {
             launch: KernelLaunch { blocks: 1, warps_per_block: 1, smem_per_block: 0 },
             ops,
@@ -1101,21 +1092,21 @@ mod tests {
             .unwrap()
             .makespan_ns();
         let mut c2 = small_cluster();
-        let filled = GpuSim::run(
+        let written = GpuSim::run(
             &mut c2,
-            &mk(vec![WarpOp::CacheFill { bytes: 1 << 20 }, WarpOp::compute(1_410)]),
+            &mk(vec![WarpOp::GlobalWrite { bytes: 1 << 20 }, WarpOp::compute(1_410)]),
             &mut NoPaging,
         )
-        .unwrap()
-        .makespan_ns();
-        assert_eq!(plain, filled, "a posted fill must not delay the warp");
+        .unwrap();
+        assert!(written.traffic.hbm[0].bytes >= 1 << 20, "the write is charged");
+        assert_eq!(plain, written.makespan_ns(), "a posted write must not delay the warp");
     }
 
     #[test]
     fn cache_hit_is_traced() {
         let k = Uniform {
             launch: KernelLaunch { blocks: 1, warps_per_block: 1, smem_per_block: 0 },
-            ops: vec![WarpOp::CacheHit { bytes: 2_048, nbi: false }, WarpOp::compute(100)],
+            ops: vec![WarpOp::CacheHit { bytes: 2_048 }, WarpOp::WaitRemote, WarpOp::compute(100)],
         };
         let mut c = small_cluster();
         let (_, events) = GpuSim::run_traced(&mut c, &k, &mut NoPaging).unwrap();
@@ -1161,7 +1152,7 @@ mod tests {
                     out.push(WarpOp::RemoteGet { peer, bytes: 512, nbi: true });
                 }
                 if h & 16 != 0 {
-                    out.push(WarpOp::CacheHit { bytes: 1_024, nbi: true });
+                    out.push(WarpOp::CacheHit { bytes: 1_024 });
                 }
                 out.push(WarpOp::GlobalRead { bytes: 2_048 });
                 out.push(WarpOp::compute(200 + (h >> 40) as u32 % 900));
@@ -1169,7 +1160,7 @@ mod tests {
                 out.push(WarpOp::WaitRemote);
                 out.push(WarpOp::compute(150));
                 if h & 32 != 0 {
-                    out.push(WarpOp::CacheFill { bytes: 512 });
+                    out.push(WarpOp::GlobalWrite { bytes: 512 });
                 }
                 if h & 64 != 0 {
                     out.push(WarpOp::RemoteGet { peer, bytes: 256, nbi: false });
@@ -1178,7 +1169,7 @@ mod tests {
                     out.push(WarpOp::RemotePut { peer, bytes: 128 });
                 }
                 if h & 256 != 0 {
-                    out.push(WarpOp::CacheHit { bytes: 256, nbi: false });
+                    out.push(WarpOp::GlobalRead { bytes: 256 });
                 }
                 out.push(WarpOp::GlobalWrite { bytes: 256 });
             }

@@ -175,8 +175,8 @@ pub struct KernelStats {
     /// uncached runs keep their equality comparisons unperturbed (the
     /// [`RecoveryStats`] pattern). Populated by the kernel builder, which
     /// is the only layer that can attribute cache outcomes; the simulator
-    /// only prices the resulting [`crate::WarpOp::CacheHit`] /
-    /// [`crate::WarpOp::CacheFill`] operations.
+    /// only prices the resulting [`crate::WarpOp::CacheHit`] reads and
+    /// fill writes.
     pub cache: mgg_cache::CacheStats,
     /// SM count used for the derived occupancy metrics.
     pub num_sms: u32,

@@ -63,25 +63,15 @@ pub enum WarpOp {
     /// in local HBM — the request never touches the fabric. Kept as a
     /// distinct op so traces attribute cache hits separately.
     ///
-    /// With `nbi` the warp pays only the async-copy issue cost and the HBM
-    /// read lands in the background for a later [`WarpOp::WaitRemote`] —
-    /// the pipelined kernel treats a hit like a GET that happens to be
-    /// local, so it overlaps local aggregation instead of stalling through
-    /// the (often deeply queued) HBM FIFO. Without `nbi` it is a blocking
-    /// HBM read like [`WarpOp::GlobalRead`], which the synchronous ablation
-    /// uses.
+    /// The warp pays only for posting an async copy, and the HBM read lands
+    /// in the background for a later [`WarpOp::WaitRemote`]: the pipelined
+    /// kernel treats a hit like a GET that happens to be local, so it
+    /// overlaps local aggregation instead of stalling through the (often
+    /// deeply queued) HBM FIFO. A kernel that wants the blocking read
+    /// emits a [`WarpOp::GlobalRead`] instead; filling the cache after a
+    /// miss is a posted [`WarpOp::GlobalWrite`].
     CacheHit {
         /// Payload size in bytes (the cached rows re-read from HBM).
-        bytes: u32,
-        /// Async-copy form: land in the background, join at `WaitRemote`.
-        nbi: bool,
-    },
-    /// Writes `bytes` of freshly landed remote rows into the local HBM
-    /// cache (fill after a miss, displacing evicted rows). Posted like
-    /// [`WarpOp::GlobalWrite`]: the eviction/fill bandwidth is charged to
-    /// the HBM channel but the warp does not stall on it.
-    CacheFill {
-        /// Payload size in bytes (the freshly landed rows written back).
         bytes: u32,
     },
     /// Touches `bytes` at unified-memory `page`; if the page is not

@@ -75,7 +75,7 @@ fn main() {
     );
 
     println!(
-        "\nOnly MGG's symmetric-heap data plane computes values (checked against the \
-         CPU reference); the other engines are timing models."
+        "\nOnly MGG's value plane computes values (checked against the CPU \
+         reference); the other engines are timing models."
     );
 }

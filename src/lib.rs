@@ -18,9 +18,8 @@
 //! | [`failover`] | `mgg-failover` | elastic failover: heartbeat health monitoring, route planning around dead links, checkpoint/resume |
 //! | [`graph`] | `mgg-graph` | CSR graphs, generators, Table-3 dataset stand-ins, partitioning |
 //! | [`runtime`] | `mgg-runtime` | deterministic parallel runtime (ordered-merge `par_map`, disjoint-slice workers) |
-//! | [`shmem`] | `mgg-shmem` | NVSHMEM-like symmetric heap (PGAS) |
+//! | [`shmem`] | `mgg-shmem` | host-initiated collectives (NVSHMEM barrier / sum-reduce, NCCL ring all-reduce / all-gather) |
 //! | [`uvm`] | `mgg-uvm` | unified-virtual-memory substrate (page faults, migration) |
-//! | [`collective`] | `mgg-collective` | NCCL-like host-initiated collectives |
 //! | [`gnn`] | `mgg-gnn` | tensors, GCN/GIN models, reference aggregation, training |
 //! | [`core`] | `mgg-core` | **the MGG system**: workload management, placement, pipelined kernel, model, tuner |
 //! | [`telemetry`] | `mgg-telemetry` | spans/counters/histograms, derived pipeline metrics, Chrome-trace export |
@@ -60,7 +59,6 @@
 pub use mgg_baselines as baselines;
 pub use mgg_cache as cache;
 pub use mgg_churn as churn;
-pub use mgg_collective as collective;
 pub use mgg_core as core;
 pub use mgg_failover as failover;
 pub use mgg_fault as fault;

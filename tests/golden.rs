@@ -15,7 +15,10 @@ use mgg::churn::{
     BurstWindow, ChurnEventKind, ChurnSchedule, ChurnSpec, GraphDelta, MembershipChange,
     MembershipEvent,
 };
-use mgg::core::{CacheConfig, CachePolicy, MggConfig, MggEngine, ReplicatedEngine};
+use mgg::core::mapping::MappingMode;
+use mgg::core::{
+    CacheConfig, CachePolicy, KernelVariant, MggConfig, MggEngine, ReplicatedEngine,
+};
 use mgg::fault::FaultSpec;
 use mgg::gnn::features::{label_features, split_masks};
 use mgg::gnn::gat::GatBackend;
@@ -158,6 +161,55 @@ fn golden_cached_timings() {
         Golden { name: "cached_layer2_misses", got: second.cache.misses, want: 1_654 },
         Golden { name: "cached_layer2_evictions", got: second.cache.evictions, want: 1_654 },
     ]);
+}
+
+/// The six pinned figures of one cached layer, named `<prefix>_<figure>`.
+macro_rules! cached_layer {
+    ($prefix:literal, $stats:expr, $want:expr) => {{
+        let (s, w): (&mgg::sim::KernelStats, [u64; 6]) = (&$stats, $want);
+        [
+            Golden { name: concat!($prefix, "_makespan_ns"), got: s.makespan_ns(), want: w[0] },
+            Golden { name: concat!($prefix, "_hits"), got: s.cache.hits, want: w[1] },
+            Golden { name: concat!($prefix, "_misses"), got: s.cache.misses, want: w[2] },
+            Golden { name: concat!($prefix, "_evictions"), got: s.cache.evictions, want: w[3] },
+            Golden { name: concat!($prefix, "_coalesced"), got: s.cache.coalesced, want: w[4] },
+            Golden { name: concat!($prefix, "_bypassed"), got: s.cache.bypassed, want: w[5] },
+        ]
+    }};
+}
+
+/// The cached kernel's ablation lowerings on `golden_cached_timings`'
+/// scenario: the synchronous Figure-7(a) kernel (blocking GETs, hits read
+/// like local rows) under both warp mappings, and the pipelined kernel
+/// under the separated mapping. Two back-to-back dim-16 layers each.
+#[test]
+fn golden_ablation_cached_timings() {
+    let g = scenario();
+    let layers = |variant, mapping| {
+        let mut mgg = MggEngine::new(
+            &g,
+            ClusterSpec::dgx_a100(4),
+            MggConfig::default_fixed(),
+            AggregateMode::Sum,
+        );
+        mgg.variant = variant;
+        mgg.mapping = mapping;
+        mgg.set_cache(Some(CacheConfig { capacity_bytes: 16 << 10, policy: CachePolicy::Lfu }));
+        (mgg.simulate_aggregation(16).unwrap(), mgg.simulate_aggregation(16).unwrap())
+    };
+    let (sync_inter_1, sync_inter_2) = layers(KernelVariant::SyncRemote, MappingMode::Interleaved);
+    let (async_sep_1, async_sep_2) = layers(KernelVariant::AsyncPipelined, MappingMode::Separated);
+    let (sync_sep_1, sync_sep_2) = layers(KernelVariant::SyncRemote, MappingMode::Separated);
+
+    let goldens = [
+        cached_layer!("sync_interleaved_layer1", sync_inter_1, [41_666, 8_437, 2_905, 1_881, 0, 0]),
+        cached_layer!("sync_interleaved_layer2", sync_inter_2, [27_605, 9_688, 1_654, 1_654, 0, 0]),
+        cached_layer!("async_separated_layer1", async_sep_1, [8_669, 8_437, 2_905, 1_881, 0, 0]),
+        cached_layer!("async_separated_layer2", async_sep_2, [6_817, 9_688, 1_654, 1_654, 0, 0]),
+        cached_layer!("sync_separated_layer1", sync_sep_1, [40_948, 8_437, 2_905, 1_881, 0, 0]),
+        cached_layer!("sync_separated_layer2", sync_sep_2, [28_195, 9_688, 1_654, 1_654, 0, 0]),
+    ];
+    check(&goldens.into_iter().flatten().collect::<Vec<_>>());
 }
 
 /// FNV-1a over the little-endian bytes of a stream of 64-bit words.

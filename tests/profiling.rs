@@ -21,20 +21,24 @@ fn graph() -> mgg::graph::CsrGraph {
 #[test]
 fn mgg_hides_more_communication_than_uvm() {
     let g = graph();
-    let mut mgg = MggEngine::try_new(
+    let mgg_tel = Telemetry::enabled();
+    let mut mgg = MggEngine::try_new_with_telemetry(
         &g,
         ClusterSpec::dgx_a100(GPUS),
         MggConfig::default_fixed(),
         AggregateMode::Sum,
+        mgg_tel.clone(),
     )
     .unwrap();
-    let (_, mgg_trace) = mgg.simulate_aggregation_traced(DIM).unwrap();
+    mgg.simulate_aggregation(DIM).unwrap();
 
+    let uvm_tel = Telemetry::enabled();
     let mut uvm = UvmGnnEngine::new(&g, ClusterSpec::dgx_a100(GPUS), AggregateMode::Sum);
-    let (_, uvm_trace) = uvm.simulate_aggregation_traced(DIM);
+    uvm.set_telemetry(uvm_tel.clone());
+    uvm.simulate_aggregation(DIM);
 
-    let mgg_overlap = overlap_efficiency(&mgg_trace);
-    let uvm_overlap = overlap_efficiency(&uvm_trace);
+    let mgg_overlap = overlap_efficiency(&mgg_tel.trace_events());
+    let uvm_overlap = overlap_efficiency(&uvm_tel.trace_events());
     assert!((0.0..=1.0).contains(&mgg_overlap));
     assert!((0.0..=1.0).contains(&uvm_overlap));
     assert!(
